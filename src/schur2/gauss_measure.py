@@ -17,7 +17,7 @@ Method dispatch:
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
@@ -162,11 +162,26 @@ def _graded_breakpoints(w, levels=48):
     return np.concatenate(([0.0], left, right[1:], [w]))
 
 
+def _unit_mesh():
+    """Composite Gauss-Legendre nodes and weights on [0, 1], graded mesh."""
+    bp = _graded_breakpoints(1.0)
+    mids = 0.5 * (bp[1:] + bp[:-1])
+    halfs = 0.5 * (bp[1:] - bp[:-1])
+    u = (mids[:, None] + halfs[:, None] * _GLX[None, :]).ravel()
+    uw = (halfs[:, None] * np.broadcast_to(_GLW, (mids.size, _GLW.size))).ravel()
+    return u, uw
+
+
+_UNIT_U, _UNIT_W = _unit_mesh()  # ~2,350 nodes, scaled per radius w
+_ROW_BLOCK = 16  # radii per block: bounds the (block x nodes) temporaries
+
+
 def _convolve_level(G_prev, p, theta_j, sigma, ws):
     """One convolution step: values of the next running CDF at radii ws.
 
     G_j(w) = int_0^w G_{j-1}((w^p - v^p)^(1/p)) g(v) dv with g the density of
-    |Z_j - theta_j|; composite Gauss-Legendre on a graded mesh.
+    |Z_j - theta_j|; composite Gauss-Legendre on a graded mesh. Radii are
+    taken in fixed blocks; each row's sum is independent of the others.
     """
     ws = np.asarray(ws, dtype=float)
     out = np.zeros_like(ws)
@@ -174,17 +189,14 @@ def _convolve_level(G_prev, p, theta_j, sigma, ws):
     if not pos.any():
         return out
     wpos = ws[pos]
-    bp = _graded_breakpoints(1.0)  # unit mesh, scaled per w
-    mids = 0.5 * (bp[1:] + bp[:-1])
-    halfs = 0.5 * (bp[1:] - bp[:-1])
-    # nodes in [0,1]: shape (n_panels * n_gl,)
-    u = (mids[:, None] + halfs[:, None] * _GLX[None, :]).ravel()
-    uw = (halfs[:, None] * np.broadcast_to(_GLW, (mids.size, _GLW.size))).ravel()
-    v = wpos[:, None] * u[None, :]
-    rad = np.clip(wpos[:, None] ** p - v**p, 0.0, None) ** (1.0 / p)
-    g = (norm.pdf((v - theta_j) / sigma) + norm.pdf((v + theta_j) / sigma)) / sigma
-    vals = G_prev(rad) * g
-    out[pos] = wpos * (vals * uw[None, :]).sum(axis=1)
+    sums = np.empty_like(wpos)
+    for i in range(0, wpos.size, _ROW_BLOCK):
+        wb = wpos[i:i + _ROW_BLOCK]
+        v = wb[:, None] * _UNIT_U[None, :]
+        rad = np.clip(wb[:, None] ** p - v**p, 0.0, None) ** (1.0 / p)
+        g = (norm.pdf((v - theta_j) / sigma) + norm.pdf((v + theta_j) / sigma)) / sigma
+        sums[i:i + _ROW_BLOCK] = (G_prev(rad) * g * _UNIT_W[None, :]).sum(axis=1)
+    out[pos] = wpos * sums
     return out
 
 
@@ -246,34 +258,6 @@ def _slice_quad(q):
 
 # ---------------------------------------------------------------------------
 # POLAR2D
-
-
-def _radial_intervals(S, theta, phi, rho_max, n_scan=4096, bisect_iters=50):
-    """Membership intervals of {rho >= 0 : rho*(cos,sin) in S + theta}."""
-    direction = np.array([math.cos(phi), math.sin(phi)])
-    rho = np.linspace(0.0, rho_max, n_scan)
-    pts = rho[:, None] * direction[None, :] - theta[None, :]
-    mem = contains_rows(S, pts)
-    flips = np.nonzero(mem[1:] != mem[:-1])[0]
-    lo = rho[flips]
-    hi = rho[flips + 1]
-    state_lo = mem[flips]  # True means leaving the set across this bracket
-    for _ in range(bisect_iters):
-        mid = 0.5 * (lo + hi)
-        mmid = contains_rows(S, mid[:, None] * direction[None, :] - theta[None, :])
-        going_out = state_lo  # inside at lo
-        take_lo = np.where(going_out, mmid, ~mmid)
-        lo = np.where(take_lo, mid, lo)
-        hi = np.where(take_lo, hi, mid)
-    crossings = 0.5 * (lo + hi)
-    edges = [0.0] if mem[0] else []
-    inside = mem[0]
-    for c in crossings:
-        edges.append(c)
-        inside = not inside
-    if inside:  # still inside at rho_max; tail mass beyond is negligible
-        edges.append(math.inf)
-    return np.asarray(edges).reshape(-1, 2)
 
 
 _HINT_OFFSETS = np.concatenate([

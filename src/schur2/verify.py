@@ -13,7 +13,7 @@ toward the diagonal); for a Schur2-concave set the measure is Schur2-convex
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad

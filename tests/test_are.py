@@ -8,6 +8,7 @@ import pytest
 from schur2.are_analysis import (are, are_direction_sweep, are_extremes,
                                  are_limit_trend, duality_partner,
                                  sweep_to_csv)
+from schur2 import solvers
 from schur2.solvers import TestDesign, normalize_direction
 
 
@@ -59,6 +60,21 @@ def test_extremes_bracket_sweep():
     for t, r in rows:
         slack = 3 * (r.error + r_d.error + r_c.error) + 1e-6
         assert lo - slack <= r.are <= hi + slack
+
+
+def test_sweep_solves_critical_value_once(monkeypatch):
+    solves = []
+    orig = solvers._radial_critical_value
+
+    def counting(k, p, alpha):
+        solves.append((k, p, alpha))
+        return orig(k, p, alpha)
+
+    monkeypatch.setattr(solvers, "_radial_critical_value", counting)
+    solvers._exact_critical_value.cache_clear()
+    rows = are_direction_sweep(3.0, 0.05, 0.9, n_angles=5)
+    assert len(rows) == 5
+    assert solves == [(2, 3.0, 0.05)]
 
 
 def test_sweep_monotone_direction_for_p_above_2():

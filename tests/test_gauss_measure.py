@@ -80,6 +80,22 @@ def test_method_agreement_slice_polar_mc():
         assert abs(e.value - ref.value) <= tol
 
 
+def test_convolve_level_blocks_keep_bits():
+    # radii are summed in fixed blocks; each row must equal the one-shot sum
+    from schur2.gauss_measure import _UNIT_U, _UNIT_W, _convolve_level
+    p, theta_j, sigma = 1.5, 0.7, 1.3
+    G = lambda w: norm.cdf((w + 0.3) / sigma) - norm.cdf((-w + 0.3) / sigma)
+    ws = np.linspace(-0.5, 6.0, 53)
+    w = ws[ws > 0]
+    v = w[:, None] * _UNIT_U[None, :]
+    rad = np.clip(w[:, None] ** p - v**p, 0.0, None) ** (1.0 / p)
+    g = (norm.pdf((v - theta_j) / sigma)
+         + norm.pdf((v + theta_j) / sigma)) / sigma
+    want = np.zeros_like(ws)
+    want[ws > 0] = w * (G(rad) * g * _UNIT_W[None, :]).sum(axis=1)
+    assert np.array_equal(_convolve_level(G, p, theta_j, sigma, ws), want)
+
+
 def test_polar_handles_unbounded_thin_arms():
     # tiny tail mass hugging the shifted coordinate axes must be captured
     S = pq_ball(2, 2.0, -0.4, 1.0)

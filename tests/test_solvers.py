@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.stats import chi2, norm
 
+from schur2 import solvers
 from schur2.solvers import (ShiftSolution, TestDesign, critical_value,
                             normalize_direction, shift_solution,
                             tail_probability)
@@ -112,3 +113,52 @@ def test_bracket_width_contract():
     assert sol.exists
     assert sol.solver_error <= 1e-5
     assert abs(sol.achieved_power - 0.9) <= 1e-5
+
+
+@pytest.fixture
+def measure_calls(monkeypatch):
+    """Counts solvers.measure calls; clears the memoised critical values."""
+    calls = []
+    orig = solvers.measure
+
+    def counting(q):
+        calls.append(q)
+        return orig(q)
+
+    monkeypatch.setattr(solvers, "measure", counting)
+    solvers._exact_critical_value.cache_clear()
+    return calls
+
+
+RADIAL_CASES = [(2, 1.0, 0.05), (3, 3.0, 0.05), (3, 0.5, 0.01), (6, 1.5, 0.01)]
+
+
+def test_radial_critical_value_makes_no_measure_calls(measure_calls):
+    for k, p, a in RADIAL_CASES:
+        critical_value(k, p, a)
+    assert measure_calls == []
+
+
+@pytest.mark.parametrize("k,p,a", RADIAL_CASES)
+def test_radial_critical_value_matches_tail_root(k, p, a):
+    def excess(c):
+        return tail_probability(k, p, c, np.zeros(k),
+                                target_rel_error=1e-7)[0] - a
+    want = brentq(excess, 0.5, 4.0, xtol=1e-13, rtol=1e-13)
+    assert abs(critical_value(k, p, a) - want) <= 1e-9
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("p", [0.5, 1.0, 3.0])
+def test_quadrature_shift_solution_call_budget(measure_calls, k, p):
+    u = normalize_direction(np.linspace(1.0, 0.4, k))
+    sol = shift_solution(TestDesign(k, p, 0.05, 0.9, tuple(u)))
+    assert sol.exists
+    assert len(measure_calls) <= 10
+    assert abs(sol.achieved_power - 0.9) <= 1e-6
+
+
+def test_mc_critical_value_bits_unchanged():
+    # recorded bits of the Monte Carlo bisection: any change to its trial
+    # points, bracket rule or step count moves them
+    assert critical_value(3, 0.0, 0.05) == float.fromhex("0x1.4654469e27263p+0")
