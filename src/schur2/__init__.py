@@ -9,8 +9,7 @@ from .means import (MeanKind, MeanSpec, Schur2Value, SchurCharacter,
 from .sets import (SetSpec, check_b, classify_set, complement, contains, cube,
                    format_set, hat_b, line_interval, parse_set, p_ball,
                    pq_ball)
-from .gauss_measure import (GaussianShiftQuery, GridFunction, MeasureEstimate,
-                            measure, smooth)
+from .gauss_measure import GaussianShiftQuery, MeasureEstimate, measure
 from .solvers import (ShiftSolution, TestDesign, critical_value,
                       normalize_direction, shift_solution, tail_probability)
 from .are_analysis import (AreResult, are, are_direction_sweep, are_extremes,

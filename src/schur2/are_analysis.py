@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauss_measure import rotate2
-from .solvers import TestDesign, critical_value, normalize_direction, shift_solution
+from .solvers import TestDesign, normalize_direction, shift_solution
 
 
 @dataclass(frozen=True)

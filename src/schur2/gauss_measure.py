@@ -10,8 +10,12 @@ Method dispatch:
                 smooth and Chebyshev interpolation converges fast
   POLAR2D       any set at k = 2: adaptive Simpson over the angle with the
                 radial integral done in closed form on membership intervals
-  MC_PLAIN /    everything else; chunk-indexed counter-based streams make the
-  MC_IMPORTANCE estimates independent of the worker count
+  MC_PLAIN /    everything else, in one Monte Carlo loop: plain draws, or
+  MC_IMPORTANCE importance sampling from N(center, sigma^2 I) around a near
+                member point when the event is rare; chunk-indexed
+                counter-based streams make the estimates independent of the
+                worker count
+A forced engine must be able to measure the set, or measure raises.
 """
 
 import math
@@ -21,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
-from scipy.interpolate import RegularGridInterpolator
 from scipy.stats import chi2, norm
 
 from . import sets as sets_mod
@@ -32,13 +35,9 @@ __all__ = [
     "GaussianShiftQuery",
     "measure",
     "rotate2",
-    "smooth",
-    "GridFunction",
     "pball_radius_cdf",
     "chunk_rng",
 ]
-
-_SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -146,12 +145,7 @@ def _product_1d(q):
 # SLICE_QUAD
 
 
-def _gl_nodes(order):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
-
-
-_GLX, _GLW = _gl_nodes(24)
+_GLX, _GLW = np.polynomial.legendre.leggauss(24)
 
 
 def _graded_breakpoints(w, levels=48):
@@ -324,6 +318,9 @@ def _composite_simpson(vals, h):
                       + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-1:2].sum())
 
 
+_POLAR_MAX_PANELS = 1 << 14
+
+
 def _polar2d(q):
     S = q.set
     theta = np.asarray(q.shift, dtype=float)
@@ -339,7 +336,8 @@ def _polar2d(q):
         integral = _composite_simpson(vals, 2.0 * math.pi / n)
         if prev is not None:
             err = abs(integral - prev)
-            if err <= 0.2 * target * max(integral, 1e-300) or n >= 1 << 14:
+            if (err <= 0.2 * target * max(integral, 1e-300)
+                    or n >= _POLAR_MAX_PANELS):
                 break
         prev = integral
         mids = np.linspace(0.0, 2.0 * math.pi, 2 * n + 1)[1::2]
@@ -351,7 +349,8 @@ def _polar2d(q):
         vals, n = merged, 2 * n
     value = integral / (2.0 * math.pi)
     err_final = max(err / (2.0 * math.pi), 1e-15 * value)
-    return value, err_final, total_evals
+    met = bool(err <= target * max(integral, 1e-300))
+    return value, err_final, total_evals, met
 
 
 # ---------------------------------------------------------------------------
@@ -369,32 +368,6 @@ def _run_chunks(worker, n_chunks, workers, start=0):
 
 _MC_CHUNK = 1 << 15
 _MC_ROUND = 8  # chunks per convergence check
-
-
-def _mc_plain(q):
-    S = q.set
-    theta = np.asarray(q.shift, dtype=float)
-    target = q.target_rel_error if q.target_rel_error is not None else 1e-2
-
-    def worker(chunk):
-        rng = chunk_rng(q.seed, chunk)
-        Z = q.sigma * rng.standard_normal((_MC_CHUNK, S.k))
-        return int(np.count_nonzero(contains_rows(S, Z - theta)))
-
-    hits, n, chunk0, met = 0, 0, 0, False
-    while n < q.mc_max_samples:
-        counts = _run_chunks(worker, _MC_ROUND, q.workers, start=chunk0)
-        chunk0 += _MC_ROUND
-        hits += sum(counts)
-        n += _MC_ROUND * _MC_CHUNK
-        p_hat = hits / n
-        se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / n) / n)
-        if p_hat > 0 and 2.0 * se <= target * p_hat:
-            met = True
-            break
-    p_hat = hits / n
-    se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / n) / n)
-    return p_hat, 2.0 * se, n, met
 
 
 def _scan_directions(k):
@@ -450,41 +423,62 @@ def _nearest_member_point(S, theta, rho_max, seed=0):
     return y, float(np.linalg.norm(y))
 
 
-def _mc_importance(q, center):
+def _mc(q, center=None):
+    """Monte Carlo estimate of the measure: plain draws from N(0, sigma^2 I),
+    or importance sampling from N(center, sigma^2 I) when a center is given.
+
+    Plain draws keep the variance floor 1/n, so a run with no hits is never
+    reported as exact; the importance weights need no floor.
+    """
     S = q.set
     theta = np.asarray(q.shift, dtype=float)
     target = q.target_rel_error if q.target_rel_error is not None else 1e-2
-    c2 = float(center @ center)
-    two_s2 = 2.0 * q.sigma**2
+    if center is not None:
+        c2 = float(center @ center)
+        two_s2 = 2.0 * q.sigma**2
 
     def worker(chunk):
         rng = chunk_rng(q.seed, chunk)
-        X = center[None, :] + q.sigma * rng.standard_normal((_MC_CHUNK, S.k))
+        Z = q.sigma * rng.standard_normal((_MC_CHUNK, S.k))
+        if center is None:
+            hits = int(np.count_nonzero(contains_rows(S, Z - theta)))
+            return hits, hits  # 0/1 weights: sum and sum of squares agree
+        X = center[None, :] + Z
         w = np.exp((c2 - 2.0 * X @ center) / two_s2)
         w *= contains_rows(S, X - theta)
         return float(w.sum()), float((w * w).sum())
 
-    s1, s2, n, chunk0, met = 0.0, 0.0, 0, 0, False
-    while n < q.mc_max_samples:
+    s1, s2, n, chunk0 = 0, 0, 0, 0
+    while True:
         parts = _run_chunks(worker, _MC_ROUND, q.workers, start=chunk0)
         chunk0 += _MC_ROUND
         s1 += sum(p[0] for p in parts)
         s2 += sum(p[1] for p in parts)
         n += _MC_ROUND * _MC_CHUNK
         mean = s1 / n
-        var = max(s2 / n - mean * mean, 0.0)
+        if center is None:
+            var = max(mean * (1.0 - mean), 1.0 / n)
+        else:
+            var = max(s2 / n - mean * mean, 0.0)
         se = math.sqrt(var / n)
-        if mean > 0 and 2.0 * se <= target * mean:
-            met = True
-            break
-    mean = s1 / n
-    var = max(s2 / n - mean * mean, 0.0)
-    se = math.sqrt(var / n)
-    return mean, 2.0 * se, n, met
+        met = mean > 0 and 2.0 * se <= target * mean
+        if met or n >= q.mc_max_samples:
+            return mean, 2.0 * se, n, met
 
 
 # ---------------------------------------------------------------------------
 # dispatch
+
+
+# engines in the order of automatic dispatch, each with its capability test
+_CAPABLE = {
+    "PRODUCT_1D": _product_capable,
+    "SLICE_QUAD": _slice_capable,
+    "POLAR2D": lambda S: S.k == 2,
+    "MC": lambda S: True,
+    "MC_PLAIN": lambda S: True,
+    "MC_IMPORTANCE": lambda S: True,
+}
 
 
 def measure(q):
@@ -492,14 +486,10 @@ def measure(q):
     t0 = time.perf_counter()
     method = q.method
     if method is None:
-        if _product_capable(q.set):
-            method = "PRODUCT_1D"
-        elif _slice_capable(q.set):
-            method = "SLICE_QUAD"
-        elif q.set.k == 2:
-            method = "POLAR2D"
-        else:
-            method = "MC"
+        method = next(m for m, capable in _CAPABLE.items() if capable(q.set))
+    elif method not in _CAPABLE or not _CAPABLE[method](q.set):
+        raise ValueError(f"engine {method!r} cannot measure "
+                         f"{sets_mod.format_set(q.set)} at k={q.set.k}")
 
     met = True
     if method == "PRODUCT_1D":
@@ -507,93 +497,25 @@ def measure(q):
     elif method == "SLICE_QUAD":
         value, err, nodes, met = _slice_quad(q)
     elif method == "POLAR2D":
-        value, err, nodes = _polar2d(q)
+        value, err, nodes, met = _polar2d(q)
     else:
-        theta = np.asarray(q.shift, dtype=float)
-        rho_max = float(np.linalg.norm(theta)) + 40.0 * q.sigma
+        center = None
         if method in ("MC", "MC_IMPORTANCE"):
+            theta = np.asarray(q.shift, dtype=float)
+            rho_max = float(np.linalg.norm(theta)) + 40.0 * q.sigma
             center, dist = _nearest_member_point(q.set, theta, rho_max, seed=q.seed)
         if method == "MC":
             bound = chi2.sf(dist**2 / q.sigma**2, q.set.k) if center is not None else 0.0
             method = "MC_IMPORTANCE" if bound < 1e-6 else "MC_PLAIN"
-        if method == "MC_IMPORTANCE":
-            if center is None:
-                value, err, nodes, met = 0.0, 0.0, 0, True  # no member found
-            else:
-                value, err, nodes, met = _mc_importance(q, center)
+        if method == "MC_PLAIN":
+            value, err, nodes, met = _mc(q)
+        elif center is None:
+            value, err, nodes = 0.0, 0.0, 0  # no member found
         else:
-            value, err, nodes, met = _mc_plain(q)
+            value, err, nodes, met = _mc(q, center)
 
     value = min(max(value, 0.0), 1.0)
     wall = (time.perf_counter() - t0) * 1e3
     rel = err / max(value, 1e-300)
     return MeasureEstimate(value, err, rel, method, nodes,
                            seed=q.seed, wall_ms=wall, target_met=met)
-
-
-# ---------------------------------------------------------------------------
-# smoothing operator
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Function tabulated on a regular grid with a declared extension."""
-    values: np.ndarray
-    lows: tuple
-    spacing: tuple
-    extension: str = "zero"  # zero | constant (nearest value)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        lows = np.atleast_1d(np.asarray(self.lows, dtype=float))
-        sp = np.atleast_1d(np.asarray(self.spacing, dtype=float))
-        if sp.size == 1:
-            sp = np.repeat(sp, v.ndim)
-        if lows.size != v.ndim or sp.size != v.ndim:
-            raise ValueError("grid/dimension mismatch")
-        object.__setattr__(self, "lows", tuple(lows))
-        object.__setattr__(self, "spacing", tuple(sp))
-
-    def interpolator(self):
-        axes = [self.lows[d] + self.spacing[d] * np.arange(self.values.shape[d])
-                for d in range(self.values.ndim)]
-        if self.extension == "zero":
-            return RegularGridInterpolator(
-                axes, self.values, bounds_error=False, fill_value=0.0)
-        interp = RegularGridInterpolator(axes, self.values, bounds_error=False)
-        bounds = [(ax[0], ax[-1]) for ax in axes]
-
-        def clamped(pts):
-            pts = np.atleast_2d(np.array(pts, dtype=float, copy=True))
-            for d, (lo, hi) in enumerate(bounds):
-                np.clip(pts[:, d], lo, hi, out=pts[:, d])
-            out = interp(pts)
-            return out[0] if out.size == 1 else out
-        return clamped
-
-
-def smooth(f, sigma, x, n_start=8, n_max=64, tol=1e-6):
-    """Gauss-Hermite tensor estimate of E f(sigma*Z + x) for grid-tabulated f.
-
-    The error heuristic is the difference between the last two node-doubling
-    refinements.
-    """
-    x = np.asarray(x, dtype=float)
-    k = f.values.ndim
-    if x.size != k:
-        raise ValueError("grid/dimension mismatch")
-    interp = f.interpolator()
-    prev, val, n = None, None, n_start
-    while True:
-        t, w = np.polynomial.hermite.hermgauss(n)
-        grids = np.meshgrid(*([t] * k), indexing="ij")
-        wgrids = np.meshgrid(*([w] * k), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        wts = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
-        vals = interp(math.sqrt(2.0) * sigma * pts + x[None, :])
-        val = float((wts * vals).sum() / math.pi ** (k / 2.0))
-        if prev is not None and (abs(val - prev) <= tol * max(1.0, abs(val)) or n >= n_max):
-            return val, abs(val - prev)
-        prev = val
-        n *= 2

@@ -191,13 +191,10 @@ def pq_mean(x, p, q):
 def classify_mean(spec):
     """Squared-coordinate convexity character of a mean functional."""
     if spec.kind is MeanKind.P_MEAN:
-        if spec.p == 2.0:
-            return SchurCharacter(Schur2Value.SCHUR2_CONVEX, spherical=True)
-        if spec.p < 2.0:
-            return SchurCharacter(Schur2Value.SCHUR2_CONCAVE)
-        return SchurCharacter(Schur2Value.SCHUR2_CONVEX)
+        # the p-mean is the (p,0)-mean
+        return classify_mean(MeanSpec(MeanKind.PQ_MEAN, spec.p, 0.0))
     if spec.kind is MeanKind.PQ_MEAN:
-        p, q = (spec.p, spec.q) if spec.p >= spec.q else (spec.q, spec.p)
+        p, q = spec.p, spec.q  # MeanSpec keeps p >= q
         if (p, q) == (2.0, 0.0):
             return SchurCharacter(Schur2Value.SCHUR2_CONVEX, spherical=True)
         if q <= 0.0 <= p <= 2.0:

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .means import Schur2Value, SchurCharacter, p_mean_rows, pq_mean_rows
+from .means import (MeanKind, MeanSpec, Schur2Value, SchurCharacter,
+                    classify_mean, p_mean_rows, pq_mean_rows)
 
 __all__ = [
     "SetSpec",
@@ -157,21 +158,14 @@ def line_interval(S, base, axis):
 
 def classify_set(S):
     """Squared-coordinate convexity verdict for a set family member."""
-    if S.variant == "pball":
-        if S.p == 2.0:
-            # Euclidean ball: both characters at once; spherical flags it
+    if S.variant in ("pball", "pqball"):
+        # a p-ball is the (p,0)-ball; the Euclidean ball is both characters
+        # at once, and spherical flags it
+        char = classify_mean(MeanSpec(MeanKind.PQ_MEAN, S.p,
+                                      S.q if S.variant == "pqball" else 0.0))
+        if char.spherical:
             return SchurCharacter(Schur2Value.SCHUR2_CONCAVE, spherical=True)
-        if S.p < 2.0:
-            return SchurCharacter(Schur2Value.SCHUR2_CONCAVE)
-        return SchurCharacter(Schur2Value.SCHUR2_CONVEX)
-    if S.variant == "pqball":
-        if (S.p, S.q) == (2.0, 0.0):
-            return SchurCharacter(Schur2Value.SCHUR2_CONCAVE, spherical=True)
-        if S.q <= 0.0 <= S.p <= 2.0:
-            return SchurCharacter(Schur2Value.SCHUR2_CONCAVE)
-        if 0.0 <= S.q <= 2.0 <= S.p:
-            return SchurCharacter(Schur2Value.SCHUR2_CONVEX)
-        return SchurCharacter(Schur2Value.NEITHER_KNOWN)
+        return char
     if S.variant == "hatb":
         if S.p >= 2.0:
             return SchurCharacter(Schur2Value.SCHUR2_CONVEX)

@@ -93,10 +93,6 @@ def _tail_closed(k, p, c, shift):
     return None
 
 
-def has_closed_power(k, p):
-    return k == 1 or p in (2.0, math.inf, -math.inf)
-
-
 def tail_probability(k, p, c, shift, *, seed=0, workers=1,
                      target_rel_error=None):
     """P(<Z + shift>_p > c) with a propagated absolute error estimate."""
@@ -111,10 +107,10 @@ def tail_probability(k, p, c, shift, *, seed=0, workers=1,
     return min(max(1.0 - est.value, 0.0), 1.0), est.abs_error
 
 
-def _quad_path(k, p):
-    # SLICE_QUAD covers finite p > 0, POLAR2D covers every k = 2 set; the
-    # rest (p <= 0 at k >= 3) falls through to Monte Carlo.
-    return k <= 2 or (math.isfinite(p) and p > 0.0)
+def _mc_path(k, p):
+    # closed forms cover k = 1 and p = +-inf, SLICE_QUAD finite p > 0 and
+    # POLAR2D every k = 2 set; only finite p <= 0 at k >= 3 is Monte Carlo
+    return k >= 3 and math.isfinite(p) and p <= 0.0
 
 
 def _monotone_root(h, x0, *, exact, xtol, rtol, steps=200, lo=None,
@@ -220,7 +216,7 @@ def critical_value(k, p, alpha, *, seed=0, workers=1):
         return float(norm.ppf(0.5 * (1.0 + (1.0 - alpha) ** (1.0 / k))))
     if p == -math.inf:
         return float(norm.ppf(1.0 - alpha ** (1.0 / k) / 2.0))
-    if _quad_path(k, p):
+    if not _mc_path(k, p):
         return _exact_critical_value(k, p, alpha)
 
     zero = np.zeros(k)
@@ -243,7 +239,7 @@ def shift_solution(d: TestDesign, *, seed=0, workers=1, c=None):
     if c is None:
         c = critical_value(d.k, d.p, d.alpha, seed=seed, workers=workers)
     u = np.asarray(d.u, dtype=float)
-    exact = _quad_path(d.k, d.p) or has_closed_power(d.k, d.p)
+    exact = not _mc_path(d.k, d.p)
     target = _QUAD_TARGET if exact else None
     powers = {0.0: (d.alpha, 0.0)}  # t -> (power, abs error)
 

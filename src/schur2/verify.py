@@ -21,7 +21,7 @@ from scipy.integrate import quad
 from .majorization import MajorizationVerdict, schur2_compare
 from .means import Schur2Value, p_mean_rows
 from .gauss_measure import GaussianShiftQuery, chunk_rng, measure
-from .sets import SetSpec, classify_set, contains_rows, format_set
+from .sets import SetSpec, classify_set, format_set
 
 
 def _measure_at(S, theta, seed, workers, target):

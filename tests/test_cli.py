@@ -105,3 +105,12 @@ def test_figures_2_emits_four_measures(capsys):
     near = {round(r["angle"], 3): r["value"] for r in rows if r["radius"] == 1.0}
     assert near[round(math.pi / 5, 3)] == pytest.approx(0.5250, abs=5e-4)
     assert near[round(math.pi / 20, 3)] == pytest.approx(0.5268, abs=5e-4)
+
+
+def test_measure_incapable_method_is_usage_error(capsys):
+    # SLICE_QUAD handles p-balls only; forcing it on a (p,q)-ball must fail
+    code, out = run_cli(capsys, "measure", "--set", "pqball:p=2,q=-0.4,eps=1",
+                        "--k", "2", "--shift", "0.5,0.2",
+                        "--method", "SLICE_QUAD")
+    assert code == 1
+    assert out == ""

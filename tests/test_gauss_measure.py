@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, ncx2, norm
 
-from schur2.gauss_measure import (GaussianShiftQuery, GridFunction,
-                                  MeasureEstimate, measure, rotate2, smooth)
-from schur2.sets import (complement, cube, p_ball, pq_ball)
+from schur2 import gauss_measure
+from schur2.gauss_measure import (GaussianShiftQuery, MeasureEstimate, measure,
+                                  rotate2)
+from schur2.sets import (complement, cube, hat_b, p_ball, pq_ball)
 
 
 def mz(S, shift, **kw):
@@ -151,31 +152,50 @@ def test_rotate2():
     assert np.allclose(v, [math.sqrt(0.5), math.sqrt(0.5)])
 
 
-def test_smooth_gaussian_bump_oracle():
-    # convolving a Gaussian bump with a Gaussian kernel has a closed form:
-    # E exp(-|sZ+x|^2 / 2 tau^2) = (tau^2/(tau^2+s^2)) exp(-|x|^2/2(tau^2+s^2))
-    tau, s = 1.3, 0.6
-    xs = np.linspace(-6.0, 6.0, 241)
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    vals = np.exp(-(gx ** 2 + gy ** 2) / (2 * tau * tau))
-    f = GridFunction(values=vals, lows=(-6.0, -6.0),
-                     spacing=(xs[1] - xs[0],) * 2, extension="zero")
-    for x in [(0.0, 0.0), (0.7, -0.3), (1.5, 1.1)]:
-        got, err = smooth(f, s, np.array(x))
-        v = tau * tau / (tau * tau + s * s)
-        want = v * math.exp(-(x[0] ** 2 + x[1] ** 2)
-                            / (2 * (tau * tau + s * s)))
-        # linear grid interpolation limits the achievable accuracy
-        assert got == pytest.approx(want, abs=5e-4)
+def test_mc_bits_pinned():
+    # (value, abs_error, samples) recorded bit for bit before the plain and
+    # importance loops were merged; both worker counts must reproduce them
+    cases = [
+        (pq_ball(3, 5.0, -1.0, 1.0), (0.5, 0.5, 0.5), "MC_PLAIN", 42, None,
+         ("0x1.f96f000000000p-2", "0x1.fff5385ab2d8ep-10", 262144)),
+        (p_ball(3, 2.0, 1.0), (8.0, 1.0, 0.0), "MC_IMPORTANCE", 3, 0.05,
+         ("0x1.aaa149a5ac959p-36", "0x1.026731172ec12p-41", 262144)),
+    ]
+    for S, shift, method, seed, target, want in cases:
+        for workers in (1, 2):
+            est = mz(S, shift, method=method, seed=seed, workers=workers,
+                     target_rel_error=target)
+            assert est.method == method
+            got = (est.value.hex(), est.abs_error.hex(), est.samples_or_nodes)
+            assert got == want
 
 
-def test_grid_function_extension_modes():
-    vals = np.array([[1.0, 2.0], [3.0, 4.0]])
-    gz = GridFunction(values=vals, lows=np.array([0.0, 0.0]),
-                      spacing=np.array([1.0, 1.0]), extension="zero").interpolator()
-    gc = GridFunction(values=vals, lows=np.array([0.0, 0.0]),
-                      spacing=np.array([1.0, 1.0]),
-                      extension="constant").interpolator()
-    assert gz(np.array([10.0, 10.0])) == 0.0
-    assert gc(np.array([10.0, 10.0])) == 4.0
-    assert gz(np.array([0.0, 1.0])) == pytest.approx(2.0)
+@pytest.mark.parametrize("S, shift, method", [
+    (pq_ball(2, 2.0, -0.4, 1.0), (0.5, 0.2), "SLICE_QUAD"),
+    (hat_b(2, 4.5, 1.0, 0.9), (0.5, 0.2), "SLICE_QUAD"),
+    (p_ball(2, 1.0, 1.0), (0.5, 0.2), "PRODUCT_1D"),
+    (p_ball(3, 0.0, 1.0), (0.5, 0.2, 0.1), "POLAR2D"),
+    (p_ball(2, 1.0, 1.0), (0.5, 0.2), "BOGUS"),
+])
+def test_forced_method_must_be_capable(S, shift, method):
+    # a forced engine that cannot measure the set must not return a value
+    with pytest.raises(ValueError, match=method):
+        mz(S, shift, method=method)
+
+
+def test_forced_capable_method_runs():
+    est = mz(pq_ball(2, 2.0, -0.4, 1.0), (0.5, 0.2), method="POLAR2D")
+    assert est.method == "POLAR2D"
+    assert est.value == pytest.approx(0.6354, abs=1e-4)
+
+
+def test_polar_reports_missed_target(monkeypatch):
+    # a panel cap that stops the Simpson doubling early must show as a miss
+    S = pq_ball(2, 2.0, -0.4, 1.0)
+    shift = rotate2([1.0, 0.0], math.pi / 5)
+    monkeypatch.setattr(gauss_measure, "_POLAR_MAX_PANELS", 1024)
+    capped = mz(S, shift, method="POLAR2D", target_rel_error=1e-12)
+    assert capped.samples_or_nodes == 1025
+    assert capped.target_met is False
+    met = mz(S, shift, method="POLAR2D", target_rel_error=1e-2)
+    assert met.target_met is True
