@@ -191,6 +191,7 @@ def _boundary_cloud(S, half_width=2.5, n=384):
 
 def cmd_figures(args):
     seed, workers = args.seed, args.workers
+    met = True
     if args.which == 1:
         rows = []
         for idx, S in enumerate(FIG1_PANELS):
@@ -207,6 +208,7 @@ def cmd_figures(args):
                 est = measure(GaussianShiftQuery(
                     set=S, shift=shift, seed=seed, workers=workers,
                     target_rel_error=1e-4 if radius < 2 else 1e-2))
+                met &= est.target_met
                 payload.append({"radius": radius, "angle": t,
                                 "value": est.value,
                                 "abs_error": est.abs_error})
@@ -232,7 +234,7 @@ def cmd_figures(args):
     else:
         raise SystemExit("unknown figure")
     _emit(payload, args)
-    return 0
+    return 0 if met else 2
 
 
 def build_parser():

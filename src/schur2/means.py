@@ -6,6 +6,10 @@ equal to 1.  Limit conventions for p in {-inf, 0, +inf} and for vanishing
 coordinates follow continuity: in particular a p-mean with p < 0 is 0 as soon
 as one coordinate is 0, and the (p,q)-mean with q < 0 < p vanishes on the
 coordinate axes.
+
+The row kernels take their power sums on magnitudes divided by a row
+extreme, the largest coordinate for a positive exponent and the smallest for
+a negative one, so every term lies in [0, 1] and no sum overflows.
 """
 
 import math
@@ -13,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "MeanKind",
@@ -119,67 +122,57 @@ def truncated_mean(x, ell, tail, p):
     return p_mean(part, p)
 
 
-def _log_power_sum(logr, expnt):
-    """log sum_j r_j**expnt for rows of scaled magnitudes r = A/m.
-
-    logr is (n, k) with -inf marking zero coordinates; the convention
-    0**0 = 1 makes zeros contribute a unit term when expnt == 0.
-    """
-    if expnt == 0.0:
-        return np.full(logr.shape[0], math.log(logr.shape[1]))
-    terms = expnt * logr  # zeros: expnt>0 -> -inf (drop), expnt<0 handled upstream
-    return logsumexp(terms, axis=1)
-
-
 def pq_mean_rows(X, p, q):
-    """(p,q)-mean of |row| for each row of X, shape (n, k) -> (n,)."""
+    """(p,q)-mean of |row| for each row of X, shape (n, k) -> (n,).
+
+    Power-sum form on the magnitudes r = |x|/m scaled by the row maximum m:
+    log M = log m + (log sum r^p - log sum r^q) / (p - q) for p > q, and the
+    self-weighted geometric mean log M = log m + sum r^p log r / sum r^p for
+    p = q.  A sum with a negative exponent is shifted by its own largest
+    term (the smallest coordinate s: sum r^e = (s/m)^e sum (|x|/s)^e), so a
+    coordinate of 1e-300 under q = -3 gives its tiny positive mean instead of
+    overflowing.  The coordinates are laid out as the rows of a (k, n) array,
+    so every reduction over them is an elementwise pass over n points.
+    """
     if p < q:
         p, q = q, p
-    A = np.abs(np.atleast_2d(np.asarray(X, dtype=float)))
-    n, k = A.shape
+    A = np.abs(np.atleast_2d(np.asarray(X, dtype=float)).T, order="C")
+    k = A.shape[0]
     if p == math.inf:
-        return A.max(axis=1)
+        return A.max(axis=0)
     if q == -math.inf:
-        return A.min(axis=1)
-    out = np.zeros(n)
-    has_zero = (A == 0.0).any(axis=1)
-    all_zero = (A == 0.0).all(axis=1)
-    if p == q:
-        # weighted geometric mean with self-weights |x_j|^p / sum |x_i|^p
-        ok = ~all_zero
-        if q <= 0.0:
-            # weight mass concentrates on zero coordinates (q < 0), or the
-            # plain geometric mean vanishes at a zero coordinate (q == 0)
-            ok &= ~has_zero
-        if ok.any():
-            B = A[ok]
-            m = B.max(axis=1)
-            with np.errstate(divide="ignore"):
-                logr = np.log(B / m[:, None])
-            if p == 0.0:
-                w = np.full_like(B, 1.0 / k)
-            else:
-                t = np.exp(p * (logr - logr.min(axis=1, keepdims=True))) if p < 0.0 \
-                    else np.exp(p * logr)
-                w = t / t.sum(axis=1, keepdims=True)
-            logs = np.where(np.isneginf(logr), 0.0, logr)  # 0^0 = 1 at zero weight
-            out[ok] = m * np.exp(np.sum(w * logs, axis=1))
-        return out
-    # p > q, both finite
-    ok = ~all_zero
-    if q < 0.0:
-        ok &= ~has_zero  # sum |x|^q diverges -> mean 0
-    if ok.any():
-        B = A[ok]
-        if q < 0.0:
-            m = np.exp(np.mean(np.log(B), axis=1))  # geometric center scale
+        return A.min(axis=0)
+    m = A.max(axis=0)
+    # zero coordinates and all-zero rows yield nan or inf here; the limit
+    # conventions below overwrite every such row
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore",
+                     under="ignore"):
+        logm = np.log(m)
+        if p == q:
+            s = A.min(axis=0) if p < 0.0 else m
+            w = (A / s) ** p  # r^p up to a row factor; 0^0 = 1 at p = 0
+            logr = np.log(A) - logm
+            log_rel = (np.sum(np.where(w > 0.0, w * logr, 0.0), axis=0)
+                       / np.sum(w, axis=0))
         else:
-            m = B.max(axis=1)
-        with np.errstate(divide="ignore"):
-            logr = np.log(B / m[:, None])
-        ls_p = _log_power_sum(logr, p)
-        ls_q = _log_power_sum(logr, q)
-        out[ok] = m * np.exp((ls_p - ls_q) / (p - q))
+            def log_power_sum(e):
+                if e == 0.0:
+                    return math.log(k)  # 0^0 = 1: zeros count as unit terms
+                if e > 0.0:
+                    return np.log(np.sum((A / m) ** e, axis=0))
+                s = A.min(axis=0)
+                return e * (np.log(s) - logm) + np.log(np.sum((A / s) ** e, axis=0))
+
+            log_rel = (log_power_sum(p) - log_power_sum(q)) / (p - q)
+        # log_rel = log(M/m); m * exp(log_rel) could underflow before M does
+        out = np.exp(logm + log_rel)
+    zero = A == 0.0
+    vanish = zero.all(axis=0)
+    if q < 0.0 or (p == q and q <= 0.0):
+        # sum |x|^q diverges (q < 0), the self-weights concentrate on a zero
+        # coordinate (p = q < 0), or the geometric mean vanishes (p = q = 0)
+        vanish |= zero.any(axis=0)
+    out[vanish] = 0.0
     return out
 
 

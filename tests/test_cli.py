@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 
 import pytest
 
+from schur2 import cli, gauss_measure
 from schur2.cli import main
 
 
@@ -105,6 +107,37 @@ def test_figures_2_emits_four_measures(capsys):
     near = {round(r["angle"], 3): r["value"] for r in rows if r["radius"] == 1.0}
     assert near[round(math.pi / 5, 3)] == pytest.approx(0.5250, abs=5e-4)
     assert near[round(math.pi / 20, 3)] == pytest.approx(0.5268, abs=5e-4)
+
+
+def test_figures_2_unmet_target_exits_2(capsys, monkeypatch):
+    # at 1024 panels the r = 1, pi/5 shift stops short of its 1e-4 target
+    # (it needs 4,097 angle evaluations)
+    monkeypatch.setattr(gauss_measure, "_POLAR_MAX_PANELS", 1024)
+    code, out = run_cli(capsys, "figures", "--which", "2")
+    assert code == 2
+    assert len(json.loads(out)) == 4
+
+
+# (edge points, sha256 of the float64 bytes) of cli._boundary_cloud for each
+# of cli.FIG1_PANELS, recorded before membership moved to power sums
+FIG1_PINS = [
+    (1037, "8bf0e18f5a2b8a5eafd43100d8a34676fcf6ec4759efd8e1b0c8928f637ee38c"),
+    (1277, "5e2f8e74c2c72d3ce4b1f74e39e1c2de6d660fd423f170aaa74edb8fce0d72f0"),
+    (1345, "5b3631985b07be9b5b10014dd4f74edfd45792097ecc17736989c45c7a840a2b"),
+    (923, "aabdda8a8838d1951b69652f29d4f9f59bcb3d9fdf04908f50dc71311c865bfd"),
+    (919, "aa856bb3f70d138ea46e39885833d32af49c4c25b3ec609390f8f823a2d1d14a"),
+    (703, "af32cec47e7265818aed51812525f748b8157b2ebbb226fd77f52026819fb2ce"),
+    (679, "98208d4ca88fedeb81cad6cc1819d17501d44947002e754c399129c22f75818e"),
+    (1594, "1b3abf911706d873b5382f02a773f5752657c362d19d70756400f17cf8885c33"),
+    (1428, "72e8f824df2ef815f941ab6c0c8c2acaa3a30ea15c9bfe78ea8dca98165aea5d"),
+]
+
+
+def test_figure_1_boundary_clouds_pinned():
+    for S, (n, digest) in zip(cli.FIG1_PANELS, FIG1_PINS, strict=True):
+        cloud = cli._boundary_cloud(S)
+        assert len(cloud) == n, S
+        assert hashlib.sha256(cloud.tobytes()).hexdigest() == digest, S
 
 
 def test_measure_incapable_method_is_usage_error(capsys):

@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from schur2.means import (MeanKind, MeanSpec, Schur2Value, Tail,
-                          classify_mean, p_mean, pq_mean,
+                          classify_mean, p_mean, pq_mean, pq_mean_rows,
                           schur_ostrowski_sign, truncated_mean)
 
 
@@ -157,3 +158,65 @@ def test_equal_parameter_mean_is_neither_monotone():
         if abs(diff) > 1e-12:
             signs.add(1 if diff > 0 else -1)
     assert signs == {1, -1}
+
+
+ORACLE_PQ = [(2.0, -0.4), (5.0, -1.0), (0.0, -1.0), (40.0, -3.0), (1.0, 0.0),
+             (5.0, 1.0), (3.0, 0.5), (0.7, 0.7), (2.0, 2.0), (-1.0, -1.0),
+             (0.0, 0.0), (math.inf, -3.0), (5.0, -math.inf)]
+MAGNITUDES = [1e-300, 3.7e-150, 2.2e-17, 0.013, 0.5, 1.0, 1.7, 42.0, 6.1e30,
+              1e200]
+
+
+def oracle_pq_mean(x, p, q, mp):
+    """(p,q)-mean of |x| in 40-digit arithmetic, limit conventions included."""
+    a = [mp.mpf(abs(float(v))) for v in x]
+    if p == math.inf:
+        return max(a)
+    if q == -math.inf:
+        return min(a)
+    zero = [v == 0 for v in a]
+    if all(zero) or (any(zero) and (q < 0 or (p == q and q <= 0))):
+        return mp.mpf(0)
+    if p == q:
+        w = [v ** p if v > 0 else mp.mpf(0) for v in a]
+        return mp.exp(mp.fsum(wi * mp.log(v) for wi, v in zip(w, a) if v > 0)
+                      / mp.fsum(w))
+
+    def power_sum(e):
+        # 0^0 = 1; zeros with e < 0 are excluded above
+        return mp.fsum(mp.mpf(1) if e == 0 else (v ** e if v > 0 else 0)
+                       for v in a)
+
+    return (power_sum(p) / power_sum(q)) ** (1 / mp.mpf(p - q))
+
+
+def oracle_rows(k):
+    rng = np.random.default_rng(7)
+    if k == 2:
+        mags = [list(r) for r in itertools.product(MAGNITUDES, repeat=2)]
+    else:
+        mags = rng.choice(MAGNITUDES, size=(150, 3)).tolist()
+    mags += (np.abs(rng.standard_normal((50, k))) * 3).tolist()
+    signs = rng.choice([-1.0, 1.0], size=(len(mags), k))
+    X = np.array(mags) * signs
+    zeros = [[0.0] * k, [0.0] + [1.5] * (k - 1), [0.0] + [1e-300] * (k - 1),
+             [1e200] + [0.0] * (k - 1), [-0.0] + [2.0] * (k - 1)]
+    return np.vstack([X, zeros])
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("p,q", ORACLE_PQ)
+def test_pq_mean_rows_matches_mpmath_oracle(p, q, k):
+    mp = pytest.importorskip("mpmath")
+    X = oracle_rows(k)
+    got = pq_mean_rows(X, p, q)
+    with mp.workdps(40):
+        want = [oracle_pq_mean(x, p, q, mp) for x in X]
+        for x, g, w in zip(X, got, want):
+            if w == 0:
+                assert g == 0.0, (x, p, q)
+            else:
+                assert abs(g - w) <= 1e-12 * w, (x, p, q, g, float(w))
+    # the (p,q)-mean is symmetric in p and q
+    np.testing.assert_array_equal(pq_mean_rows(X, q, p), got)
+
