@@ -37,10 +37,9 @@ def _s2_norm(k, alpha, beta):
 
 
 def are(d: TestDesign, *, seed=0, workers=1, s2=None) -> AreResult:
-    if d.p == 2.0:
-        norm2, err2 = _s2_norm(d.k, d.alpha, d.beta) if s2 is None else s2
-        return AreResult(1.0, norm2, norm2, d, 0.0)
     norm2, err2 = _s2_norm(d.k, d.alpha, d.beta) if s2 is None else s2
+    if d.p == 2.0:
+        return AreResult(1.0, norm2, norm2, d, 0.0)
     sol = shift_solution(d, seed=seed, workers=workers)
     if not sol.exists:
         return AreResult(0.0, norm2, math.nan, d, err2)

@@ -500,19 +500,17 @@ def measure(q):
         value, err, nodes, met = _polar2d(q)
     else:
         center = None
-        if method in ("MC", "MC_IMPORTANCE"):
+        if method != "MC_PLAIN":
             theta = np.asarray(q.shift, dtype=float)
             rho_max = float(np.linalg.norm(theta)) + 40.0 * q.sigma
             center, dist = _nearest_member_point(q.set, theta, rho_max, seed=q.seed)
-        if method == "MC":
-            bound = chi2.sf(dist**2 / q.sigma**2, q.set.k) if center is not None else 0.0
-            method = "MC_IMPORTANCE" if bound < 1e-6 else "MC_PLAIN"
-        if method == "MC_PLAIN":
-            value, err, nodes, met = _mc(q)
-        elif center is None:
-            value, err, nodes = 0.0, 0.0, 0  # no member found
+        if center is None or (
+                method == "MC" and chi2.sf(dist**2 / q.sigma**2, q.set.k) >= 1e-6):
+            # plain draws, also when the scan found no member point to centre on
+            method, center = "MC_PLAIN", None
         else:
-            value, err, nodes, met = _mc(q, center)
+            method = "MC_IMPORTANCE"
+        value, err, nodes, met = _mc(q, center)
 
     value = min(max(value, 0.0), 1.0)
     wall = (time.perf_counter() - t0) * 1e3

@@ -7,9 +7,11 @@ coordinates follow continuity: in particular a p-mean with p < 0 is 0 as soon
 as one coordinate is 0, and the (p,q)-mean with q < 0 < p vanishes on the
 coordinate axes.
 
-The row kernels take their power sums on magnitudes divided by a row
-extreme, the largest coordinate for a positive exponent and the smallest for
-a negative one, so every term lies in [0, 1] and no sum overflows.
+One row kernel, pq_mean_rows, computes every mean: a p-mean is the
+(p,0)-mean, since with 0^0 = 1 the power sum of exponent 0 is k.  It takes
+its power sums on magnitudes divided by a row extreme, the largest
+coordinate for a positive exponent and the smallest for a negative one, so
+every term lies in [0, 1] and no sum overflows.
 """
 
 import math
@@ -75,36 +77,11 @@ class MeanSpec:
 def p_mean_rows(X, p):
     """p-mean of |row| for each row of X, shape (n, k) -> (n,).
 
-    Max/min-factoring keeps every finite-p evaluation in a bounded range, so
-    no separate overflow branch is needed for large |p|.
+    The p-mean is the (p,0)-mean: with 0^0 = 1 the power sum of exponent 0
+    is k, so this is one call to the (p,q) kernel and shares its scaling and
+    its limit conventions.
     """
-    A = np.abs(np.atleast_2d(np.asarray(X, dtype=float)))
-    n, k = A.shape
-    out = np.zeros(n)
-    if p == math.inf:
-        return A.max(axis=1)
-    if p == -math.inf:
-        return A.min(axis=1)
-    has_zero = (A == 0.0).any(axis=1)
-    if p == 0.0:
-        ok = ~has_zero
-        if ok.any():
-            out[ok] = np.exp(np.mean(np.log(A[ok]), axis=1))
-        return out
-    if p < 0.0:
-        ok = ~has_zero
-        if ok.any():
-            m = A[ok].min(axis=1)
-            r = A[ok] / m[:, None]  # r >= 1, r**p <= 1
-            out[ok] = m * np.mean(r**p, axis=1) ** (1.0 / p)
-        return out
-    # p > 0
-    m = A.max(axis=1)
-    ok = m > 0.0
-    if ok.any():
-        r = A[ok] / m[ok][:, None]  # r in [0, 1]
-        out[ok] = m[ok] * np.mean(r**p, axis=1) ** (1.0 / p)
-    return out
+    return pq_mean_rows(X, p, 0.0)
 
 
 def p_mean(x, p):
@@ -148,9 +125,12 @@ def pq_mean_rows(X, p, q):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                      under="ignore"):
         logm = np.log(m)
-        if p == q:
+        if p == q == 0.0:
+            # geometric mean: the self-weights are all 1
+            log_rel = np.sum(np.log(A) - logm, axis=0) / k
+        elif p == q:
             s = A.min(axis=0) if p < 0.0 else m
-            w = (A / s) ** p  # r^p up to a row factor; 0^0 = 1 at p = 0
+            w = (A / s) ** p  # r^p up to a row factor
             logr = np.log(A) - logm
             log_rel = (np.sum(np.where(w > 0.0, w * logr, 0.0), axis=0)
                        / np.sum(w, axis=0))

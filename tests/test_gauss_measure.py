@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -8,7 +9,7 @@ from scipy.stats import chi2, ncx2, norm
 from schur2 import gauss_measure
 from schur2.gauss_measure import (GaussianShiftQuery, MeasureEstimate, measure,
                                   rotate2)
-from schur2.sets import (complement, cube, hat_b, p_ball, pq_ball)
+from schur2.sets import (check_b, complement, cube, hat_b, p_ball, pq_ball)
 
 
 def mz(S, shift, **kw):
@@ -160,6 +161,9 @@ def test_mc_bits_pinned():
          ("0x1.f96f000000000p-2", "0x1.fff5385ab2d8ep-10", 262144)),
         (p_ball(3, 2.0, 1.0), (8.0, 1.0, 0.0), "MC_IMPORTANCE", 3, 0.05,
          ("0x1.aaa149a5ac959p-36", "0x1.026731172ec12p-41", 262144)),
+        # a p <= 0 ball, whose membership runs the p-mean kernel
+        (p_ball(3, -1.0, 1.0), (0.3, -0.8, 1.1), "MC_PLAIN", 11, None,
+         ("0x1.8bfe800000000p-1", "0x1.aca94ef356d6cp-10", 262144)),
     ]
     for S, shift, method, seed, target, want in cases:
         for workers in (1, 2):
@@ -168,6 +172,29 @@ def test_mc_bits_pinned():
             assert est.method == method
             got = (est.value.hex(), est.abs_error.hex(), est.samples_or_nodes)
             assert got == want
+
+
+@pytest.mark.parametrize("S, shift", [
+    (check_b(3, 2.0, 1.0, 0.2), (4.0, 3.0, 2.0)),
+    (hat_b(3, 2.0, 1.0, 0.2), (4.0, -3.0, 2.0)),
+])
+def test_mc_without_member_point_is_not_exact(S, shift):
+    # the member-point scan misses these small far balls; the estimate must
+    # fall back to plain draws instead of reporting an exact 0 +- 0
+    if S.variant == "checkb":
+        centers = [s * S.a * e for e in np.eye(S.k) for s in (1.0, -1.0)]
+    else:
+        centers = [S.a * np.array(g)
+                   for g in itertools.product((1.0, -1.0), repeat=S.k)]
+    # Z - shift is in the ball around c iff Z is in the Euclidean ball of
+    # radius sqrt(k) eps around c + shift: largest ball <= truth <= sum
+    th = np.asarray(shift)
+    probs = [ncx2.cdf(S.k * S.eps**2, S.k, float((c + th) @ (c + th)))
+             for c in centers]
+    est = mz(S, shift, seed=5, mc_max_samples=1 << 18)
+    assert (est.value, est.abs_error) != (0.0, 0.0)
+    assert not est.target_met or all(abs(est.value - b) <= 3.0 * est.abs_error
+                                     for b in (max(probs), sum(probs)))
 
 
 @pytest.mark.parametrize("S, shift, method", [

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from schur2.means import (MeanKind, MeanSpec, Schur2Value, Tail,
-                          classify_mean, p_mean, pq_mean, pq_mean_rows,
-                          schur_ostrowski_sign, truncated_mean)
+                          classify_mean, p_mean, p_mean_rows, pq_mean,
+                          pq_mean_rows, schur_ostrowski_sign, truncated_mean)
 
 
 def naive_p_mean(x, p):
@@ -162,7 +162,9 @@ def test_equal_parameter_mean_is_neither_monotone():
 
 ORACLE_PQ = [(2.0, -0.4), (5.0, -1.0), (0.0, -1.0), (40.0, -3.0), (1.0, 0.0),
              (5.0, 1.0), (3.0, 0.5), (0.7, 0.7), (2.0, 2.0), (-1.0, -1.0),
-             (0.0, 0.0), (math.inf, -3.0), (5.0, -math.inf)]
+             (0.0, 0.0), (math.inf, -3.0), (5.0, -math.inf), (2.0, 0.0),
+             (0.5, 0.0), (40.0, 0.0), (0.0, -3.0), (math.inf, 0.0),
+             (0.0, -math.inf)]
 MAGNITUDES = [1e-300, 3.7e-150, 2.2e-17, 0.013, 0.5, 1.0, 1.7, 42.0, 6.1e30,
               1e200]
 
@@ -219,4 +221,8 @@ def test_pq_mean_rows_matches_mpmath_oracle(p, q, k):
                 assert abs(g - w) <= 1e-12 * w, (x, p, q, g, float(w))
     # the (p,q)-mean is symmetric in p and q
     np.testing.assert_array_equal(pq_mean_rows(X, q, p), got)
+    if 0.0 in (p, q):
+        # a p-mean is the (p,0)-mean, bit for bit
+        other = q if p == 0.0 else p
+        assert p_mean_rows(X, other).tobytes() == got.tobytes()
 
