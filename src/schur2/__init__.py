@@ -7,8 +7,7 @@ from .majorization import (MajorizationVerdict, g_canonical, majorize_compare,
 from .means import (MeanKind, MeanSpec, Schur2Value, SchurCharacter,
                     classify_mean, p_mean, pq_mean, truncated_mean)
 from .sets import (SetSpec, check_b, classify_set, complement, contains, cube,
-                   format_set, hat_b, line_interval, parse_set, p_ball,
-                   pq_ball)
+                   format_set, hat_b, parse_set, p_ball, pq_ball)
 from .gauss_measure import GaussianShiftQuery, MeasureEstimate, measure
 from .solvers import (ShiftSolution, TestDesign, critical_value,
                       normalize_direction, shift_solution, tail_probability)

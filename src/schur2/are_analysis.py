@@ -68,6 +68,8 @@ def are_direction_sweep(p, alpha, beta, n_angles=11, *, k=2, seed=0, workers=1):
     symmetry maps every direction into this sector."""
     if k != 2:
         raise ValueError("direction sweeps are defined for k = 2")
+    if n_angles < 1:
+        raise ValueError("a sweep needs at least one angle")
     s2 = _s2_norm(2, alpha, beta)
     out = []
     for t in np.linspace(0.0, math.pi / 4.0, n_angles):

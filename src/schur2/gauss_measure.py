@@ -1,6 +1,8 @@
 """Gaussian measure of shifted sets: P(Z in A + theta) for Z ~ N(0, sigma^2 I).
 
-Method dispatch:
+measure divides sigma out once, P(sigma Z in A + theta) = P(Z in A/sigma +
+theta/sigma), resolves the default target and picks the engine from one
+table; every engine then sees a standard normal.
   PRODUCT_1D    cubes and the p = +-inf balls (coordinatewise product, exact)
   SLICE_QUAD    p-balls with finite p > 0 at any dimension: the membership
                 condition is a sum of independent one-dimensional pieces
@@ -11,10 +13,9 @@ Method dispatch:
   POLAR2D       any set at k = 2: adaptive Simpson over the angle with the
                 radial integral done in closed form on membership intervals
   MC_PLAIN /    everything else, in one Monte Carlo loop: plain draws, or
-  MC_IMPORTANCE importance sampling from N(center, sigma^2 I) around a near
-                member point when the event is rare; chunk-indexed
-                counter-based streams make the estimates independent of the
-                worker count
+  MC_IMPORTANCE importance sampling from N(center, I) around a near member
+                point when the event is rare; chunk-indexed counter-based
+                streams make the estimates independent of the worker count
 A forced engine must be able to measure the set, or measure raises.
 """
 
@@ -76,12 +77,14 @@ class GaussianShiftQuery:
     mc_max_samples: int = 4_000_000
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError("sigma must be finite and positive")
         shift = np.asarray(self.shift, dtype=float)
         if shift.size != self.set.k:
             raise ValueError(
                 f"shift dimension {shift.size} != set dimension {self.set.k}")
+        if not np.isfinite(shift).all():
+            raise ValueError("shift must be finite")
         object.__setattr__(self, "shift", tuple(float(s) for s in shift))
 
 
@@ -108,37 +111,30 @@ def chunk_rng(seed, chunk):
 # PRODUCT_1D
 
 
-def _product_core(S, theta, sigma):
-    """Exact value for cubes and +-inf balls (no complement wrapper)."""
-    theta = np.asarray(theta, dtype=float)
-    if S.variant == "cube":
-        a = S.a
-    elif S.variant == "pball" and S.p in (math.inf, -math.inf):
-        a = S.eps
-    else:
-        raise ValueError("not a product-form set")
-    per_coord = norm.cdf((a + theta) / sigma) - norm.cdf((-a + theta) / sigma)
-    if S.variant == "pball" and S.p == -math.inf:
-        # min |Y_j| <= a  <=>  not all coordinates escape the slab
-        return 1.0 - np.prod(1.0 - per_coord)
-    return float(np.prod(per_coord))
+def _uncomplement(S):
+    """The set under a complement, and whether there was one."""
+    return (S.inner, True) if S.variant == "complement" else (S, False)
 
 
 def _product_capable(S):
-    inner = S.inner if S.variant == "complement" else S
-    return inner.variant == "cube" or (
-        inner.variant == "pball" and inner.p in (math.inf, -math.inf))
+    S = _uncomplement(S)[0]
+    return S.variant == "cube" or (S.variant == "pball"
+                                   and S.p in (math.inf, -math.inf))
 
 
-def _product_1d(q):
-    S, comp = q.set, False
-    if S.variant == "complement":
-        S, comp = S.inner, True
-    v = _product_core(S, q.shift, q.sigma)
+def _product_1d(S, theta, target, q):
+    """Exact value for cubes and +-inf balls and their complements."""
+    S, comp = _uncomplement(S)
+    a = S.a if S.variant == "cube" else S.eps
+    per_coord = norm.cdf(a + theta) - norm.cdf(-a + theta)
+    if S.p == -math.inf:
+        # min |Y_j| <= a  <=>  not all coordinates escape the slab
+        v = 1.0 - np.prod(1.0 - per_coord)
+    else:
+        v = float(np.prod(per_coord))
     if comp:
         v = 1.0 - v
-    err = 1e-14 * S.k
-    return v, err, 2 * S.k
+    return "PRODUCT_1D", v, 1e-14 * S.k, 2 * S.k, True
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +144,12 @@ def _product_1d(q):
 _GLX, _GLW = np.polynomial.legendre.leggauss(24)
 
 
-def _graded_breakpoints(w, levels=48):
-    """Panel breakpoints on [0, w], geometrically refined toward both ends
-    (the integrand has algebraic kinks at v = 0 for p < 1 and at v = w)."""
-    left = w * 0.5 * 2.0 ** (-np.arange(levels, -1, -1, dtype=float))
-    right = w - left[::-1]
-    return np.concatenate(([0.0], left, right[1:], [w]))
-
-
 def _unit_mesh():
-    """Composite Gauss-Legendre nodes and weights on [0, 1], graded mesh."""
-    bp = _graded_breakpoints(1.0)
+    """Composite Gauss-Legendre nodes and weights on [0, 1], on panels
+    halved 48 times toward both ends (the integrand has algebraic kinks at
+    v = 0 for p < 1 and at v = w)."""
+    left = 0.5 * 2.0 ** (-np.arange(48, -1, -1, dtype=float))
+    bp = np.concatenate(([0.0], left, (1.0 - left[::-1])[1:], [1.0]))
     mids = 0.5 * (bp[1:] + bp[:-1])
     halfs = 0.5 * (bp[1:] - bp[:-1])
     u = (mids[:, None] + halfs[:, None] * _GLX[None, :]).ravel()
@@ -170,7 +161,7 @@ _UNIT_U, _UNIT_W = _unit_mesh()  # ~2,350 nodes, scaled per radius w
 _ROW_BLOCK = 16  # radii per block: bounds the (block x nodes) temporaries
 
 
-def _convolve_level(G_prev, p, theta_j, sigma, ws):
+def _convolve_level(G_prev, p, theta_j, ws):
     """One convolution step: values of the next running CDF at radii ws.
 
     G_j(w) = int_0^w G_{j-1}((w^p - v^p)^(1/p)) g(v) dv with g the density of
@@ -188,13 +179,13 @@ def _convolve_level(G_prev, p, theta_j, sigma, ws):
         wb = wpos[i:i + _ROW_BLOCK]
         v = wb[:, None] * _UNIT_U[None, :]
         rad = np.clip(wb[:, None] ** p - v**p, 0.0, None) ** (1.0 / p)
-        g = (norm.pdf((v - theta_j) / sigma) + norm.pdf((v + theta_j) / sigma)) / sigma
+        g = norm.pdf(v - theta_j) + norm.pdf(v + theta_j)
         sums[i:i + _ROW_BLOCK] = (G_prev(rad) * g * _UNIT_W[None, :]).sum(axis=1)
     out[pos] = wpos * sums
     return out
 
 
-def pball_radius_cdf(k, p, theta, sigma, w_max, n_nodes=64):
+def pball_radius_cdf(k, p, theta, w_max, n_nodes=64):
     """CDF of the p-radius (sum |Z_j - theta_j|^p)^(1/p) on [0, w_max].
 
     Returns a vectorized callable G with G(w) = P(radius <= w), built by
@@ -206,35 +197,31 @@ def pball_radius_cdf(k, p, theta, sigma, w_max, n_nodes=64):
 
     def g1(w):
         w = np.asarray(w, dtype=float)
-        return norm.cdf((w + theta[0]) / sigma) - norm.cdf((-w + theta[0]) / sigma)
+        return norm.cdf(w + theta[0]) - norm.cdf(-w + theta[0])
 
     G = g1
     for j in range(1, k):
         level = Chebyshev.interpolate(
-            lambda ws, Gp=G, tj=theta[j]: _convolve_level(Gp, p, tj, sigma, ws),
+            lambda ws, Gp=G, tj=theta[j]: _convolve_level(Gp, p, tj, ws),
             n_nodes, domain=[0.0, w_max])
         G = lambda w, lv=level: np.clip(lv(np.asarray(w, dtype=float)), 0.0, 1.0)
     return G
 
 
 def _slice_capable(S):
-    inner = S.inner if S.variant == "complement" else S
-    return inner.variant == "pball" and 0.0 < inner.p < math.inf
+    S = _uncomplement(S)[0]
+    return S.variant == "pball" and 0.0 < S.p < math.inf
 
 
-def _slice_quad(q):
-    S, comp = q.set, False
-    if S.variant == "complement":
-        S, comp = S.inner, True
+def _slice_quad(S, theta, target, q):
+    S, comp = _uncomplement(S)
     k, p = S.k, S.p
-    theta = np.asarray(q.shift, dtype=float)
     w_eval = k ** (1.0 / p) * S.eps
-    target = q.target_rel_error if q.target_rel_error is not None else 1e-4
 
     prev, nodes_used = None, 0
     n = 32
     while True:
-        G = pball_radius_cdf(k, p, theta, q.sigma, w_eval, n_nodes=n)
+        G = pball_radius_cdf(k, p, theta, w_eval, n_nodes=n)
         val = float(G(w_eval))
         nodes_used += n
         if prev is not None:
@@ -247,7 +234,7 @@ def _slice_quad(q):
     if comp:
         val = 1.0 - val
     met = err <= target * max(abs(val), 1e-300) + 1e-13
-    return val, max(err, 1e-15), nodes_used, met
+    return "SLICE_QUAD", val, max(err, 1e-15), nodes_used, met
 
 
 # ---------------------------------------------------------------------------
@@ -270,41 +257,43 @@ def _axis_hint_radii(theta, cos_ph, sin_ph, rho_max):
     return np.where(bad, 0.0, hints)  # rho=0 duplicates are harmless
 
 
-def _radial_mass_batch(S, theta, phis, rho_max, sigma,
-                       n_scan=1024, bisect_iters=48, phi_chunk=256):
+_N_SCAN = 1024  # uniform scan radii per ray
+_BISECT_ITERS = 48
+_PHI_CHUNK = 256  # rays per batch: bounds the (rays x radii) temporaries
+
+
+def _radial_mass_batch(S, theta, phis, rho_max):
     """Radial Gaussian mass along many rays at once.
 
     mass(phi) = sum over membership intervals [a,b] of the ray of
-    exp(-a^2/2s^2) - exp(-b^2/2s^2); intervals located by a scan of n_scan
-    radii (plus axis-line hint probes) and polished by vectorized bisection
-    across all crossings.
+    exp(-a^2/2) - exp(-b^2/2); intervals located by a scan of _N_SCAN radii
+    (plus axis-line hint probes) and polished by vectorized bisection across
+    all crossings.
     """
-    phis = np.asarray(phis, dtype=float)
-    two_s2 = 2.0 * sigma * sigma
     out = np.zeros(phis.size)
-    rho_base = np.linspace(0.0, rho_max, n_scan)
-    for start in range(0, phis.size, phi_chunk):
-        ph = phis[start:start + phi_chunk]
+    rho_base = np.linspace(0.0, rho_max, _N_SCAN)
+    for start in range(0, phis.size, _PHI_CHUNK):
+        ph = phis[start:start + _PHI_CHUNK]
         m = ph.size
         cos_ph, sin_ph = np.cos(ph), np.sin(ph)
         d = np.stack([cos_ph, sin_ph], axis=1)  # (m, 2)
         hints = _axis_hint_radii(theta, cos_ph, sin_ph, rho_max)
         rho = np.sort(np.concatenate(
-            [np.broadcast_to(rho_base, (m, n_scan)), hints], axis=1), axis=1)
+            [np.broadcast_to(rho_base, (m, _N_SCAN)), hints], axis=1), axis=1)
         pts = rho[:, :, None] * d[:, None, :] - theta[None, None, :]
         mem = contains_rows(S, pts.reshape(-1, 2)).reshape(m, rho.shape[1])
         iphi, irho = np.nonzero(mem[:, 1:] != mem[:, :-1])
         lo, hi = rho[iphi, irho], rho[iphi, irho + 1]
         inside_lo = mem[iphi, irho]
         dirs = d[iphi]
-        for _ in range(bisect_iters):
+        for _ in range(_BISECT_ITERS):
             mid = 0.5 * (lo + hi)
             mm = contains_rows(S, mid[:, None] * dirs - theta[None, :])
             take_lo = np.where(inside_lo, mm, ~mm)
             lo = np.where(take_lo, mid, lo)
             hi = np.where(take_lo, hi, mid)
         cross = 0.5 * (lo + hi)
-        w = np.exp(-cross**2 / two_s2)
+        w = np.exp(-cross**2 / 2.0)
         sign = np.where(inside_lo, -1.0, 1.0)  # leaving ends, entering starts
         mass = np.zeros(m)
         np.add.at(mass, iphi, sign * w)
@@ -321,15 +310,12 @@ def _composite_simpson(vals, h):
 _POLAR_MAX_PANELS = 1 << 14
 
 
-def _polar2d(q):
-    S = q.set
-    theta = np.asarray(q.shift, dtype=float)
-    rho_max = float(np.linalg.norm(theta)) + 40.0 * q.sigma
-    target = q.target_rel_error if q.target_rel_error is not None else 1e-4
+def _polar2d(S, theta, target, q):
+    rho_max = float(np.linalg.norm(theta)) + 40.0
 
     n = 512  # panels; doubled until two refinements agree
     phis = np.linspace(0.0, 2.0 * math.pi, n + 1)
-    vals = _radial_mass_batch(S, theta, phis, rho_max, q.sigma)
+    vals = _radial_mass_batch(S, theta, phis, rho_max)
     total_evals = phis.size
     prev = None
     while True:
@@ -341,7 +327,7 @@ def _polar2d(q):
                 break
         prev = integral
         mids = np.linspace(0.0, 2.0 * math.pi, 2 * n + 1)[1::2]
-        mid_vals = _radial_mass_batch(S, theta, mids, rho_max, q.sigma)
+        mid_vals = _radial_mass_batch(S, theta, mids, rho_max)
         total_evals += mids.size
         merged = np.empty(2 * n + 1)
         merged[0::2] = vals
@@ -350,7 +336,7 @@ def _polar2d(q):
     value = integral / (2.0 * math.pi)
     err_final = max(err / (2.0 * math.pi), 1e-15 * value)
     met = bool(err <= target * max(integral, 1e-300))
-    return value, err_final, total_evals, met
+    return "POLAR2D", value, err_final, total_evals, met
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +369,6 @@ def _nearest_member_point(S, theta, rho_max, seed=0):
     Multi-start: radial scans along the axes, the diagonals, and the shift
     direction, followed by a shrink-and-slide descent on the norm.
     """
-    theta = np.asarray(theta, dtype=float)
     best = None
     starts = _scan_directions(S.k)
     tn = np.linalg.norm(theta)
@@ -423,28 +408,33 @@ def _nearest_member_point(S, theta, rho_max, seed=0):
     return y, float(np.linalg.norm(y))
 
 
-def _mc(q, center=None):
-    """Monte Carlo estimate of the measure: plain draws from N(0, sigma^2 I),
-    or importance sampling from N(center, sigma^2 I) when a center is given.
+def _mc(S, theta, target, q):
+    """Monte Carlo estimate of the measure: plain draws from N(0, I), or
+    importance sampling from N(center, I) around the nearest member point
+    found. Importance sampling runs when forced, or when the event is rare:
+    N(0, I) puts mass < 1e-6 outside the ball of radius |center|.
 
     Plain draws keep the variance floor 1/n, so a run with no hits is never
     reported as exact; the importance weights need no floor.
     """
-    S = q.set
-    theta = np.asarray(q.shift, dtype=float)
-    target = q.target_rel_error if q.target_rel_error is not None else 1e-2
+    center = None
+    if q.method != "MC_PLAIN":
+        rho_max = float(np.linalg.norm(theta)) + 40.0
+        center, dist = _nearest_member_point(S, theta, rho_max, seed=q.seed)
+        # with no member point to centre on, plain draws even when forced
+        if (center is not None and q.method != "MC_IMPORTANCE"
+                and chi2.sf(dist**2, S.k) >= 1e-6):
+            center = None
     if center is not None:
         c2 = float(center @ center)
-        two_s2 = 2.0 * q.sigma**2
 
     def worker(chunk):
-        rng = chunk_rng(q.seed, chunk)
-        Z = q.sigma * rng.standard_normal((_MC_CHUNK, S.k))
+        Z = chunk_rng(q.seed, chunk).standard_normal((_MC_CHUNK, S.k))
         if center is None:
             hits = int(np.count_nonzero(contains_rows(S, Z - theta)))
             return hits, hits  # 0/1 weights: sum and sum of squares agree
         X = center[None, :] + Z
-        w = np.exp((c2 - 2.0 * X @ center) / two_s2)
+        w = np.exp((c2 - 2.0 * X @ center) / 2.0)
         w *= contains_rows(S, X - theta)
         return float(w.sum()), float((w * w).sum())
 
@@ -463,54 +453,41 @@ def _mc(q, center=None):
         se = math.sqrt(var / n)
         met = mean > 0 and 2.0 * se <= target * mean
         if met or n >= q.mc_max_samples:
-            return mean, 2.0 * se, n, met
+            method = "MC_PLAIN" if center is None else "MC_IMPORTANCE"
+            return method, mean, 2.0 * se, n, met
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
 
-# engines in the order of automatic dispatch, each with its capability test
-_CAPABLE = {
-    "PRODUCT_1D": _product_capable,
-    "SLICE_QUAD": _slice_capable,
-    "POLAR2D": lambda S: S.k == 2,
-    "MC": lambda S: True,
-    "MC_PLAIN": lambda S: True,
-    "MC_IMPORTANCE": lambda S: True,
-}
+# (methods, default target, capable, run) in the order of automatic
+# dispatch; a forced method takes the row that names it. run(S, theta,
+# target, q) sees the set and shift divided by sigma; only Monte Carlo reads
+# q, for its seed, workers, sample cap and forced variant. It returns
+# (method, value, abs_error, nodes, target_met).
+_ENGINES = (
+    (("PRODUCT_1D",), 1e-4, _product_capable, _product_1d),
+    (("SLICE_QUAD",), 1e-4, _slice_capable, _slice_quad),
+    (("POLAR2D",), 1e-4, lambda S: S.k == 2, _polar2d),
+    (("MC", "MC_PLAIN", "MC_IMPORTANCE"), 1e-2, lambda S: True, _mc),
+)
 
 
 def measure(q):
     """Estimate P(Z in A + shift) for Z ~ N(0, sigma^2 I_k)."""
     t0 = time.perf_counter()
-    method = q.method
-    if method is None:
-        method = next(m for m, capable in _CAPABLE.items() if capable(q.set))
-    elif method not in _CAPABLE or not _CAPABLE[method](q.set):
-        raise ValueError(f"engine {method!r} cannot measure "
-                         f"{sets_mod.format_set(q.set)} at k={q.set.k}")
-
-    met = True
-    if method == "PRODUCT_1D":
-        value, err, nodes = _product_1d(q)
-    elif method == "SLICE_QUAD":
-        value, err, nodes, met = _slice_quad(q)
-    elif method == "POLAR2D":
-        value, err, nodes, met = _polar2d(q)
+    S = sets_mod.scale(q.set, 1.0 / q.sigma)
+    theta = np.asarray(q.shift, dtype=float) / q.sigma
+    for methods, default_target, capable, run in _ENGINES:
+        if q.method in (None, *methods) and capable(S):
+            break
     else:
-        center = None
-        if method != "MC_PLAIN":
-            theta = np.asarray(q.shift, dtype=float)
-            rho_max = float(np.linalg.norm(theta)) + 40.0 * q.sigma
-            center, dist = _nearest_member_point(q.set, theta, rho_max, seed=q.seed)
-        if center is None or (
-                method == "MC" and chi2.sf(dist**2 / q.sigma**2, q.set.k) >= 1e-6):
-            # plain draws, also when the scan found no member point to centre on
-            method, center = "MC_PLAIN", None
-        else:
-            method = "MC_IMPORTANCE"
-        value, err, nodes, met = _mc(q, center)
+        raise ValueError(f"engine {q.method!r} cannot measure "
+                         f"{sets_mod.format_set(q.set)} at k={q.set.k}")
+    target = q.target_rel_error
+    method, value, err, nodes, met = run(
+        S, theta, default_target if target is None else target, q)
 
     value = min(max(value, 0.0), 1.0)
     wall = (time.perf_counter() - t0) * 1e3

@@ -8,7 +8,7 @@ member (the sets are closed).
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +25,7 @@ __all__ = [
     "complement",
     "contains",
     "contains_rows",
-    "line_interval",
+    "scale",
     "classify_set",
     "parse_set",
     "format_set",
@@ -43,10 +43,19 @@ class SetSpec:
     inner: "SetSpec" = None
 
 
+def _spec(variant, k, **fields):
+    """A SetSpec whose exponents are not NaN and whose lengths are finite."""
+    if any(math.isnan(fields[n]) for n in ("p", "q") if n in fields):
+        raise ValueError("exponents p and q must not be NaN")
+    if not all(math.isfinite(fields[n]) for n in ("a", "eps") if n in fields):
+        raise ValueError("a and eps must be finite")
+    return SetSpec(variant, k, **{n: float(v) for n, v in fields.items()})
+
+
 def p_ball(k, p, eps):
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return SetSpec("pball", k, p=float(p), eps=float(eps))
+    return _spec("pball", k, p=p, eps=eps)
 
 
 def pq_ball(k, p, q, eps):
@@ -54,7 +63,7 @@ def pq_ball(k, p, q, eps):
         raise ValueError("eps must be positive")
     if p < q:
         p, q = q, p
-    return SetSpec("pqball", k, p=float(p), q=float(q), eps=float(eps))
+    return _spec("pqball", k, p=p, q=q, eps=eps)
 
 
 def hat_b(k, p, a, eps):
@@ -63,7 +72,7 @@ def hat_b(k, p, a, eps):
         raise ValueError("hat-B membership requires p >= 1")
     if eps <= 0 or a < 0:
         raise ValueError("need eps > 0 and a >= 0")
-    return SetSpec("hatb", k, p=float(p), a=float(a), eps=float(eps))
+    return _spec("hatb", k, p=p, a=a, eps=eps)
 
 
 def check_b(k, p, a, eps):
@@ -71,19 +80,28 @@ def check_b(k, p, a, eps):
         raise ValueError("check-B membership requires p >= 1")
     if eps <= 0 or a < 0:
         raise ValueError("need eps > 0 and a >= 0")
-    return SetSpec("checkb", k, p=float(p), a=float(a), eps=float(eps))
+    return _spec("checkb", k, p=p, a=a, eps=eps)
 
 
 def cube(k, a):
     if a < 0:
         raise ValueError("a must be nonnegative")
-    return SetSpec("cube", k, a=float(a))
+    return _spec("cube", k, a=a)
 
 
 def complement(S):
     if S.variant == "complement":
         return S.inner  # double complement collapses
     return SetSpec("complement", S.k, inner=S)
+
+
+def scale(S, f):
+    """The set f * S for f > 0. Every family is closed under scaling: only
+    its lengths a and eps change."""
+    if S.variant == "complement":
+        return replace(S, inner=scale(S.inner, f))
+    a, eps = (None if x is None else x * f for x in (S.a, S.eps))
+    return replace(S, a=a, eps=eps)
 
 
 def contains_rows(S, X):
@@ -122,40 +140,6 @@ def contains(S, x):
     return bool(contains_rows(S, np.asarray(x, dtype=float)[None, :])[0])
 
 
-def line_interval(S, base, axis):
-    """Axis-parallel section {t : base with coord[axis]=t is in S}.
-
-    Returns a list of closed intervals (lo, hi), possibly with infinite
-    endpoints for complements.  Supported for p-balls with p >= 1 (including
-    p = inf), cubes, and complements thereof.
-    """
-    base = np.asarray(base, dtype=float)
-    if S.variant == "complement":
-        inner = line_interval(S.inner, base, axis)
-        if not inner:
-            return [(-math.inf, math.inf)]
-        (lo, hi), = inner
-        return [(-math.inf, lo), (hi, math.inf)]
-    rest = np.abs(np.delete(base, axis))
-    if S.variant == "cube":
-        if rest.size and rest.max() > S.a:
-            return []
-        return [(-S.a, S.a)]
-    if S.variant == "pball":
-        if S.p == math.inf:
-            if rest.size and rest.max() > S.eps:
-                return []
-            return [(-S.eps, S.eps)]
-        if S.p < 1:
-            raise ValueError("line_interval supports p-balls only for p >= 1")
-        rem = S.k * S.eps**S.p - np.sum(rest**S.p)
-        if rem < 0:
-            return []
-        h = rem ** (1.0 / S.p)
-        return [(-h, h)]
-    raise ValueError(f"line_interval unsupported for variant {S.variant}")
-
-
 def classify_set(S):
     """Squared-coordinate convexity verdict for a set family member."""
     if S.variant in ("pball", "pqball"):
@@ -189,6 +173,15 @@ def classify_set(S):
 
 _FIELD_RE = re.compile(r"^\s*([a-z]+)\s*:\s*(.*)$")
 
+# textual fields of each family, in canonical order, and its constructor
+_FAMILIES = {
+    "pball": (("p", "eps"), p_ball),
+    "pqball": (("p", "q", "eps"), pq_ball),
+    "hatb": (("p", "a", "eps"), hat_b),
+    "checkb": (("p", "a", "eps"), check_b),
+    "cube": (("a",), cube),
+}
+
 
 def _fmt(x):
     if x == math.inf:
@@ -202,17 +195,9 @@ def format_set(S):
     """Canonical textual form, e.g. 'pball:p=2.0,eps=1.0'."""
     if S.variant == "complement":
         return f"complement({format_set(S.inner)})"
-    if S.variant == "pball":
-        return f"pball:p={_fmt(S.p)},eps={_fmt(S.eps)}"
-    if S.variant == "pqball":
-        return f"pqball:p={_fmt(S.p)},q={_fmt(S.q)},eps={_fmt(S.eps)}"
-    if S.variant == "hatb":
-        return f"hatb:p={_fmt(S.p)},a={_fmt(S.a)},eps={_fmt(S.eps)}"
-    if S.variant == "checkb":
-        return f"checkb:p={_fmt(S.p)},a={_fmt(S.a)},eps={_fmt(S.eps)}"
-    if S.variant == "cube":
-        return f"cube:a={_fmt(S.a)}"
-    raise ValueError(f"unknown variant {S.variant}")
+    names = _FAMILIES[S.variant][0]
+    return S.variant + ":" + ",".join(f"{n}={_fmt(getattr(S, n))}"
+                                      for n in names)
 
 
 def parse_set(text, k):
@@ -224,23 +209,18 @@ def parse_set(text, k):
     if not m:
         raise ValueError(f"cannot parse set spec {text!r}")
     variant, rest = m.group(1), m.group(2)
+    if variant not in _FAMILIES:
+        raise ValueError(f"unknown set variant {variant!r}")
+    names, make = _FAMILIES[variant]
     fields = {}
     for item in rest.split(","):
         if not item.strip():
             continue
         key, _, val = item.partition("=")
-        fields[key.strip()] = float(val)
-    try:
-        if variant == "pball":
-            return p_ball(k, fields["p"], fields["eps"])
-        if variant == "pqball":
-            return pq_ball(k, fields["p"], fields["q"], fields["eps"])
-        if variant == "hatb":
-            return hat_b(k, fields["p"], fields["a"], fields["eps"])
-        if variant == "checkb":
-            return check_b(k, fields["p"], fields["a"], fields["eps"])
-        if variant == "cube":
-            return cube(k, fields["a"])
-    except KeyError as exc:
-        raise ValueError(f"missing field {exc} in set spec {text!r}") from None
-    raise ValueError(f"unknown set variant {variant!r}")
+        key = key.strip()
+        if key not in names or key in fields:
+            raise ValueError(f"unknown or repeated field {key!r} in {text!r}")
+        fields[key] = float(val)
+    if len(fields) < len(names):
+        raise ValueError(f"set spec {text!r} needs the fields {names}")
+    return make(k, *(fields[n] for n in names))

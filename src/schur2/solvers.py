@@ -60,6 +60,8 @@ class TestDesign:
     u: tuple
 
     def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("k must be at least 1")
         if not 0.0 < self.alpha < self.beta < 1.0:
             raise ValueError("need 0 < alpha < beta < 1")
         u = np.asarray(self.u, dtype=float)
@@ -174,7 +176,7 @@ def _radial_critical_value(k, p, alpha):
     scale = k ** (1.0 / p)
     prev, n = None, 32
     while True:
-        G = pball_radius_cdf(k, p, np.zeros(k), 1.0, scale * m, n_nodes=n)
+        G = pball_radius_cdf(k, p, np.zeros(k), scale * m, n_nodes=n)
         c = brentq(lambda x: float(G(scale * x)) - (1.0 - alpha), 0.0, m,
                    xtol=1e-14)
         if prev is not None and (abs(c - prev) <= _CV_RTOL * c
@@ -206,6 +208,8 @@ def _exact_critical_value(k, p, alpha):
 
 def critical_value(k, p, alpha, *, seed=0, workers=1):
     """The root c of P(<Z>_p > c) = alpha."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if k == 1:

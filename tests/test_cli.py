@@ -147,3 +147,34 @@ def test_measure_incapable_method_is_usage_error(capsys):
                         "--method", "SLICE_QUAD")
     assert code == 1
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("--set", "pball:p=nan,eps=1", "--shift", "0,0"),
+    ("--set", "pball:p=2,eps=1", "--shift", "0,0", "--sigma", "nan"),
+    ("--set", "pball:p=2,eps=1", "--shift", "nan,0"),
+    ("--set", "pball:p=2,eps=1,q=3", "--shift", "0,0"),
+    ("--set", "pball:p=2,eps=1,eps=5", "--shift", "0,0"),
+])
+def test_measure_bad_input_is_usage_error(capsys, argv):
+    # NaN parameters, NaN shifts, unknown and repeated set fields
+    code, out = run_cli(capsys, "measure", "--k", "2", *argv)
+    assert code == 1
+    assert out == ""
+
+
+def test_critical_without_coordinates_is_usage_error(capsys):
+    code, out = run_cli(capsys, "critical", "--k", "0", "--p", "2",
+                        "--alpha", "0.05")
+    assert code == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--p", "2", "--alpha", "0.05", "--beta", "0.9"),
+    ("figures", "--which", "4"),
+])
+def test_zero_angles_is_usage_error(capsys, argv):
+    code, out = run_cli(capsys, *argv, "--angles", "0", "--format", "csv")
+    assert code == 1
+    assert out == ""

@@ -85,17 +85,16 @@ def test_method_agreement_slice_polar_mc():
 def test_convolve_level_blocks_keep_bits():
     # radii are summed in fixed blocks; each row must equal the one-shot sum
     from schur2.gauss_measure import _UNIT_U, _UNIT_W, _convolve_level
-    p, theta_j, sigma = 1.5, 0.7, 1.3
-    G = lambda w: norm.cdf((w + 0.3) / sigma) - norm.cdf((-w + 0.3) / sigma)
+    p, theta_j = 1.5, 0.7
+    G = lambda w: norm.cdf(w + 0.3) - norm.cdf(-w + 0.3)
     ws = np.linspace(-0.5, 6.0, 53)
     w = ws[ws > 0]
     v = w[:, None] * _UNIT_U[None, :]
     rad = np.clip(w[:, None] ** p - v**p, 0.0, None) ** (1.0 / p)
-    g = (norm.pdf((v - theta_j) / sigma)
-         + norm.pdf((v + theta_j) / sigma)) / sigma
+    g = norm.pdf(v - theta_j) + norm.pdf(v + theta_j)
     want = np.zeros_like(ws)
     want[ws > 0] = w * (G(rad) * g * _UNIT_W[None, :]).sum(axis=1)
-    assert np.array_equal(_convolve_level(G, p, theta_j, sigma, ws), want)
+    assert np.array_equal(_convolve_level(G, p, theta_j, ws), want)
 
 
 def test_polar_handles_unbounded_thin_arms():
@@ -172,6 +171,45 @@ def test_mc_bits_pinned():
             assert est.method == method
             got = (est.value.hex(), est.abs_error.hex(), est.samples_or_nodes)
             assert got == want
+
+
+def test_deterministic_bits_pinned():
+    # (method, value, abs_error, nodes) recorded bit for bit before measure
+    # divided sigma out of the engines; at sigma = 1 nothing may move
+    cases = [
+        (cube(3, 1.0), (0.3, -0.7, 2.0), None,
+         ("PRODUCT_1D", "0x1.e88c1b47e7471p-5", "0x1.0e374a4f8e0b4p-45", 6)),
+        (p_ball(3, -math.inf, 1.0), (0.4, -1.1, 0.2), None,
+         ("PRODUCT_1D", "0x1.dedc25e9017adp-1", "0x1.0e374a4f8e0b4p-45", 6)),
+        (complement(p_ball(2, math.inf, 0.8)), (0.5, -0.2), None,
+         ("PRODUCT_1D", "0x1.68b1e91a83f6dp-1", "0x1.6849b86a12b9bp-46", 4)),
+        (p_ball(3, 1.5, 1.0), (0.5, 0.2, -0.3), 1e-8,
+         ("SLICE_QUAD", "0x1.38590df0f88d9p-1", "0x1.ec00000000000p-46", 96)),
+        (complement(p_ball(2, 3.0, 1.2)), (0.4, 0.1), None,
+         ("SLICE_QUAD", "0x1.3b18a3009c952p-2", "0x1.1900000000000p-45", 96)),
+        (pq_ball(2, 2.0, -0.4, 1.0), tuple(rotate2([1.0, 0.0], math.pi / 5)),
+         None,
+         ("POLAR2D", "0x1.0cd1cfe4b9939p-1", "0x1.02fbdc79bdb16p-17", 4097)),
+        (hat_b(2, 4.5, 1.0, 0.9), (0.5, 0.2), None,
+         ("POLAR2D", "0x1.bd06f4addeadap-1", "0x1.fa7af29e56e20p-26", 1025)),
+        (check_b(2, 1.5, 1.0, 0.45), (0.3, 0.6), None,
+         ("POLAR2D", "0x1.d200fcb34f5dap-2", "0x1.2a3fb94b21d42p-21", 8193)),
+    ]
+    for S, shift, target, want in cases:
+        est = mz(S, shift, target_rel_error=target)
+        got = (est.method, est.value.hex(), est.abs_error.hex(),
+               est.samples_or_nodes)
+        assert got == want
+
+
+@pytest.mark.parametrize("kw", [
+    dict(sigma=math.nan), dict(sigma=math.inf), dict(sigma=0.0),
+    dict(shift=(math.nan, 0.0)), dict(shift=(0.0, math.inf)),
+])
+def test_query_rejects_nonfinite_input(kw):
+    args = {"set": p_ball(2, 2.0, 1.0), "shift": (0.0, 0.0)} | kw
+    with pytest.raises(ValueError):
+        GaussianShiftQuery(**args)
 
 
 @pytest.mark.parametrize("S, shift", [

@@ -5,8 +5,8 @@ import pytest
 
 from schur2.means import Schur2Value, p_mean, pq_mean
 from schur2.sets import (check_b, classify_set, complement, contains,
-                         contains_rows, cube, format_set, hat_b,
-                         line_interval, parse_set, p_ball, pq_ball)
+                         contains_rows, cube, format_set, hat_b, parse_set,
+                         p_ball, pq_ball, scale)
 
 
 def test_pball_membership_matches_mean():
@@ -69,36 +69,17 @@ def test_gk_invariance_of_membership():
             assert np.array_equal(contains_rows(S, signs * x[:, perm]), base)
 
 
-def test_line_interval_pball():
-    S = p_ball(2, 2.0, 1.0)
-    (lo, hi), = line_interval(S, np.array([0.5, 0.0]), axis=1)
-    # x fixed at 0.5: need (0.25 + y^2)/2 <= 1, so |y| <= sqrt(1.75)
-    assert hi == pytest.approx(math.sqrt(1.75), abs=1e-12)
-    assert lo == pytest.approx(-math.sqrt(1.75), abs=1e-12)
-
-
-def test_line_interval_matches_scan():
+def test_scale_matches_scaled_membership():
     rng = np.random.default_rng(4)
-    for S in [p_ball(3, 1.0, 1.0), p_ball(3, 3.5, 1.0), cube(3, 1.0),
-              p_ball(3, math.inf, 1.0)]:
-        for _ in range(20):
-            base = rng.standard_normal(3) * 0.5
-            axis = rng.integers(0, 3)
-            try:
-                ivs = line_interval(S, base, axis=axis)
-            except ValueError:
-                continue
-            ts = np.linspace(-5, 5, 4001)
-            pts = np.tile(base, (ts.size, 1))
-            pts[:, axis] = ts
-            inside = contains_rows(S, pts)
-            if not inside.any():
-                assert not ivs
-                continue
-            lo = min(a for a, _ in ivs)
-            hi = max(b for _, b in ivs)
-            assert ts[inside].min() == pytest.approx(max(lo, -5), abs=5e-3)
-            assert ts[inside].max() == pytest.approx(min(hi, 5), abs=5e-3)
+    sets = [p_ball(3, 0.0, 1.0), pq_ball(3, 2.0, -0.4, 1.0),
+            hat_b(3, 2.0, 1.0, 0.5), check_b(3, 1.5, 1.0, 0.5), cube(3, 1.0),
+            complement(p_ball(3, 3.0, 1.0))]
+    x = rng.standard_normal((200, 3)) * 2
+    for S in sets:
+        # multiplying by a power of two is exact, so memberships agree
+        assert np.array_equal(contains_rows(scale(S, 4.0), 4.0 * x),
+                              contains_rows(S, x))
+    assert scale(p_ball(2, 2.0, 1.5), 1.0) == p_ball(2, 2.0, 1.5)
 
 
 def test_classification_table():
@@ -178,3 +159,26 @@ def test_parse_rejects_garbage():
         parse_set("blob:p=1", 2)
     with pytest.raises(ValueError):
         parse_set("pball:p=1", 2)  # missing eps
+    with pytest.raises(ValueError):
+        parse_set("pball:p=2,eps=1,q=3", 2)  # a field the family lacks
+    with pytest.raises(ValueError):
+        parse_set("pball:p=2,eps=1,eps=5", 2)  # a repeated field
+
+
+@pytest.mark.parametrize("make", [
+    lambda: p_ball(2, math.nan, 1.0),
+    lambda: pq_ball(2, 2.0, math.nan, 1.0),
+    lambda: p_ball(2, 2.0, math.nan),
+    lambda: p_ball(2, 2.0, math.inf),
+    lambda: hat_b(2, 2.0, math.inf, 1.0),
+    lambda: check_b(2, 2.0, 1.0, math.nan),
+    lambda: cube(2, math.nan),
+])
+def test_constructors_reject_nan_and_infinite_lengths(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_constructors_keep_infinite_exponents():
+    assert p_ball(2, -math.inf, 1.0).p == -math.inf
+    assert pq_ball(2, math.inf, 1.0, 1.0).p == math.inf

@@ -18,6 +18,8 @@ def test_design_validates():
         TestDesign(2, 1.0, 0.95, 0.05, u)  # alpha >= beta
     with pytest.raises(ValueError):
         TestDesign(2, 1.0, 0.05, 0.95, (1.0, 0.5))  # not unit quadratic mean
+    with pytest.raises(ValueError):
+        TestDesign(0, 1.0, 0.05, 0.95, ())  # no coordinates
 
 
 def test_chi2_closed_form():
