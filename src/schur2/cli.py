@@ -149,6 +149,8 @@ def cmd_verify(args):
             pairs.append((np.sqrt(np.sort(v * v)[::-1]), np.sqrt(w)))
         rep = verify.check_schur2_monotonicity(S, pairs, seed=args.seed,
                                                workers=args.workers)
+        if not any("ok" in pair for pair in rep["pairs"]):
+            raise ValueError("no comparable shift pair to check")
     else:
         rep = verify_power_report(args)
     _emit(rep, args)

@@ -9,7 +9,8 @@ table; every engine then sees a standard normal.
                 sum |Y_j|^p <= k eps^p, so the probability is built by k-1
                 sequential one-dimensional convolutions of the running CDF,
                 represented in the radius variable w = s^(1/p) where it is
-                smooth and Chebyshev interpolation converges fast
+                smooth and Chebyshev interpolation converges fast; a shift
+                search reuses the shift-free radii of its grids at every t
   POLAR2D       any set at k = 2: adaptive Simpson over the angle with the
                 radial integral done in closed form on membership intervals
   MC_PLAIN /    everything else, in one Monte Carlo loop: plain draws, or
@@ -19,6 +20,7 @@ table; every engine then sees a standard normal.
 A forced engine must be able to measure the set, or measure raises.
 """
 
+import functools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
-from scipy.stats import chi2, norm
+from scipy.special import ndtr
+from scipy.stats import chi2
 
 from . import sets as sets_mod
 from .sets import contains_rows
@@ -79,6 +82,9 @@ class GaussianShiftQuery:
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError("sigma must be finite and positive")
+        t = self.target_rel_error
+        if t is not None and not (math.isfinite(t) and t > 0):
+            raise ValueError("target_rel_error must be finite and positive")
         shift = np.asarray(self.shift, dtype=float)
         if shift.size != self.set.k:
             raise ValueError(
@@ -126,7 +132,7 @@ def _product_1d(S, theta, target, q):
     """Exact value for cubes and +-inf balls and their complements."""
     S, comp = _uncomplement(S)
     a = S.a if S.variant == "cube" else S.eps
-    per_coord = norm.cdf(a + theta) - norm.cdf(-a + theta)
+    per_coord = ndtr(a + theta) - ndtr(-a + theta)
     if S.p == -math.inf:
         # min |Y_j| <= a  <=>  not all coordinates escape the slab
         v = 1.0 - np.prod(1.0 - per_coord)
@@ -159,6 +165,22 @@ def _unit_mesh():
 
 _UNIT_U, _UNIT_W = _unit_mesh()  # ~2,350 nodes, scaled per radius w
 _ROW_BLOCK = 16  # radii per block: bounds the (block x nodes) temporaries
+_RADII_BLOCKS = 8  # cached blocks: the 33 + 65 radii of a 32- and 64-node pair
+
+
+@functools.lru_cache(maxsize=_RADII_BLOCKS)
+def _radii(p, wb_bytes):
+    """The theta-free radii (w^p - v^p)^(1/p) at the mesh nodes v of a block
+    of radii w; a shift search convolves on the same grids at every t."""
+    wb = np.frombuffer(wb_bytes)[:, None]
+    rad = np.clip(wb**p - (wb * _UNIT_U[None, :])**p, 0.0, None) ** (1.0 / p)
+    rad.flags.writeable = False
+    return rad
+
+
+def _npdf(x):
+    """scipy.stats.norm.pdf bit for bit, without its argument checks."""
+    return np.exp(-x**2 / 2.0) / math.sqrt(2.0 * math.pi)
 
 
 def _convolve_level(G_prev, p, theta_j, ws):
@@ -171,16 +193,14 @@ def _convolve_level(G_prev, p, theta_j, ws):
     ws = np.asarray(ws, dtype=float)
     out = np.zeros_like(ws)
     pos = ws > 0
-    if not pos.any():
-        return out
     wpos = ws[pos]
     sums = np.empty_like(wpos)
     for i in range(0, wpos.size, _ROW_BLOCK):
         wb = wpos[i:i + _ROW_BLOCK]
         v = wb[:, None] * _UNIT_U[None, :]
-        rad = np.clip(wb[:, None] ** p - v**p, 0.0, None) ** (1.0 / p)
-        g = norm.pdf(v - theta_j) + norm.pdf(v + theta_j)
-        sums[i:i + _ROW_BLOCK] = (G_prev(rad) * g * _UNIT_W[None, :]).sum(axis=1)
+        g = _npdf(v - theta_j) + _npdf(v + theta_j)
+        sums[i:i + _ROW_BLOCK] = (G_prev(_radii(p, wb.tobytes())) * g
+                                  * _UNIT_W[None, :]).sum(axis=1)
     out[pos] = wpos * sums
     return out
 
@@ -194,12 +214,7 @@ def pball_radius_cdf(k, p, theta, w_max, n_nodes=64):
     if not (0.0 < p < math.inf):
         raise ValueError("requires finite p > 0")
     theta = np.asarray(theta, dtype=float)
-
-    def g1(w):
-        w = np.asarray(w, dtype=float)
-        return norm.cdf(w + theta[0]) - norm.cdf(-w + theta[0])
-
-    G = g1
+    G = lambda w: ndtr(np.add(w, theta[0])) - ndtr(np.subtract(theta[0], w))
     for j in range(1, k):
         level = Chebyshev.interpolate(
             lambda ws, Gp=G, tj=theta[j]: _convolve_level(Gp, p, tj, ws),

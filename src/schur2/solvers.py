@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.stats import chi2, ncx2, norm
+from scipy.special import ndtr, ndtri
+from scipy.stats import chi2, ncx2
 
 from .gauss_measure import GaussianShiftQuery, measure, pball_radius_cdf
 from .means import p_mean
@@ -85,13 +86,13 @@ def _tail_closed(k, p, c, shift):
     """P(<Z + shift>_p > c) on the closed-form paths, else None."""
     s = np.asarray(shift, dtype=float)
     if k == 1:
-        return 1.0 - (norm.cdf(c - s[0]) - norm.cdf(-c - s[0]))
+        return 1.0 - (ndtr(c - s[0]) - ndtr(-c - s[0]))
     if p == 2.0:
         return float(ncx2.sf(k * c * c, k, float(s @ s)))
     if p == math.inf:
-        return 1.0 - float(np.prod(norm.cdf(c - s) - norm.cdf(-c - s)))
+        return 1.0 - float(np.prod(ndtr(c - s) - ndtr(-c - s)))
     if p == -math.inf:
-        return float(np.prod(norm.sf(c - s) + norm.cdf(-c - s)))
+        return float(np.prod(ndtr(s - c) + ndtr(-c - s)))
     return None
 
 
@@ -172,7 +173,7 @@ def _radial_critical_value(k, p, alpha):
     on [0, k^(1/p) m] and c is the root of G(k^(1/p) c) = 1 - alpha on its
     interpolant. Node counts double until the roots of n and 2n nodes agree.
     """
-    m = float(norm.isf(_CV_TAIL_SHARE * alpha / (2.0 * k)))
+    m = float(-ndtri(_CV_TAIL_SHARE * alpha / (2.0 * k)))
     scale = k ** (1.0 / p)
     prev, n = None, 32
     while True:
@@ -213,13 +214,13 @@ def critical_value(k, p, alpha, *, seed=0, workers=1):
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if k == 1:
-        return float(norm.ppf(1.0 - alpha / 2.0))
+        return float(ndtri(1.0 - alpha / 2.0))
     if p == 2.0:
         return _chi2_guess(k, alpha)
     if p == math.inf:
-        return float(norm.ppf(0.5 * (1.0 + (1.0 - alpha) ** (1.0 / k))))
+        return float(ndtri(0.5 * (1.0 + (1.0 - alpha) ** (1.0 / k))))
     if p == -math.inf:
-        return float(norm.ppf(1.0 - alpha ** (1.0 / k) / 2.0))
+        return float(ndtri(1.0 - alpha ** (1.0 / k) / 2.0))
     if not _mc_path(k, p):
         return _exact_critical_value(k, p, alpha)
 
@@ -234,7 +235,7 @@ def critical_value(k, p, alpha, *, seed=0, workers=1):
 
 
 def _probit(P):
-    return float(norm.ppf(min(max(P, _PROBIT_CLIP[0]), _PROBIT_CLIP[1])))
+    return float(ndtri(min(max(P, _PROBIT_CLIP[0]), _PROBIT_CLIP[1])))
 
 
 def shift_solution(d: TestDesign, *, seed=0, workers=1, c=None):

@@ -87,6 +87,8 @@ def check_rotation_monotonicity(S: SetSpec, r, t_grid, *, seed=0, workers=1,
     ts = [float(t) for t in t_grid]
     if any(t < -1e-12 or t > math.pi / 4.0 + 1e-12 for t in ts):
         raise ValueError("t_grid must lie in [0, pi/4]")
+    if len(ts) < 2:
+        raise ValueError("a rotation check needs at least 2 grid points")
     vals, errs = [], []
     for t in ts:
         m, e = _measure_at(S, [r * math.cos(t), r * math.sin(t)],

@@ -114,3 +114,23 @@ def test_nonexistent_shift_gives_zero():
     r = are(TestDesign(3, -math.inf, 0.05, 0.999, tuple(u)))
     assert r.are == 0.0
     assert math.isnan(r.sp_norm)
+
+
+def test_are_bits_pinned():
+    # (are, error, sp_norm) recorded bit for bit before SLICE_QUAD dropped
+    # the scipy.stats wrappers and cached its radii; nothing may move
+    cases = [
+        (2, 0.5, [1.0, 0.4], ("0x1.85af10a65a989p-1", "0x1.3d2dbabcd4e38p-24",
+                              "0x1.04f565104fbf0p+2")),
+        (2, 3.0, [1.0, 0.4], ("0x1.fbe8926883a48p-1", "0x1.a4ceae0259c4ap-24",
+                              "0x1.c92819af83818p+1")),
+        (3, 1.5, [1.0, 0.5, -0.2], ("0x1.f6954ccf1645ep-1",
+                                    "0x1.62e2836b391ecp-24",
+                                    "0x1.e659880d7b512p+1")),
+        (3, 4.0, [1.0, 0.5, -0.2], ("0x1.f28b616bb8143p-1",
+                                    "0x1.5fcfb808ec909p-24",
+                                    "0x1.e850d42a2bbe9p+1")),
+    ]
+    for k, p, u, want in cases:
+        r = are(design(k, p, u, alpha=0.05, beta=0.9))
+        assert (r.are.hex(), r.error.hex(), r.sp_norm.hex()) == want

@@ -178,3 +178,23 @@ def test_zero_angles_is_usage_error(capsys, argv):
     code, out = run_cli(capsys, *argv, "--angles", "0", "--format", "csv")
     assert code == 1
     assert out == ""
+
+
+@pytest.mark.parametrize("target", ["nan", "-1", "0"])
+def test_measure_bad_target_is_usage_error(capsys, target):
+    code, out = run_cli(capsys, "measure", "--set", "pball:p=2,eps=1",
+                        "--k", "3", "--shift", "0,0,0", "--target", target)
+    assert code == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("rotation", "--points", "0"),
+    ("rotation", "--points", "1"),
+    ("schur2", "--points", "0"),
+])
+def test_empty_verify_check_is_usage_error(capsys, argv):
+    # a check that compares nothing must not report a pass
+    code, out = run_cli(capsys, "verify", *argv)
+    assert code == 1
+    assert out == ""

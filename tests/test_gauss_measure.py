@@ -205,11 +205,52 @@ def test_deterministic_bits_pinned():
 @pytest.mark.parametrize("kw", [
     dict(sigma=math.nan), dict(sigma=math.inf), dict(sigma=0.0),
     dict(shift=(math.nan, 0.0)), dict(shift=(0.0, math.inf)),
+    dict(target_rel_error=math.nan), dict(target_rel_error=math.inf),
+    dict(target_rel_error=-1.0), dict(target_rel_error=0.0),
 ])
 def test_query_rejects_nonfinite_input(kw):
     args = {"set": p_ball(2, 2.0, 1.0), "shift": (0.0, 0.0)} | kw
     with pytest.raises(ValueError):
         GaussianShiftQuery(**args)
+
+
+def _bits(a):
+    return [float(x).hex() for x in np.ravel(a)]
+
+
+def test_normal_helpers_match_scipy_stats_bits():
+    # the engines and solvers call the special functions under
+    # scipy.stats.norm directly; every value must keep its bits
+    from scipy.special import ndtr, ndtri
+    x = np.concatenate([[-math.inf, math.inf, math.nan, 1e-300, -1e-300, 0.0,
+                         -0.0, 5e-324, 40.0, -40.0],
+                        np.linspace(-38.0, 38.0, 20_001)])
+    assert _bits(gauss_measure._npdf(x)) == _bits(norm.pdf(x))
+    assert _bits(ndtr(x)) == _bits(norm.cdf(x))
+    assert _bits(ndtr(-x)) == _bits(norm.sf(x))
+    q = np.concatenate([[0.0, 1.0, math.nan, 1e-300, 5e-324, -1e-300, 1.5,
+                         1.0 - 2.0**-53], np.linspace(0.0, 1.0, 20_001)])
+    # "+ 0.0": the wrapper adds loc = 0, so its zero quantile is never -0.0
+    assert _bits(ndtri(q) + 0.0) == _bits(norm.ppf(q))
+    assert _bits(-ndtri(q) + 0.0) == _bits(norm.isf(q))
+
+
+def test_radii_cache_keeps_bits_and_its_size():
+    # SLICE_QUAD keeps the theta-free radii of recent grid blocks; a warm
+    # cache must give the bits of a cold one, and the cache stays bounded
+    S, shift = p_ball(3, 1.5, 1.0), (0.5, 0.2, -0.3)
+    gauss_measure._radii.cache_clear()
+    cold = mz(S, shift, target_rel_error=1e-8)
+    warm = mz(S, shift, target_rel_error=1e-8)
+    assert gauss_measure._radii.cache_info().hits > 0
+    assert (warm.value.hex(), warm.abs_error.hex()) == (
+        cold.value.hex(), cold.abs_error.hex()) == (
+        "0x1.38590df0f88d9p-1", "0x1.ec00000000000p-46")
+    for eps in (0.7, 1.3, 2.0):  # new grids evict old blocks
+        mz(p_ball(2, 3.0, eps), (0.4, 0.1))
+    info = gauss_measure._radii.cache_info()
+    assert info.maxsize == gauss_measure._RADII_BLOCKS == 8
+    assert info.currsize == info.maxsize
 
 
 @pytest.mark.parametrize("S, shift", [
