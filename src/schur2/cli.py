@@ -53,15 +53,6 @@ def _emit(payload, args):
         sys.stdout.write(text)
 
 
-def _parse_p(s):
-    s = s.strip().lower()
-    if s in ("inf", "+inf", "infinity"):
-        return math.inf
-    if s in ("-inf", "-infinity"):
-        return -math.inf
-    return float(s)
-
-
 def _parse_vec(s):
     return np.array([float(x) for x in s.split(",")])
 
@@ -138,6 +129,8 @@ def cmd_verify(args):
         rep = verify.check_rotation_monotonicity(
             S, args.radius, grid, seed=args.seed, workers=args.workers)
     elif args.check == "schur2":
+        if args.k < 2:
+            raise ValueError("a majorization transfer needs k >= 2")
         S = parse_set(args.set, args.k)
         rng = np.random.default_rng(args.seed)
         pairs = []
@@ -262,7 +255,7 @@ def build_parser():
 
     c = sub.add_parser("critical", help="critical value c_(p, alpha)")
     c.add_argument("--k", type=int, required=True)
-    c.add_argument("--p", type=_parse_p, required=True)
+    c.add_argument("--p", type=float, required=True)
     c.add_argument("--alpha", type=float, required=True)
     _add_common(c)
     c.set_defaults(fn=cmd_critical)
@@ -271,7 +264,7 @@ def build_parser():
                           ("are", cmd_are, "relative efficiency vs the 2-mean test")]:
         s = sub.add_parser(name, help=hlp)
         s.add_argument("--k", type=int, required=True)
-        s.add_argument("--p", type=_parse_p, required=True)
+        s.add_argument("--p", type=float, required=True)
         s.add_argument("--alpha", type=float, required=True)
         s.add_argument("--beta", type=float, required=True)
         s.add_argument("--u", required=True, help="direction, comma-separated")
@@ -279,7 +272,7 @@ def build_parser():
         s.set_defaults(fn=fn)
 
     sw = sub.add_parser("sweep", help="ARE over direction angles at k=2")
-    sw.add_argument("--p", type=_parse_p, required=True)
+    sw.add_argument("--p", type=float, required=True)
     sw.add_argument("--alpha", type=float, required=True)
     sw.add_argument("--beta", type=float, required=True)
     sw.add_argument("--angles", type=int, default=11)
@@ -295,7 +288,7 @@ def build_parser():
     v.add_argument("--set", default="cube:a=1")
     v.add_argument("--radius", type=float, default=2.0)
     v.add_argument("--points", type=int, default=9)
-    v.add_argument("--p", type=_parse_p, default=2.0)
+    v.add_argument("--p", type=float, default=2.0)
     v.add_argument("--alpha", type=float, default=0.05)
     v.add_argument("--n", type=int, default=400)
     v.add_argument("--reps", type=int, default=10_000)

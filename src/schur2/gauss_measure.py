@@ -12,7 +12,9 @@ table; every engine then sees a standard normal.
                 smooth and Chebyshev interpolation converges fast; a shift
                 search reuses the shift-free radii of its grids at every t
   POLAR2D       any set at k = 2: adaptive Simpson over the angle with the
-                radial integral done in closed form on membership intervals
+                radial integral done in closed form on membership intervals;
+                ray points are built coordinate-major, and the crossings of
+                all rays of a refinement level are bisected in one pass
   MC_PLAIN /    everything else, in one Monte Carlo loop: plain draws, or
   MC_IMPORTANCE importance sampling from N(center, I) around a near member
                 point when the event is rare; chunk-indexed counter-based
@@ -82,6 +84,8 @@ class GaussianShiftQuery:
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError("sigma must be finite and positive")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
         t = self.target_rel_error
         if t is not None and not (math.isfinite(t) and t > 0):
             raise ValueError("target_rel_error must be finite and positive")
@@ -274,7 +278,17 @@ def _axis_hint_radii(theta, cos_ph, sin_ph, rho_max):
 
 _N_SCAN = 1024  # uniform scan radii per ray
 _BISECT_ITERS = 48
-_PHI_CHUNK = 256  # rays per batch: bounds the (rays x radii) temporaries
+_PHI_CHUNK = 32  # rays per scan batch: keeps its temporaries in cache
+
+
+def _ray_points(rho, cos_ph, sin_ph, theta):
+    """The points rho * (cos, sin) - theta, built coordinate-major in a
+    (2, n) buffer; returns its (n, 2) transposed view for contains_rows."""
+    C = np.empty((2, rho.size))
+    for j, d in enumerate((cos_ph, sin_ph)):
+        np.multiply(rho, d, out=C[j].reshape(rho.shape))
+        C[j] -= theta[j]
+    return C.T
 
 
 def _radial_mass_batch(S, theta, phis, rho_max):
@@ -282,38 +296,40 @@ def _radial_mass_batch(S, theta, phis, rho_max):
 
     mass(phi) = sum over membership intervals [a,b] of the ray of
     exp(-a^2/2) - exp(-b^2/2); intervals located by a scan of _N_SCAN radii
-    (plus axis-line hint probes) and polished by vectorized bisection across
-    all crossings.
+    (plus axis-line hint probes) in chunks of rays, then polished by one
+    vectorized bisection across the crossings of all chunks: one bisection
+    per refinement level of _polar2d. Points are built coordinate-major
+    (_ray_points), so membership reads each coordinate as one contiguous row.
     """
-    out = np.zeros(phis.size)
     rho_base = np.linspace(0.0, rho_max, _N_SCAN)
+    inside0 = np.zeros(phis.size, dtype=bool)
+    parts = []  # per chunk: ray index, bracket, inside at lo, direction
     for start in range(0, phis.size, _PHI_CHUNK):
         ph = phis[start:start + _PHI_CHUNK]
         m = ph.size
         cos_ph, sin_ph = np.cos(ph), np.sin(ph)
-        d = np.stack([cos_ph, sin_ph], axis=1)  # (m, 2)
         hints = _axis_hint_radii(theta, cos_ph, sin_ph, rho_max)
         rho = np.sort(np.concatenate(
             [np.broadcast_to(rho_base, (m, _N_SCAN)), hints], axis=1), axis=1)
-        pts = rho[:, :, None] * d[:, None, :] - theta[None, None, :]
-        mem = contains_rows(S, pts.reshape(-1, 2)).reshape(m, rho.shape[1])
+        pts = _ray_points(rho, cos_ph[:, None], sin_ph[:, None], theta)
+        mem = contains_rows(S, pts).reshape(m, rho.shape[1])
         iphi, irho = np.nonzero(mem[:, 1:] != mem[:, :-1])
-        lo, hi = rho[iphi, irho], rho[iphi, irho + 1]
-        inside_lo = mem[iphi, irho]
-        dirs = d[iphi]
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            mm = contains_rows(S, mid[:, None] * dirs - theta[None, :])
-            take_lo = np.where(inside_lo, mm, ~mm)
-            lo = np.where(take_lo, mid, lo)
-            hi = np.where(take_lo, hi, mid)
-        cross = 0.5 * (lo + hi)
-        w = np.exp(-cross**2 / 2.0)
-        sign = np.where(inside_lo, -1.0, 1.0)  # leaving ends, entering starts
-        mass = np.zeros(m)
-        np.add.at(mass, iphi, sign * w)
-        mass += mem[:, 0]  # inside at rho = 0 opens an interval with weight 1
-        out[start:start + m] = mass
+        parts.append((start + iphi, rho[iphi, irho], rho[iphi, irho + 1],
+                      mem[iphi, irho], cos_ph[iphi], sin_ph[iphi]))
+        inside0[start:start + m] = mem[:, 0]
+    iphi, lo, hi, inside_lo, cos_x, sin_x = map(np.concatenate, zip(*parts))
+    for _ in range(_BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        mm = contains_rows(S, _ray_points(mid, cos_x, sin_x, theta))
+        take_lo = np.where(inside_lo, mm, ~mm)
+        lo = np.where(take_lo, mid, lo)
+        hi = np.where(take_lo, hi, mid)
+    cross = 0.5 * (lo + hi)
+    w = np.exp(-cross**2 / 2.0)
+    sign = np.where(inside_lo, -1.0, 1.0)  # leaving ends, entering starts
+    out = np.zeros(phis.size)
+    np.add.at(out, iphi, sign * w)
+    out += inside0  # inside at rho = 0 opens an interval with weight 1
     return out
 
 

@@ -105,7 +105,9 @@ def scale(S, f):
 
 
 def contains_rows(S, X):
-    """Vectorized membership: X of shape (n, k) -> bool array (n,)."""
+    """Vectorized membership: X of shape (n, k) -> bool array (n,). Every
+    kernel reduces over the coordinates as the rows of a (k, n) array, which
+    the (n, k) transposed view of a (k, n) buffer gives without a gather."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != S.k:
         raise ValueError(f"dimension mismatch: set k={S.k}, points k={X.shape[1]}")
@@ -113,25 +115,20 @@ def contains_rows(S, X):
         return p_mean_rows(X, S.p) <= S.eps
     if S.variant == "pqball":
         return pq_mean_rows(X, S.p, S.q) <= S.eps
+    if S.variant == "complement":
+        return ~contains_rows(S.inner, X)
+    A = np.abs(X.T, order="C")
     if S.variant == "cube":
-        return np.abs(X).max(axis=1) <= S.a
+        return A.max(axis=0) <= S.a
     if S.variant == "hatb":
         # union over the group orbit of a*1: best center matches the signs of
         # x coordinatewise, leaving sum ||x_j| - a|^p <= k eps^p
-        A = np.abs(X)
-        return np.sum(np.abs(A - S.a) ** S.p, axis=1) <= S.k * S.eps**S.p
+        return np.sum(np.abs(A - S.a) ** S.p, axis=0) <= S.k * S.eps**S.p
     if S.variant == "checkb":
         # best center among +-a*e_i matches the sign of x_i; try every axis
-        A = np.abs(X)
         Ap = A**S.p
-        total = Ap.sum(axis=1)
-        best = np.inf * np.ones(X.shape[0])
-        for i in range(S.k):
-            cand = total - Ap[:, i] + np.abs(A[:, i] - S.a) ** S.p
-            best = np.minimum(best, cand)
-        return best <= S.k * S.eps**S.p
-    if S.variant == "complement":
-        return ~contains_rows(S.inner, X)
+        cand = Ap.sum(axis=0) - Ap + np.abs(A - S.a) ** S.p
+        return cand.min(axis=0) <= S.k * S.eps**S.p
     raise ValueError(f"unknown variant {S.variant}")
 
 
@@ -183,20 +180,12 @@ _FAMILIES = {
 }
 
 
-def _fmt(x):
-    if x == math.inf:
-        return "inf"
-    if x == -math.inf:
-        return "-inf"
-    return repr(float(x))
-
-
 def format_set(S):
     """Canonical textual form, e.g. 'pball:p=2.0,eps=1.0'."""
     if S.variant == "complement":
         return f"complement({format_set(S.inner)})"
     names = _FAMILIES[S.variant][0]
-    return S.variant + ":" + ",".join(f"{n}={_fmt(getattr(S, n))}"
+    return S.variant + ":" + ",".join(f"{n}={float(getattr(S, n))!r}"
                                       for n in names)
 
 

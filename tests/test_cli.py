@@ -155,6 +155,8 @@ def test_measure_incapable_method_is_usage_error(capsys):
     ("--set", "pball:p=2,eps=1", "--shift", "nan,0"),
     ("--set", "pball:p=2,eps=1,q=3", "--shift", "0,0"),
     ("--set", "pball:p=2,eps=1,eps=5", "--shift", "0,0"),
+    ("--set", "pball:p=2,eps=1", "--shift", "0,0", "--workers", "0"),
+    ("--set", "pball:p=2,eps=1", "--shift", "0,0", "--workers", "-3"),
 ])
 def test_measure_bad_input_is_usage_error(capsys, argv):
     # NaN parameters, NaN shifts, unknown and repeated set fields
@@ -196,5 +198,12 @@ def test_measure_bad_target_is_usage_error(capsys, target):
 def test_empty_verify_check_is_usage_error(capsys, argv):
     # a check that compares nothing must not report a pass
     code, out = run_cli(capsys, "verify", *argv)
+    assert code == 1
+    assert out == ""
+
+
+def test_verify_schur2_one_coordinate_is_usage_error(capsys):
+    # a majorization transfer moves mass between two coordinates
+    code, out = run_cli(capsys, "verify", "schur2", "--k", "1")
     assert code == 1
     assert out == ""

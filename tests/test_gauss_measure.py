@@ -207,6 +207,7 @@ def test_deterministic_bits_pinned():
     dict(shift=(math.nan, 0.0)), dict(shift=(0.0, math.inf)),
     dict(target_rel_error=math.nan), dict(target_rel_error=math.inf),
     dict(target_rel_error=-1.0), dict(target_rel_error=0.0),
+    dict(workers=0), dict(workers=-3),
 ])
 def test_query_rejects_nonfinite_input(kw):
     args = {"set": p_ball(2, 2.0, 1.0), "shift": (0.0, 0.0)} | kw
@@ -305,3 +306,26 @@ def test_polar_reports_missed_target(monkeypatch):
     assert capped.target_met is False
     met = mz(S, shift, method="POLAR2D", target_rel_error=1e-2)
     assert met.target_met is True
+
+
+def test_polar_bits_pinned():
+    # (method, value, abs_error, nodes) recorded bit for bit before POLAR2D
+    # built its points coordinate-major and bisected once per refinement
+    # level; the far q < 0 shift runs the axis hints and the far tail
+    far = tuple(11.0 * np.array([math.cos(math.pi / 20),
+                                 math.sin(math.pi / 20)]))
+    cases = [
+        (pq_ball(2, 1.0, 0.0, 1.0), (4.5, 0.0),
+         ("POLAR2D", "0x1.858733283fb72p-10", "0x1.0347cdab6cf23p-34", 1025)),
+        (pq_ball(2, 0.7, 0.7, 1.0), (3.0, 0.0),
+         ("POLAR2D", "0x1.2c5fe10ad8346p-5", "0x1.3592431da3385p-22", 4097)),
+        (pq_ball(2, 2.0, -0.4, 1.0), far,
+         ("POLAR2D", "0x1.73e6ec8c5de0ep-20", "0x1.5e0fb12e8e5c8p-60", 1025)),
+        (complement(check_b(2, 1.5, 1.0, 0.45)), (0.3, 0.6),
+         ("POLAR2D", "0x1.16ff81a658512p-1", "0x1.2a3fb94bc4cdap-21", 8193)),
+    ]
+    for S, shift, want in cases:
+        est = mz(S, shift)
+        got = (est.method, est.value.hex(), est.abs_error.hex(),
+               est.samples_or_nodes)
+        assert got == want

@@ -147,11 +147,12 @@ def test_neither_sets_show_violations_both_ways():
 
 def test_format_parse_round_trip():
     sets = [p_ball(2, 2.0, 1.0), p_ball(3, math.inf, 0.5),
-            pq_ball(2, 2.0, -0.4, 1.0), hat_b(2, 4.5, 1.0, 0.9),
+            p_ball(2, -math.inf, 1.0), pq_ball(2, 2.0, -0.4, 1.0), hat_b(2, 4.5, 1.0, 0.9),
             check_b(2, 1.5, 1.0, 0.45), cube(2, 1.0),
             complement(pq_ball(2, 5.0, -1.0, 1.0))]
     for S in sets:
         assert parse_set(format_set(S), S.k) == S
+    assert format_set(p_ball(2, -math.inf, 1.0)) == "pball:p=-inf,eps=1.0"
 
 
 def test_parse_rejects_garbage():
@@ -182,3 +183,50 @@ def test_constructors_reject_nan_and_infinite_lengths(make):
 def test_constructors_keep_infinite_exponents():
     assert p_ball(2, -math.inf, 1.0).p == -math.inf
     assert pq_ball(2, math.inf, 1.0, 1.0).p == math.inf
+
+
+def _layout_batch(k):
+    """Random rows plus rows on set boundaries, with zero coordinates and an
+    all-zero row."""
+    special = {2: [[1.0, 1.0], [-1.0, 1.0], [2.0, 0.0], [2.0, -1.0],
+                   [0.0, -0.5], [1.0, 0.5], [0.0, 0.0]],
+               3: [[1.0, 1.0, 1.0], [-1.0, 1.0, -1.0], [2.0, 1.0, 1.0],
+                   [2.0, 1.0, 0.0], [0.0, -0.5, 0.0], [1.0, 0.5, -0.2],
+                   [0.0, 0.0, 0.0]]}[k]
+    rng = np.random.default_rng(7 + k)
+    R = 1.5 * rng.standard_normal((400, k))
+    R[rng.random(R.shape) < 0.05] = 0.0
+    return np.vstack([special, R])
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_membership_is_independent_of_layout(k):
+    # a C-contiguous batch, the transposed view of a coordinate-major buffer
+    # and a strided row slice hold the same points and give the same result
+    X = _layout_batch(k)
+    transposed = np.ascontiguousarray(X.T).T
+    wide = np.zeros((2 * X.shape[0], k + 2))
+    wide[::2, 1:k + 1] = X
+    strided = wide[::2, 1:k + 1]
+    assert not (transposed.flags.c_contiguous or strided.flags.c_contiguous)
+    sets = [p_ball(k, 2.0, 1.0), p_ball(k, 0.0, 1.0), p_ball(k, -1.0, 1.0),
+            pq_ball(k, 2.0, -0.4, 1.0), pq_ball(k, 0.7, 0.7, 1.0),
+            pq_ball(k, 1.0, 0.0, 1.0), hat_b(k, 2.0, 1.0, 1.0),
+            hat_b(k, 4.5, 1.0, 0.9), check_b(k, 2.0, 1.0, 1.0),
+            check_b(k, 1.5, 1.0, 0.45), cube(k, 1.0),
+            complement(check_b(k, 2.0, 1.0, 1.0)), complement(cube(k, 1.0))]
+    for S in sets:
+        want = contains_rows(S, np.ascontiguousarray(X))
+        assert want.shape == (X.shape[0],)
+        for Y in (transposed, strided):
+            np.testing.assert_array_equal(contains_rows(S, Y), want)
+        np.testing.assert_array_equal([contains(S, x) for x in X], want)
+    # rows on a boundary are members: the sets are closed
+    on_boundary = {p_ball(k, 2.0, 1.0): np.ones(k),
+                   pq_ball(k, 2.0, -0.4, 1.0): np.ones(k),
+                   hat_b(k, 2.0, 1.0, 1.0): np.zeros(k),
+                   check_b(k, 2.0, 1.0, 1.0): np.r_[2.0, np.ones(k - 1)],
+                   cube(k, 1.0): np.r_[1.0, 0.5 * np.ones(k - 1)]}
+    for S, x in on_boundary.items():
+        for Y in (x[None, :], np.ascontiguousarray(x[:, None]).T):
+            assert contains_rows(S, Y)[0]

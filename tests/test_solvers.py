@@ -164,3 +164,9 @@ def test_mc_critical_value_bits_unchanged():
     # recorded bits of the Monte Carlo bisection: any change to its trial
     # points, bracket rule or step count moves them
     assert critical_value(3, 0.0, 0.05) == float.fromhex("0x1.4654469e27263p+0")
+
+
+def test_polar_critical_value_bits_pinned():
+    # c(2, 0, .05) is the root of a POLAR2D tail; recorded bit for bit
+    # before POLAR2D built its points coordinate-major
+    assert critical_value(2, 0.0, 0.05).hex() == "0x1.7a25fd3659c17p+0"
