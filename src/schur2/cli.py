@@ -59,8 +59,8 @@ def _parse_vec(s):
 
 def _add_common(sp):
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=int,
-                    default=int(os.environ.get("SCHUR2_WORKERS", "1")))
+    sp.add_argument("--workers", type=int,  # a str default is parsed too
+                    default=os.environ.get("SCHUR2_WORKERS", "1"))
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.add_argument("--output", default=None)
 
@@ -311,6 +311,8 @@ def main(argv=None):
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        if args.workers < 1:
+            ap.error("--workers must be at least 1")
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     try:

@@ -18,7 +18,8 @@ table; every engine then sees a standard normal.
   MC_PLAIN /    everything else, in one Monte Carlo loop: plain draws, or
   MC_IMPORTANCE importance sampling from N(center, I) around a near member
                 point when the event is rare; chunk-indexed counter-based
-                streams make the estimates independent of the worker count
+                streams make the estimates independent of the worker count,
+                and plain draws memoise a p-ball's chunk p-means across eps
 A forced engine must be able to measure the set, or measure raises.
 """
 
@@ -439,6 +440,15 @@ def _nearest_member_point(S, theta, rho_max, seed=0):
     return y, float(np.linalg.norm(y))
 
 
+@functools.lru_cache(maxsize=_MC_ROUND)
+def _pball_means(seed, chunk, k, p, theta_bytes):
+    """p-means of a chunk's rows Z - theta, reused by a sweep over eps."""
+    Z = chunk_rng(seed, chunk).standard_normal((_MC_CHUNK, k))
+    stat = sets_mod.p_mean_rows(Z - np.frombuffer(theta_bytes), p)
+    stat.flags.writeable = False
+    return stat
+
+
 def _mc(S, theta, target, q):
     """Monte Carlo estimate of the measure: plain draws from N(0, I), or
     importance sampling from N(center, I) around the nearest member point
@@ -460,10 +470,14 @@ def _mc(S, theta, target, q):
         c2 = float(center @ center)
 
     def worker(chunk):
+        if center is None and S.variant == "pball":
+            stat = _pball_means(q.seed, chunk, S.k, S.p, theta.tobytes())
+            hits = int(np.count_nonzero(stat <= S.eps))
+            return hits, hits  # 0/1 weights: sum and sum of squares agree
         Z = chunk_rng(q.seed, chunk).standard_normal((_MC_CHUNK, S.k))
         if center is None:
             hits = int(np.count_nonzero(contains_rows(S, Z - theta)))
-            return hits, hits  # 0/1 weights: sum and sum of squares agree
+            return hits, hits
         X = center[None, :] + Z
         w = np.exp((c2 - 2.0 * X @ center) / 2.0)
         w *= contains_rows(S, X - theta)

@@ -12,7 +12,7 @@ How c and t are found, past the closed forms (k = 1, p = 2, p = +-inf):
     the probit-transformed power Phi^-1(P(t)) - Phi^-1(beta), nearly linear
     in t, with every evaluation memoised.
   - Monte Carlo paths (p <= 0 at k >= 3): bisection with a fixed seed at
-    every trial point, i.e. common random numbers, robust to their noise.
+    every trial point: common random numbers, each chunk reduced once.
   - deterministic c is memoised per (k, p, alpha), so the directions of one
     design share a single solve.
 Both solvers use one monotone root finder for the bracket and its refinement.
@@ -213,6 +213,8 @@ def critical_value(k, p, alpha, *, seed=0, workers=1):
         raise ValueError("k must be at least 1")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
+    if workers < 1:  # the closed forms build no query, which checks it too
+        raise ValueError("workers must be at least 1")
     if k == 1:
         return float(ndtri(1.0 - alpha / 2.0))
     if p == 2.0:
@@ -241,6 +243,8 @@ def _probit(P):
 def shift_solution(d: TestDesign, *, seed=0, workers=1, c=None):
     """Find t with P(<Z + t u>_p > c_{p,alpha}) = beta, or report that the
     power curve stays below beta (possible for p < 0)."""
+    if workers < 1:  # the closed forms build no query, which checks it too
+        raise ValueError("workers must be at least 1")
     if c is None:
         c = critical_value(d.k, d.p, d.alpha, seed=seed, workers=workers)
     u = np.asarray(d.u, dtype=float)

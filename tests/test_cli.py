@@ -165,6 +165,25 @@ def test_measure_bad_input_is_usage_error(capsys, argv):
     assert out == ""
 
 
+def test_critical_zero_workers_is_usage_error(capsys):
+    # a closed-form value builds no query; the command line checks the count
+    code, out = run_cli(capsys, "critical", "--k", "2", "--p", "2",
+                        "--alpha", "0.05", "--workers", "0")
+    assert code == 1
+    assert out == ""
+
+
+def test_bad_workers_environment_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SCHUR2_WORKERS", "two")
+    code, out = run_cli(capsys, "critical", "--k", "2", "--p", "2",
+                        "--alpha", "0.05")
+    assert code == 1
+    assert out == ""
+    monkeypatch.setenv("SCHUR2_WORKERS", "2")
+    assert cli.build_parser().parse_args(
+        ["critical", "--k", "2", "--p", "2", "--alpha", "0.05"]).workers == 2
+
+
 def test_critical_without_coordinates_is_usage_error(capsys):
     code, out = run_cli(capsys, "critical", "--k", "0", "--p", "2",
                         "--alpha", "0.05")

@@ -254,6 +254,32 @@ def test_radii_cache_keeps_bits_and_its_size():
     assert info.currsize == info.maxsize
 
 
+def test_pball_means_cache_keeps_bits_and_its_size():
+    # plain draws keep a p-ball's p-means per chunk; a warm cache must give
+    # the bits of a cold one, recorded before the memo, at any worker count,
+    # and the cache stays bounded
+    for shift, bits in [((0.0, 0.0, 0.0), ("0x1.dcdd000000000p-1",
+                                           "0x1.02e2a8c53fbc8p-10")),
+                        ((0.5, -1.0, 0.3), ("0x1.b41a000000000p-1",
+                                            "0x1.6bdd6dfc17ccap-10"))]:
+        for workers in (1, 2):
+            gauss_measure._pball_means.cache_clear()
+            cold = mz(p_ball(3, 0.0, 1.2), shift, workers=workers)
+            warm = mz(p_ball(3, 0.0, 1.2), shift, workers=workers)
+            assert gauss_measure._pball_means.cache_info().hits == 8
+            assert warm.method == cold.method == "MC_PLAIN"
+            assert (warm.value.hex(), warm.abs_error.hex()) == (
+                cold.value.hex(), cold.abs_error.hex()) == bits
+    # an eps sweep at one shift reduces each chunk once
+    gauss_measure._pball_means.cache_clear()
+    for eps in (0.6, 0.9, 1.2, 1.5):
+        mz(p_ball(3, -1.0, eps), (0.3, 0.3, 0.3), method="MC_PLAIN")
+    info = gauss_measure._pball_means.cache_info()
+    assert (info.misses, info.hits) == (8, 24)
+    assert info.maxsize == gauss_measure._MC_ROUND == 8
+    assert info.currsize == info.maxsize
+
+
 @pytest.mark.parametrize("S, shift", [
     (check_b(3, 2.0, 1.0, 0.2), (4.0, 3.0, 2.0)),
     (hat_b(3, 2.0, 1.0, 0.2), (4.0, -3.0, 2.0)),

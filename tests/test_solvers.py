@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.stats import chi2, norm
 
-from schur2 import solvers
+from schur2 import gauss_measure, solvers
 from schur2.solvers import (ShiftSolution, TestDesign, critical_value,
                             normalize_direction, shift_solution,
                             tail_probability)
@@ -164,6 +164,42 @@ def test_mc_critical_value_bits_unchanged():
     # recorded bits of the Monte Carlo bisection: any change to its trial
     # points, bracket rule or step count moves them
     assert critical_value(3, 0.0, 0.05) == float.fromhex("0x1.4654469e27263p+0")
+
+
+@pytest.mark.parametrize("p, alpha, bits", [
+    (-1.0, 0.05, "0x1.306ad61bf9d56p+0"),
+    (0.0, 0.01, "0x1.9c1f3a7b85916p+0"),
+    (-1.0, 0.01, "0x1.893777c486692p+0"),
+])
+def test_mc_critical_value_bits_pinned(p, alpha, bits):
+    # recorded before the chunk p-means were memoised, at workers=2
+    gauss_measure._pball_means.cache_clear()
+    assert critical_value(3, p, alpha, workers=2).hex() == bits
+
+
+def test_mc_critical_value_draws_each_chunk_once(monkeypatch):
+    # all 43 tails of the c bisection read chunks 0-7 of seed 0
+    draws, rng = [], gauss_measure.chunk_rng
+
+    def counted(seed, chunk):
+        draws.append((seed, chunk))
+        return rng(seed, chunk)
+
+    monkeypatch.setattr(gauss_measure, "chunk_rng", counted)
+    gauss_measure._pball_means.cache_clear()
+    assert critical_value(3, 0.0, 0.05) == float.fromhex("0x1.4654469e27263p+0")
+    assert sorted(draws) == [(0, i) for i in range(8)]
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: critical_value(2, 2.0, 0.05, workers=0),
+    lambda: critical_value(3, 0.0, 0.05, workers=0),
+    lambda: shift_solution(TestDesign(2, 2.0, 0.05, 0.95, (1.0, 1.0)),
+                           workers=0, c=1.7),
+])
+def test_solvers_reject_zero_workers(solve):
+    with pytest.raises(ValueError, match="workers"):
+        solve()
 
 
 def test_polar_critical_value_bits_pinned():
