@@ -3,7 +3,11 @@ orbit-union sets hat-B (balls around the diagonal points a*g*1) and check-B
 (balls around the axis points +-a*e_i), cubes, and single complements.
 
 Membership is exact and vectorized; a point on the defining boundary is a
-member (the sets are closed).
+member (the sets are closed). Every member passes its family's outer bound
+(~2 ns/row): (p,q)-means lie between min_j |x_j| and max_j |x_j| and rise
+with q, so p- and pq-balls lie in {min_j |x_j| <= eps} and, for p > 0 <= q,
+in {max_j |x_j| <= k^(1/p) eps}; hat-B and check-B lie in
+{max_j |x_j| <= a + k^(1/p) eps}. A cube, {max_j |x_j| <= a}, is its own.
 """
 
 import math
@@ -44,48 +48,39 @@ class SetSpec:
 
 
 def _spec(variant, k, **fields):
-    """A SetSpec whose exponents are not NaN and whose lengths are finite."""
+    """A SetSpec whose exponents are not NaN and whose lengths are finite,
+    with eps > 0 and a >= 0."""
     if any(math.isnan(fields[n]) for n in ("p", "q") if n in fields):
         raise ValueError("exponents p and q must not be NaN")
     if not all(math.isfinite(fields[n]) for n in ("a", "eps") if n in fields):
         raise ValueError("a and eps must be finite")
+    if fields.get("eps", 1.0) <= 0 or fields.get("a", 0.0) < 0:
+        raise ValueError("need eps > 0 and a >= 0")
+    # hat-B and check-B match signs (p >= 1); at p = inf eps would drop out
+    if variant in ("hatb", "checkb") and not 1 <= fields["p"] < math.inf:
+        raise ValueError(f"{variant} membership requires 1 <= p < inf")
     return SetSpec(variant, k, **{n: float(v) for n, v in fields.items()})
 
 
 def p_ball(k, p, eps):
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     return _spec("pball", k, p=p, eps=eps)
 
 
 def pq_ball(k, p, q, eps):
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     if p < q:
         p, q = q, p
     return _spec("pqball", k, p=p, q=q, eps=eps)
 
 
 def hat_b(k, p, a, eps):
-    # the sign-matching membership reduction is only used for p >= 1
-    if p < 1:
-        raise ValueError("hat-B membership requires p >= 1")
-    if eps <= 0 or a < 0:
-        raise ValueError("need eps > 0 and a >= 0")
     return _spec("hatb", k, p=p, a=a, eps=eps)
 
 
 def check_b(k, p, a, eps):
-    if p < 1:
-        raise ValueError("check-B membership requires p >= 1")
-    if eps <= 0 or a < 0:
-        raise ValueError("need eps > 0 and a >= 0")
     return _spec("checkb", k, p=p, a=a, eps=eps)
 
 
 def cube(k, a):
-    if a < 0:
-        raise ValueError("a must be nonnegative")
     return _spec("cube", k, a=a)
 
 
@@ -104,19 +99,25 @@ def scale(S, f):
     return replace(S, a=a, eps=eps)
 
 
-def contains_rows(S, X):
-    """Vectorized membership: X of shape (n, k) -> bool array (n,). Every
-    kernel reduces over the coordinates as the rows of a (k, n) array, which
-    the (n, k) transposed view of a (k, n) buffer gives without a gather."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != S.k:
-        raise ValueError(f"dimension mismatch: set k={S.k}, points k={X.shape[1]}")
+def _outer_bound(S, A):
+    """Which columns of the (k, n) magnitudes A pass S's outer bound."""
+    up = 1.0 + 1e-6  # no kernel rounding puts a member outside the bound
+    # k^(1/p), infinite where it would overflow
+    root = S.k ** (1.0 / S.p) if S.p > math.log(S.k) / 700.0 else math.inf
+    if S.variant in ("hatb", "checkb"):
+        return (A <= (S.a + root * S.eps) * up).all(axis=0)
+    inside = (A <= S.eps * up).any(axis=0)
+    if root < math.inf and (S.q or 0.0) >= 0.0:  # M_{p,q} >= M_{p,0}
+        inside &= (A <= root * S.eps * up).all(axis=0)
+    return inside
+
+
+def _kernel(S, X):
+    """Membership of the rows of X, shape (n, k)."""
     if S.variant == "pball":
         return p_mean_rows(X, S.p) <= S.eps
     if S.variant == "pqball":
         return pq_mean_rows(X, S.p, S.q) <= S.eps
-    if S.variant == "complement":
-        return ~contains_rows(S.inner, X)
     A = np.abs(X.T, order="C")
     if S.variant == "cube":
         return A.max(axis=0) <= S.a
@@ -132,9 +133,36 @@ def contains_rows(S, X):
     raise ValueError(f"unknown variant {S.variant}")
 
 
+def contains_rows(S, X):
+    """Vectorized membership: X of shape (n, k) -> bool array (n,). Kernels
+    reduce over the coordinates as the rows of a (k, n) array, as the (n, k)
+    view of a (k, n) buffer gives them. Rows outside the outer bound are
+    non-members: when fewer than half of every 16th row pass it, the kernel
+    runs on the passing rows alone. Those fail the kernel too (unless a hat-B
+    or check-B power sum underflows) and no verdict depends on the rest of
+    its batch, so every bit is kept. A single point skips the bound, which
+    would cost a fifth of its kernel."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim < 2:  # cheaper than np.atleast_2d on the single-point path
+        X = X.reshape(1, -1)
+    if X.shape[1] != S.k:
+        raise ValueError(f"dimension mismatch: set k={S.k}, points k={X.shape[1]}")
+    if S.variant == "complement":
+        return ~contains_rows(S.inner, X)
+    if X.shape[0] > 1 and S.variant != "cube":  # a cube is its own bound
+        probe = _outer_bound(S, np.abs(X[::16].T, order="C"))
+        if 2 * np.count_nonzero(probe) < probe.size:
+            A = np.abs(X.T, order="C")
+            inside = _outer_bound(S, A)
+            if inside.any():
+                inside[inside] = _kernel(S, A[:, inside].T)
+            return inside
+    return _kernel(S, X)
+
+
 def contains(S, x):
     """Exact membership of a single point."""
-    return bool(contains_rows(S, np.asarray(x, dtype=float)[None, :])[0])
+    return bool(contains_rows(S, x)[0])
 
 
 def classify_set(S):

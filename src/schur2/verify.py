@@ -223,6 +223,8 @@ class EmpiricalDesign:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n < 1 or self.replications < 1:
+            raise ValueError("need n >= 1 and replications >= 1")
         if self.population not in ("gaussian", "uniform"):
             raise ValueError("population must be gaussian or uniform")
         th = (np.zeros(self.k) if self.theta is None

@@ -157,10 +157,19 @@ def test_measure_incapable_method_is_usage_error(capsys):
     ("--set", "pball:p=2,eps=1,eps=5", "--shift", "0,0"),
     ("--set", "pball:p=2,eps=1", "--shift", "0,0", "--workers", "0"),
     ("--set", "pball:p=2,eps=1", "--shift", "0,0", "--workers", "-3"),
+    ("--set", "hatb:p=inf,a=1,eps=2", "--shift", "0,0"),
 ])
 def test_measure_bad_input_is_usage_error(capsys, argv):
     # NaN parameters, NaN shifts, unknown and repeated set fields
     code, out = run_cli(capsys, "measure", "--k", "2", *argv)
+    assert code == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize("flag", ["--reps", "--n"])
+def test_verify_power_without_samples_is_usage_error(capsys, flag):
+    code, out = run_cli(capsys, "verify", "power", "--k", "2", "--p", "2",
+                        flag, "0")
     assert code == 1
     assert out == ""
 

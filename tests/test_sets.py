@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from schur2 import sets as sets_mod
 from schur2.means import Schur2Value, p_mean, pq_mean
 from schur2.sets import (check_b, classify_set, complement, contains,
                          contains_rows, cube, format_set, hat_b, parse_set,
@@ -174,6 +175,9 @@ def test_parse_rejects_garbage():
     lambda: hat_b(2, 2.0, math.inf, 1.0),
     lambda: check_b(2, 2.0, 1.0, math.nan),
     lambda: cube(2, math.nan),
+    # at p = inf the power sums of hat-B and check-B lose eps
+    lambda: hat_b(2, math.inf, 1.0, 0.5),
+    lambda: check_b(2, math.inf, 1.0, 0.5),
 ])
 def test_constructors_reject_nan_and_infinite_lengths(make):
     with pytest.raises(ValueError):
@@ -230,3 +234,75 @@ def test_membership_is_independent_of_layout(k):
     for S, x in on_boundary.items():
         for Y in (x[None, :], np.ascontiguousarray(x[:, None]).T):
             assert contains_rows(S, Y)[0]
+
+
+def _bound_families(k):
+    inner = [p_ball(k, p, 1.0) for p in (-math.inf, -1.0, 0.0, 0.5, 2.0,
+                                         math.inf)]
+    inner += [pq_ball(k, p, q, 1.0) for p, q in
+              ((2.0, -0.4), (1.0, 0.0), (0.7, 0.7), (5.0, 1.0), (0.0, -1.0))]
+    inner += [hat_b(k, 2.0, 1.0, 0.6), hat_b(k, 4.5, 1.0, 0.9),
+              check_b(k, 1.5, 1.0, 0.45), check_b(k, 2.0, 1.0, 1.0),
+              cube(k, 1.0)]
+    return inner + [complement(S) for S in inner]
+
+
+def _bound_batches(S, k, rng):
+    """Normal draws at zero, near and far shifts, the same rows scaled onto
+    the set's boundary, zero coordinates, all-zero rows and magnitudes from
+    1e-200 to 1e200."""
+    Z = rng.standard_normal((600, k))
+    batches = [Z + r * rng.standard_normal(k) for r in (0.0, 1.5, 8.0)]
+    T = S.inner if S.variant == "complement" else S
+    if T.variant in ("pball", "pqball"):
+        m = sets_mod.pq_mean_rows(Z, T.p, T.q or 0.0)
+        ok = (m > 0) & np.isfinite(m)
+        batches.append(Z[ok] * (T.eps / m[ok])[:, None])
+    elif T.variant == "cube":
+        batches.append(np.clip(3.0 * Z, -T.a, T.a))
+    else:
+        # a point on the sphere ||x - c||_p = k^(1/p) eps around a center c
+        d = Z / np.sum(np.abs(Z) ** T.p, axis=1, keepdims=True) ** (1 / T.p)
+        c = np.full(k, T.a) if T.variant == "hatb" else np.eye(k)[0] * T.a
+        batches.append(c + d * k ** (1 / T.p) * T.eps)
+    W = batches[0].copy()
+    W[rng.random(W.shape) < 0.3] = 0.0
+    W[::7] = 0.0
+    mags = 10.0 ** rng.uniform(-200, 200, size=(600, 1))
+    return batches + [W, Z * mags, np.abs(Z) * mags]
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_outer_bound_keeps_membership(k):
+    # contains_rows, which skips the kernel outside the outer bound, gives
+    # the bare kernel's verdict on every row, and every member passes the
+    # bound of its family
+    rng = np.random.default_rng(40 + k)
+    for S in _bound_families(k):
+        T, flip = (S.inner, True) if S.variant == "complement" else (S, False)
+        for X in _bound_batches(S, k, rng):
+            with np.errstate(all="ignore"):
+                bare = sets_mod._kernel(T, X) ^ flip
+                got = contains_rows(S, X)
+            np.testing.assert_array_equal(got, bare, err_msg=format_set(S))
+            members = X[bare ^ flip]
+            if T.variant != "cube":  # a cube is its own bound
+                assert sets_mod._outer_bound(T, np.abs(members.T)).all(), S
+
+
+def test_outer_bound_spares_the_kernel(monkeypatch):
+    # far from a pq-ball most rows fail the bound, and the mean kernel sees
+    # only the rows that pass it
+    S = pq_ball(3, 2.0, -0.4, 1.0)
+    X = 4.0 * np.random.default_rng(9).standard_normal((4096, 3)) + 6.0
+    want = contains_rows(S, X)
+    seen = []
+    kernel = sets_mod.pq_mean_rows
+
+    def counted(Y, p, q):
+        seen.append(len(Y))
+        return kernel(Y, p, q)
+
+    monkeypatch.setattr(sets_mod, "pq_mean_rows", counted)
+    np.testing.assert_array_equal(contains_rows(S, X), want)
+    assert want.any() and 0 < sum(seen) < len(X)
