@@ -4,13 +4,12 @@ measure divides sigma out once, P(sigma Z in A + theta) = P(Z in A/sigma +
 theta/sigma), resolves the default target and picks the engine from one
 table; every engine then sees a standard normal.
   PRODUCT_1D    cubes and the p = +-inf balls (coordinatewise product, exact)
-  SLICE_QUAD    p-balls with finite p > 0 at any dimension: the membership
-                condition is a sum of independent one-dimensional pieces
-                sum |Y_j|^p <= k eps^p, so the probability is built by k-1
-                sequential one-dimensional convolutions of the running CDF,
-                represented in the radius variable w = s^(1/p) where it is
-                smooth and Chebyshev interpolation converges fast; a shift
-                search reuses the shift-free radii of its grids at every t
+  SLICE_QUAD    p-balls with finite p > 0 at any dimension: sum |Y_j|^p <=
+                k eps^p sums independent one-dimensional pieces, so the
+                probability is k-1 convolutions of the running CDF in the
+                radius w = s^(1/p); levels below the last are Chebyshev
+                interpolants, the last runs at the one radius k^(1/p) eps,
+                and every shift shares one radii profile per p
   POLAR2D       any set at k = 2: adaptive Simpson over the angle with the
                 radial integral done in closed form on membership intervals;
                 ray points are built coordinate-major, and the crossings of
@@ -153,34 +152,31 @@ def _product_1d(S, theta, target, q):
 
 
 _GLX, _GLW = np.polynomial.legendre.leggauss(24)
+_PANEL_V = 4.0  # widest panel in v units: 24 nodes resolve a unit density
+_ROW_BLOCK = 16  # radii per block: bounds the (block x nodes) temporaries
 
 
-def _unit_mesh():
-    """Composite Gauss-Legendre nodes and weights on [0, 1], on panels
-    halved 48 times toward both ends (the integrand has algebraic kinks at
-    v = 0 for p < 1 and at v = w)."""
+@functools.lru_cache(maxsize=8)
+def _profile(p, pieces):
+    """Composite Gauss-Legendre nodes u and weights on [0, 1], and the radii
+    profile (1 - u^p)^(1/p): the radius (w^p - v^p)^(1/p) at v = w u is w
+    times it for every w. Panels halve 48 times toward both ends (kinks at
+    v = 0 for p < 1 and at v = w); one of width h is cut into ceil(4 pieces h)
+    parts, none wider than _PANEL_V in v for w <= 4 _PANEL_V pieces."""
     left = 0.5 * 2.0 ** (-np.arange(48, -1, -1, dtype=float))
-    bp = np.concatenate(([0.0], left, (1.0 - left[::-1])[1:], [1.0]))
+    base = np.concatenate(([0.0], left, (1.0 - left[::-1])[1:], [1.0]))
+    cuts = np.ceil(4 * pieces * np.diff(base)).astype(int)
+    bp = np.concatenate([np.linspace(a, b, c + 1)[:-1]
+                         for a, b, c in zip(base[:-1], base[1:], cuts)]
+                        + [[1.0]])
     mids = 0.5 * (bp[1:] + bp[:-1])
     halfs = 0.5 * (bp[1:] - bp[:-1])
     u = (mids[:, None] + halfs[:, None] * _GLX[None, :]).ravel()
-    uw = (halfs[:, None] * np.broadcast_to(_GLW, (mids.size, _GLW.size))).ravel()
-    return u, uw
-
-
-_UNIT_U, _UNIT_W = _unit_mesh()  # ~2,350 nodes, scaled per radius w
-_ROW_BLOCK = 16  # radii per block: bounds the (block x nodes) temporaries
-_RADII_BLOCKS = 8  # cached blocks: the 33 + 65 radii of a 32- and 64-node pair
-
-
-@functools.lru_cache(maxsize=_RADII_BLOCKS)
-def _radii(p, wb_bytes):
-    """The theta-free radii (w^p - v^p)^(1/p) at the mesh nodes v of a block
-    of radii w; a shift search convolves on the same grids at every t."""
-    wb = np.frombuffer(wb_bytes)[:, None]
-    rad = np.clip(wb**p - (wb * _UNIT_U[None, :])**p, 0.0, None) ** (1.0 / p)
-    rad.flags.writeable = False
-    return rad
+    uw = (halfs[:, None] * _GLW[None, :]).ravel()
+    prof = (-np.expm1(p * np.log(u))) ** (1.0 / p)
+    for a in (u, uw, prof):
+        a.flags.writeable = False
+    return u, uw, prof
 
 
 def _npdf(x):
@@ -188,24 +184,24 @@ def _npdf(x):
     return np.exp(-x**2 / 2.0) / math.sqrt(2.0 * math.pi)
 
 
-def _convolve_level(G_prev, p, theta_j, ws):
+def _convolve_level(G_prev, p, theta_j, ws, pieces):
     """One convolution step: values of the next running CDF at radii ws.
 
     G_j(w) = int_0^w G_{j-1}((w^p - v^p)^(1/p)) g(v) dv with g the density of
-    |Z_j - theta_j|; composite Gauss-Legendre on a graded mesh. Radii are
-    taken in fixed blocks; each row's sum is independent of the others.
+    |Z_j - theta_j|, on the mesh of _profile(p, pieces). Radii are taken in
+    fixed blocks; each row's sum is independent of the others.
     """
+    u, uw, prof = _profile(p, pieces)
     ws = np.asarray(ws, dtype=float)
-    out = np.zeros_like(ws)
+    out = np.zeros(ws.shape)
     pos = ws > 0
     wpos = ws[pos]
     sums = np.empty_like(wpos)
     for i in range(0, wpos.size, _ROW_BLOCK):
-        wb = wpos[i:i + _ROW_BLOCK]
-        v = wb[:, None] * _UNIT_U[None, :]
+        wb = wpos[i:i + _ROW_BLOCK, None]
+        v = wb * u
         g = _npdf(v - theta_j) + _npdf(v + theta_j)
-        sums[i:i + _ROW_BLOCK] = (G_prev(_radii(p, wb.tobytes())) * g
-                                  * _UNIT_W[None, :]).sum(axis=1)
+        sums[i:i + _ROW_BLOCK] = (G_prev(wb * prof) * g * uw).sum(axis=1)
     out[pos] = wpos * sums
     return out
 
@@ -213,19 +209,22 @@ def _convolve_level(G_prev, p, theta_j, ws):
 def pball_radius_cdf(k, p, theta, w_max, n_nodes=64):
     """CDF of the p-radius (sum |Z_j - theta_j|^p)^(1/p) on [0, w_max].
 
-    Returns a vectorized callable G with G(w) = P(radius <= w), built by
-    sequential convolution with Chebyshev representation of each level.
+    Returns a vectorized callable G with G(w) = P(radius <= w): closed form
+    at k = 1, else the last convolution row run directly at the radii given,
+    on levels 1..k-2 held as Chebyshev interpolants of n_nodes on [0, w_max].
     """
     if not (0.0 < p < math.inf):
         raise ValueError("requires finite p > 0")
     theta = np.asarray(theta, dtype=float)
+    pieces = max(1, math.ceil(w_max / (4.0 * _PANEL_V)))
     G = lambda w: ndtr(np.add(w, theta[0])) - ndtr(np.subtract(theta[0], w))
-    for j in range(1, k):
+    for j in range(1, k - 1):
         level = Chebyshev.interpolate(
-            lambda ws, Gp=G, tj=theta[j]: _convolve_level(Gp, p, tj, ws),
+            lambda ws, Gp=G, t=theta[j]: _convolve_level(Gp, p, t, ws, pieces),
             n_nodes, domain=[0.0, w_max])
         G = lambda w, lv=level: np.clip(lv(np.asarray(w, dtype=float)), 0.0, 1.0)
-    return G
+    last = lambda w: _convolve_level(G, p, theta[-1], w, pieces)
+    return G if k == 1 else last
 
 
 def _slice_capable(S):
@@ -234,27 +233,27 @@ def _slice_capable(S):
 
 
 def _slice_quad(S, theta, target, q):
+    """The radial CDF at k^(1/p) eps; nodes counts the convolution rows run:
+    0 at k = 1, 1 at k = 2, (k - 2)(n + 1) + 1 per node count n at k >= 3."""
     S, comp = _uncomplement(S)
     k, p = S.k, S.p
     w_eval = k ** (1.0 / p) * S.eps
-
-    prev, nodes_used = None, 0
-    n = 32
+    prev, rows, err, n = None, 0, 0.0, 32
     while True:
-        G = pball_radius_cdf(k, p, theta, w_eval, n_nodes=n)
-        val = float(G(w_eval))
-        nodes_used += n
+        val = float(pball_radius_cdf(k, p, theta, w_eval, n_nodes=n)(w_eval))
+        if k <= 2:  # no interpolant to converge
+            rows = k - 1
+            break
+        rows += (k - 2) * (n + 1) + 1
         if prev is not None:
             err = abs(val - prev)
-            scale = max(val, 1e-300)
-            if err <= max(0.1 * target * scale, 1e-13) or n >= 512:
+            if err <= max(0.1 * target * val, 1e-13) or n >= 512:
                 break
-        prev = val
-        n *= 2
+        prev, n = val, 2 * n
     if comp:
         val = 1.0 - val
     met = err <= target * max(abs(val), 1e-300) + 1e-13
-    return "SLICE_QUAD", val, max(err, 1e-15), nodes_used, met
+    return "SLICE_QUAD", val, max(err, 1e-15), rows, met
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ strict monotonicity of the power curve in t.
 
 How c and t are found, past the closed forms (k = 1, p = 2, p = +-inf):
   - finite p > 0: one zero-shift radial CDF G on a domain that holds c, and
-    the root of G(k^(1/p) c) = 1 - alpha on its interpolant; no measure call.
+    the root of G(k^(1/p) c) = 1 - alpha on its last row; no measure call.
   - deterministic paths (quadrature or closed-form power): Brent's method on
     the probit-transformed power Phi^-1(P(t)) - Phi^-1(beta), nearly linear
     in t, with every evaluation memoised.
@@ -171,7 +171,8 @@ def _radial_critical_value(k, p, alpha):
     If every |Z_j| <= m the p-mean is at most m, and 2k Phi-bar(m) is a small
     share of alpha, so c lies in [0, m]. The CDF G of the p-radius is built
     on [0, k^(1/p) m] and c is the root of G(k^(1/p) c) = 1 - alpha on its
-    interpolant. Node counts double until the roots of n and 2n nodes agree.
+    last convolution row, run directly at every trial. At k >= 3 inner node
+    counts double until the roots of n and 2n nodes agree.
     """
     m = float(-ndtri(_CV_TAIL_SHARE * alpha / (2.0 * k)))
     scale = k ** (1.0 / p)
@@ -180,8 +181,8 @@ def _radial_critical_value(k, p, alpha):
         G = pball_radius_cdf(k, p, np.zeros(k), scale * m, n_nodes=n)
         c = brentq(lambda x: float(G(scale * x)) - (1.0 - alpha), 0.0, m,
                    xtol=1e-14)
-        if prev is not None and (abs(c - prev) <= _CV_RTOL * c
-                                 or n >= _CV_MAX_NODES):
+        if k == 2 or (prev is not None and (abs(c - prev) <= _CV_RTOL * c
+                                            or n >= _CV_MAX_NODES)):
             return c
         prev, n = c, 2 * n
 

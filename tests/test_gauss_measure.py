@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import chi2, ncx2, norm
@@ -82,19 +83,112 @@ def test_method_agreement_slice_polar_mc():
         assert abs(e.value - ref.value) <= tol
 
 
+def _mp_g(v, t):
+    """Density of |Y| at v for Y ~ N(t, 1)."""
+    return mpmath.npdf(v - t) + mpmath.npdf(v + t)
+
+
+def _mp_F(r, t):
+    """P(|Y| <= r) for Y ~ N(t, 1)."""
+    return mpmath.ncdf(r + t) - mpmath.ncdf(t - r)
+
+
+def _mp_pball(p, eps, theta):
+    """P(sum |Z_j - theta_j|^p <= k eps^p) for k = 2 or 3 by (nested)
+    mpmath integrals over the last coordinates' radii."""
+    p = mpmath.mpf(p)
+    rad = lambda s, v: (s**p - v**p) ** (1 / p)
+
+    def cdf(s, th):  # P((sum_j |Y_j|^p)^(1/p) <= s) over the coordinates th
+        if len(th) == 1:
+            return _mp_F(s, th[0])
+        if s <= 0:
+            return mpmath.mpf(0)
+        pts = [0] + [mpmath.mpf(x) for x in np.arange(4.0, float(s), 4.0)]
+        return mpmath.quad(lambda v: cdf(rad(s, v), th[:-1])
+                           * _mp_g(v, th[-1]), pts + [s])
+
+    return float(cdf(len(theta) ** (1 / p) * eps, tuple(theta)))
+
+
+@pytest.mark.parametrize("k, p, eps, shift", [
+    *[(2, p, 1.0, th) for p in (0.5, 1.0, 1.5, 3.0, 4.0)
+      for th in ((0.8, 0.3), (3.0, -2.5))],
+    (2, 2.0, 12.0, (10.0, 5.0)),  # a wide ball on a mesh of two pieces
+    (2, 0.7, 9.0, (20.0, -4.0)),  # ... and of three
+    (3, 2.0, 1.0, (0.5, 0.2, -0.3)),
+    (3, 2.0, 0.8, (1.5, -1.0, 2.0)),
+    (3, 1.0, 1.0, (0.5, 0.2, -0.3)),
+])
+def test_slice_quad_bar_covers_oracle(k, p, eps, shift):
+    # the stated error bar must cover an independent oracle: ncx2 at p = 2
+    # and k = 3, else an mpmath integral (nested at k = 3)
+    est = mz(p_ball(k, p, eps), shift, target_rel_error=1e-9)
+    if k == 3 and p == 2.0:
+        want = ncx2.cdf(k * eps * eps, k, float(np.dot(shift, shift)))
+    else:
+        with mpmath.workdps(20):
+            want = _mp_pball(p, eps, shift)
+    assert est.method == "SLICE_QUAD" and est.target_met
+    assert abs(est.value - want) <= est.abs_error
+
+
+def test_slice_quad_pins_cover_their_oracles():
+    # the recorded SLICE_QUAD bits of test_deterministic_bits_pinned
+    with mpmath.workdps(20):
+        for value, abs_error, want in [
+                ("0x1.38590df0f89f8p-1", "0x1.203af9ee75616p-50",
+                 _mp_pball(1.5, 1.0, (0.5, 0.2, -0.3))),
+                ("0x1.3b18a3009c6c8p-2", "0x1.203af9ee75616p-50",
+                 1.0 - _mp_pball(3.0, 1.2, (0.4, 0.1)))]:
+            assert (abs(float.fromhex(value) - want)
+                    <= float.fromhex(abs_error))
+
+
+def test_slice_quad_resolves_a_wide_ball():
+    # the shifted density sits 30 from both axes inside a ball of p-radius
+    # 80: panels 20 wide missed 2.4e-5 of the mass and still met the target
+    est = mz(p_ball(2, 1.0, 40.0), (30.0, 30.0))
+    assert est.method == "SLICE_QUAD" and est.target_met
+    assert abs(est.value - 1.0) <= est.abs_error <= 1e-15  # truth 1 - O(1e-40)
+
+
+def test_slice_quad_nodes_are_the_rows_it_evaluates(monkeypatch):
+    # none at k = 1, one at k = 2, (n + 1) + 1 per node count n at k = 3
+    rows, conv = [], gauss_measure._convolve_level
+
+    def counted(G_prev, p, theta_j, ws, pieces):
+        rows.append(np.size(ws))
+        return conv(G_prev, p, theta_j, ws, pieces)
+
+    monkeypatch.setattr(gauss_measure, "_convolve_level", counted)
+    for k, want in [(1, 0), (2, 1), (3, 33 + 1 + 65 + 1)]:
+        rows.clear()
+        est = mz(p_ball(k, 1.5, 1.0), np.linspace(0.5, -0.3, k))
+        assert est.samples_or_nodes == sum(rows) == want
+
+
 def test_convolve_level_blocks_keep_bits():
-    # radii are summed in fixed blocks; each row must equal the one-shot sum
-    from schur2.gauss_measure import _UNIT_U, _UNIT_W, _convolve_level
+    # radii are summed in fixed blocks; each row must equal the one-shot sum,
+    # on the one-piece mesh and on a mesh cut for wide radii
+    from schur2.gauss_measure import _convolve_level, _profile
     p, theta_j = 1.5, 0.7
     G = lambda w: norm.cdf(w + 0.3) - norm.cdf(-w + 0.3)
-    ws = np.linspace(-0.5, 6.0, 53)
-    w = ws[ws > 0]
-    v = w[:, None] * _UNIT_U[None, :]
-    rad = np.clip(w[:, None] ** p - v**p, 0.0, None) ** (1.0 / p)
-    g = norm.pdf(v - theta_j) + norm.pdf(v + theta_j)
-    want = np.zeros_like(ws)
-    want[ws > 0] = w * (G(rad) * g * _UNIT_W[None, :]).sum(axis=1)
-    assert np.array_equal(_convolve_level(G, p, theta_j, ws), want)
+    for pieces, ws in [(1, np.linspace(-0.5, 6.0, 53)),
+                       (3, np.linspace(-0.5, 45.0, 37))]:
+        u, uw, prof = _profile(p, pieces)
+        # the radius (w^p - v^p)^(1/p) at v = w u is w (1 - u^p)^(1/p)
+        with mpmath.workdps(40):
+            exact = [float((1 - mpmath.mpf(x) ** p) ** (1 / p)) for x in u]
+        assert np.allclose(prof, exact, rtol=1e-14, atol=0.0)
+        w = ws[ws > 0]
+        rad = w[:, None] * prof[None, :]
+        v = w[:, None] * u[None, :]
+        g = norm.pdf(v - theta_j) + norm.pdf(v + theta_j)
+        want = np.zeros_like(ws)
+        want[ws > 0] = w * (G(rad) * g * uw[None, :]).sum(axis=1)
+        assert np.array_equal(_convolve_level(G, p, theta_j, ws, pieces),
+                              want)
 
 
 def test_polar_handles_unbounded_thin_arms():
@@ -175,7 +269,9 @@ def test_mc_bits_pinned():
 
 def test_deterministic_bits_pinned():
     # (method, value, abs_error, nodes) recorded bit for bit before measure
-    # divided sigma out of the engines; at sigma = 1 nothing may move
+    # divided sigma out of the engines; at sigma = 1 nothing may move. The
+    # SLICE_QUAD rows were recorded once its last convolution ran directly
+    # at k^(1/p) eps; test_slice_quad_pins_cover_their_oracles checks them
     cases = [
         (cube(3, 1.0), (0.3, -0.7, 2.0), None,
          ("PRODUCT_1D", "0x1.e88c1b47e7471p-5", "0x1.0e374a4f8e0b4p-45", 6)),
@@ -184,9 +280,9 @@ def test_deterministic_bits_pinned():
         (complement(p_ball(2, math.inf, 0.8)), (0.5, -0.2), None,
          ("PRODUCT_1D", "0x1.68b1e91a83f6dp-1", "0x1.6849b86a12b9bp-46", 4)),
         (p_ball(3, 1.5, 1.0), (0.5, 0.2, -0.3), 1e-8,
-         ("SLICE_QUAD", "0x1.38590df0f88d9p-1", "0x1.ec00000000000p-46", 96)),
+         ("SLICE_QUAD", "0x1.38590df0f89f8p-1", "0x1.203af9ee75616p-50", 100)),
         (complement(p_ball(2, 3.0, 1.2)), (0.4, 0.1), None,
-         ("SLICE_QUAD", "0x1.3b18a3009c952p-2", "0x1.1900000000000p-45", 96)),
+         ("SLICE_QUAD", "0x1.3b18a3009c6c8p-2", "0x1.203af9ee75616p-50", 1)),
         (pq_ball(2, 2.0, -0.4, 1.0), tuple(rotate2([1.0, 0.0], math.pi / 5)),
          None,
          ("POLAR2D", "0x1.0cd1cfe4b9939p-1", "0x1.02fbdc79bdb16p-17", 4097)),
@@ -236,21 +332,24 @@ def test_normal_helpers_match_scipy_stats_bits():
     assert _bits(-ndtri(q) + 0.0) == _bits(norm.isf(q))
 
 
-def test_radii_cache_keeps_bits_and_its_size():
-    # SLICE_QUAD keeps the theta-free radii of recent grid blocks; a warm
-    # cache must give the bits of a cold one, and the cache stays bounded
+def test_profile_cache_keeps_bits_and_its_size():
+    # SLICE_QUAD keeps one theta-free radii profile per (p, mesh pieces); a
+    # warm cache must give the bits of a cold one, a shift search at one p
+    # reuses a single profile, and the cache stays bounded
     S, shift = p_ball(3, 1.5, 1.0), (0.5, 0.2, -0.3)
-    gauss_measure._radii.cache_clear()
+    gauss_measure._profile.cache_clear()
     cold = mz(S, shift, target_rel_error=1e-8)
     warm = mz(S, shift, target_rel_error=1e-8)
-    assert gauss_measure._radii.cache_info().hits > 0
     assert (warm.value.hex(), warm.abs_error.hex()) == (
         cold.value.hex(), cold.abs_error.hex()) == (
-        "0x1.38590df0f88d9p-1", "0x1.ec00000000000p-46")
-    for eps in (0.7, 1.3, 2.0):  # new grids evict old blocks
-        mz(p_ball(2, 3.0, eps), (0.4, 0.1))
-    info = gauss_measure._radii.cache_info()
-    assert info.maxsize == gauss_measure._RADII_BLOCKS == 8
+        "0x1.38590df0f89f8p-1", "0x1.203af9ee75616p-50")
+    for t in (0.5, 1.0, 2.0):
+        mz(S, (t, 0.4 * t, -0.2 * t))
+    assert gauss_measure._profile.cache_info().misses == 1
+    for eps in (10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0):
+        mz(p_ball(2, 1.0, eps), (0.4, 0.1))  # wider balls cut more pieces
+    info = gauss_measure._profile.cache_info()
+    assert info.maxsize == 8
     assert info.currsize == info.maxsize
 
 
