@@ -4,12 +4,11 @@ measure divides sigma out once, P(sigma Z in A + theta) = P(Z in A/sigma +
 theta/sigma), resolves the default target and picks the engine from one
 table; every engine then sees a standard normal.
   PRODUCT_1D    cubes and the p = +-inf balls (coordinatewise product, exact)
-  SLICE_QUAD    p-balls with finite p > 0 at any dimension: sum |Y_j|^p <=
-                k eps^p sums independent one-dimensional pieces, so the
-                probability is k-1 convolutions of the running CDF in the
-                radius w = s^(1/p); levels below the last are Chebyshev
-                interpolants, the last runs at the one radius k^(1/p) eps,
-                and every shift shares one radii profile per p
+  SLICE_QUAD    p-balls with finite p > 0 at any dimension: k-1 convolutions
+                of the running CDF of the p-radius; inner levels are Chebyshev
+                interpolants, the last runs at the one radius k^(1/p) eps on
+                two quadrature rules whose gap is its bar, and every shift
+                shares one radii profile per p and rule
   POLAR2D       any set at k = 2: adaptive Simpson over the angle with the
                 radial integral done in closed form on membership intervals;
                 ray points are built coordinate-major, and the crossings of
@@ -151,32 +150,32 @@ def _product_1d(S, theta, target, q):
 # SLICE_QUAD
 
 
-_GLX, _GLW = np.polynomial.legendre.leggauss(24)
+_BP = np.unique(np.r_[0.0, 1.0, (e := 0.5 ** np.arange(1.0, 50.0)), 1.0 - e])
 _PANEL_V = 4.0  # widest panel in v units: 24 nodes resolve a unit density
+_BAND = _PANEL_V * np.arange(-2.5, 3.0)  # cuts across theta_j +- 10
 _ROW_BLOCK = 16  # radii per block: bounds the (block x nodes) temporaries
 
 
+def _mesh(p, bp, halves):
+    """Gauss-Legendre nodes u (24 per panel bp of [0, 1], 12 per half panel if
+    halves), weights, and the radius (w^p - v^p)^(1/p) at v = w u over w."""
+    if halves:
+        bp = np.sort(np.concatenate((bp, 0.5 * (bp[1:] + bp[:-1]))))
+    x, wx = np.polynomial.legendre.leggauss(12 if halves else 24)
+    mids, halfs = 0.5 * (bp[1:] + bp[:-1]), 0.5 * (bp[1:] - bp[:-1])
+    u = (mids[:, None] + halfs[:, None] * x[None, :]).ravel()
+    uw = (halfs[:, None] * wx[None, :]).ravel()
+    return u, uw, (-np.expm1(p * np.log(u))) ** (1.0 / p)
+
+
 @functools.lru_cache(maxsize=8)
-def _profile(p, pieces):
-    """Composite Gauss-Legendre nodes u and weights on [0, 1], and the radii
-    profile (1 - u^p)^(1/p): the radius (w^p - v^p)^(1/p) at v = w u is w
-    times it for every w. Panels halve 48 times toward both ends (kinks at
-    v = 0 for p < 1 and at v = w); one of width h is cut into ceil(4 pieces h)
-    parts, none wider than _PANEL_V in v for w <= 4 _PANEL_V pieces."""
-    left = 0.5 * 2.0 ** (-np.arange(48, -1, -1, dtype=float))
-    base = np.concatenate(([0.0], left, (1.0 - left[::-1])[1:], [1.0]))
-    cuts = np.ceil(4 * pieces * np.diff(base)).astype(int)
-    bp = np.concatenate([np.linspace(a, b, c + 1)[:-1]
-                         for a, b, c in zip(base[:-1], base[1:], cuts)]
-                        + [[1.0]])
-    mids = 0.5 * (bp[1:] + bp[:-1])
-    halfs = 0.5 * (bp[1:] - bp[:-1])
-    u = (mids[:, None] + halfs[:, None] * _GLX[None, :]).ravel()
-    uw = (halfs[:, None] * _GLW[None, :]).ravel()
-    prof = (-np.expm1(p * np.log(u))) ** (1.0 / p)
-    for a in (u, uw, prof):
+def _profile(p, halves):
+    """The mesh of _BP, whose panels halve 49 times toward the kinks at v = 0
+    (p < 1) and v = w; shared by all radii and shifts at p."""
+    mesh = _mesh(p, _BP, halves)
+    for a in mesh:
         a.flags.writeable = False
-    return u, uw, prof
+    return mesh
 
 
 def _npdf(x):
@@ -184,47 +183,52 @@ def _npdf(x):
     return np.exp(-x**2 / 2.0) / math.sqrt(2.0 * math.pi)
 
 
-def _convolve_level(G_prev, p, theta_j, ws, pieces):
+def _convolve_level(G_prev, p, theta_j, ws, halves=False):
     """One convolution step: values of the next running CDF at radii ws.
 
     G_j(w) = int_0^w G_{j-1}((w^p - v^p)^(1/p)) g(v) dv with g the density of
-    |Z_j - theta_j|, on the mesh of _profile(p, pieces). Radii are taken in
-    fixed blocks; each row's sum is independent of the others.
-    """
-    u, uw, prof = _profile(p, pieces)
+    |Z_j - theta_j|, on _profile(p, halves) in fixed blocks of radii. g is
+    below 1e-22 off |theta_j| +- 10; a row with a panel wider than _PANEL_V
+    there gets its own mesh, cut _PANEL_V apart across that band."""
     ws = np.asarray(ws, dtype=float)
     out = np.zeros(ws.shape)
-    pos = ws > 0
-    wpos = ws[pos]
-    sums = np.empty_like(wpos)
-    for i in range(0, wpos.size, _ROW_BLOCK):
-        wb = wpos[i:i + _ROW_BLOCK, None]
+    w = ws[ws > 0]
+    band = abs(theta_j) + _BAND
+    vb = w[:, None] * _BP  # panel ends in v units
+    wide = ((vb[:, :-1] < band[-1]) & (vb[:, 1:] > band[0])
+            & (np.diff(vb) > _PANEL_V)).any(axis=1)
+    narrow, rows, B = np.flatnonzero(~wide), np.empty_like(w), _ROW_BLOCK
+    for b in ([narrow[i:i + B] for i in range(0, narrow.size, B)]
+              + [[i] for i in np.flatnonzero(wide)]):
+        wb = w[b, None]
+        u, uw, prof = (_mesh(p, np.union1d(_BP, np.clip(band / wb[0, 0], 0, 1)),
+                             halves) if wide[b[0]] else _profile(p, halves))
         v = wb * u
         g = _npdf(v - theta_j) + _npdf(v + theta_j)
-        sums[i:i + _ROW_BLOCK] = (G_prev(wb * prof) * g * uw).sum(axis=1)
-    out[pos] = wpos * sums
+        rows[b] = (G_prev(wb * prof) * g * uw).sum(axis=1)
+    out[ws > 0] = w * rows
     return out
 
 
 def pball_radius_cdf(k, p, theta, w_max, n_nodes=64):
     """CDF of the p-radius (sum |Z_j - theta_j|^p)^(1/p) on [0, w_max].
 
-    Returns a vectorized callable G with G(w) = P(radius <= w): closed form
-    at k = 1, else the last convolution row run directly at the radii given,
-    on levels 1..k-2 held as Chebyshev interpolants of n_nodes on [0, w_max].
-    """
+    A vectorized G(w, halves=False) = P(radius <= w): closed form at k = 1,
+    else the last convolution row run at the radii given (on the second rule
+    of _mesh if halves), over levels 1..k-2 held as Chebyshev interpolants of
+    n_nodes on [0, w_max]."""
     if not (0.0 < p < math.inf):
         raise ValueError("requires finite p > 0")
     theta = np.asarray(theta, dtype=float)
-    pieces = max(1, math.ceil(w_max / (4.0 * _PANEL_V)))
-    G = lambda w: ndtr(np.add(w, theta[0])) - ndtr(np.subtract(theta[0], w))
+    G = lambda w, halves=False: (ndtr(np.add(w, theta[0]))
+                                 - ndtr(np.subtract(theta[0], w)))
     for j in range(1, k - 1):
         level = Chebyshev.interpolate(
-            lambda ws, Gp=G, t=theta[j]: _convolve_level(Gp, p, t, ws, pieces),
+            lambda ws, Gp=G, t=theta[j]: _convolve_level(Gp, p, t, ws),
             n_nodes, domain=[0.0, w_max])
         G = lambda w, lv=level: np.clip(lv(np.asarray(w, dtype=float)), 0.0, 1.0)
-    last = lambda w: _convolve_level(G, p, theta[-1], w, pieces)
-    return G if k == 1 else last
+    return G if k == 1 else (
+        lambda w, halves=False: _convolve_level(G, p, theta[-1], w, halves))
 
 
 def _slice_capable(S):
@@ -233,25 +237,23 @@ def _slice_capable(S):
 
 
 def _slice_quad(S, theta, target, q):
-    """The radial CDF at k^(1/p) eps; nodes counts the convolution rows run:
-    0 at k = 1, 1 at k = 2, (k - 2)(n + 1) + 1 per node count n at k >= 3."""
+    """The radial CDF at k^(1/p) eps. Its bar: the n vs 2n gap of the inner
+    levels plus the gap of the last row on the two rules of _mesh. nodes: the
+    rows run, 0 at k = 1, else (k - 2)(n + 1) + 1 per node count n, plus 1."""
     S, comp = _uncomplement(S)
     k, p = S.k, S.p
     w_eval = k ** (1.0 / p) * S.eps
-    prev, rows, err, n = None, 0, 0.0, 32
-    while True:
-        val = float(pball_radius_cdf(k, p, theta, w_eval, n_nodes=n)(w_eval))
-        if k <= 2:  # no interpolant to converge
-            rows = k - 1
+    rows = int(k > 1)
+    for n in (32, 64, 128, 256, 512):
+        G = pball_radius_cdf(k, p, theta, w_eval, n_nodes=n)
+        val = float(G(w_eval))
+        rows += (k > 1) * ((k - 2) * (n + 1) + 1)
+        gap = 0.0 if n == 32 else abs(val - prev)
+        if k <= 2 or n > 32 and gap <= max(0.1 * target * val, 1e-13):
             break
-        rows += (k - 2) * (n + 1) + 1
-        if prev is not None:
-            err = abs(val - prev)
-            if err <= max(0.1 * target * val, 1e-13) or n >= 512:
-                break
-        prev, n = val, 2 * n
-    if comp:
-        val = 1.0 - val
+        prev = val
+    err = gap + abs(val - float(G(w_eval, halves=True)))
+    val = 1.0 - val if comp else val
     met = err <= target * max(abs(val), 1e-300) + 1e-13
     return "SLICE_QUAD", val, max(err, 1e-15), rows, met
 

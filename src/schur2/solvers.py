@@ -37,7 +37,6 @@ _QUAD_TARGET = 1e-7
 _GROW_STEPS = 60  # bracket halvings or doublings
 _CV_TAIL_SHARE = 1e-3  # P(p-mean > m) / alpha bound at the domain end m
 _CV_RTOL = 1e-10  # agreement of the roots from n and 2n radial-CDF nodes
-_CV_MAX_NODES = 512
 _PROBIT_CLIP = (1e-300, 1.0 - 2.0**-53)  # keeps Phi^-1 finite at 0 and 1
 
 
@@ -176,15 +175,14 @@ def _radial_critical_value(k, p, alpha):
     """
     m = float(-ndtri(_CV_TAIL_SHARE * alpha / (2.0 * k)))
     scale = k ** (1.0 / p)
-    prev, n = None, 32
-    while True:
+    for n in (32, 64, 128, 256, 512):
         G = pball_radius_cdf(k, p, np.zeros(k), scale * m, n_nodes=n)
         c = brentq(lambda x: float(G(scale * x)) - (1.0 - alpha), 0.0, m,
                    xtol=1e-14)
-        if k == 2 or (prev is not None and (abs(c - prev) <= _CV_RTOL * c
-                                            or n >= _CV_MAX_NODES)):
-            return c
-        prev, n = c, 2 * n
+        if k == 2 or n > 32 and abs(c - prev) <= _CV_RTOL * c:
+            break
+        prev = c
+    return c
 
 
 def _chi2_guess(k, alpha):

@@ -118,11 +118,12 @@ def test_nonexistent_shift_gives_zero():
 
 def test_are_bits_pinned():
     # (are, error, sp_norm) recorded bit for bit once SLICE_QUAD ran its last
-    # convolution directly at k^(1/p) eps; each ARE must lie within three
-    # times the summed error bars of the one recorded before (old are, error)
+    # convolution directly at k^(1/p) eps and cut wide rows across the
+    # density; each ARE must lie within three times the summed error bars of
+    # the one recorded before (old are, error)
     cases = [
-        (2, 0.5, [1.0, 0.4], ("0x1.85af10a65a8ebp-1", "0x1.3d2dbabcd4dafp-24",
-                              "0x1.04f565104fc25p+2"),
+        (2, 0.5, [1.0, 0.4], ("0x1.85af10a65a8f0p-1", "0x1.3d2dbabcd4db4p-24",
+                              "0x1.04f565104fc23p+2"),
          ("0x1.85af10a65a989p-1", "0x1.3d2dbabcd4e38p-24")),
         (2, 3.0, [1.0, 0.4], ("0x1.fbe8926883a09p-1", "0x1.a4ceae0259c12p-24",
                               "0x1.c92819af83835p+1"),

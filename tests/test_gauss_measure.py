@@ -114,8 +114,11 @@ def _mp_pball(p, eps, theta):
 @pytest.mark.parametrize("k, p, eps, shift", [
     *[(2, p, 1.0, th) for p in (0.5, 1.0, 1.5, 3.0, 4.0)
       for th in ((0.8, 0.3), (3.0, -2.5))],
-    (2, 2.0, 12.0, (10.0, 5.0)),  # a wide ball on a mesh of two pieces
-    (2, 0.7, 9.0, (20.0, -4.0)),  # ... and of three
+    (2, 0.1, 1.0, (0.5, 2.0)),  # extremes of p
+    (2, 20.0, 1.0, (2.5, -0.4)),
+    (2, 1.5, 1.0, (5.0, 4.0)),  # a shift beyond the ball
+    (2, 2.0, 12.0, (10.0, 5.0)),  # wide balls: rows cut across the density
+    (2, 0.7, 9.0, (20.0, -4.0)),
     (3, 2.0, 1.0, (0.5, 0.2, -0.3)),
     (3, 2.0, 0.8, (1.5, -1.0, 2.0)),
     (3, 1.0, 1.0, (0.5, 0.2, -0.3)),
@@ -145,50 +148,80 @@ def test_slice_quad_pins_cover_their_oracles():
                     <= float.fromhex(abs_error))
 
 
-def test_slice_quad_resolves_a_wide_ball():
+def test_slice_quad_resolves_a_wide_ball(monkeypatch):
     # the shifted density sits 30 from both axes inside a ball of p-radius
     # 80: panels 20 wide missed 2.4e-5 of the mass and still met the target
-    est = mz(p_ball(2, 1.0, 40.0), (30.0, 30.0))
+    S, shift = p_ball(2, 1.0, 40.0), (30.0, 30.0)
+    est = mz(S, shift)
     assert est.method == "SLICE_QUAD" and est.target_met
     assert abs(est.value - 1.0) <= est.abs_error <= 1e-15  # truth 1 - O(1e-40)
+    # uncut, the two rules of the last row disagree by the size of the miss
+    monkeypatch.setattr(gauss_measure, "_PANEL_V", math.inf)
+    est = mz(S, shift)
+    assert 2e-5 < 1.0 - est.value < 2.0 * est.abs_error
+
+
+def test_slice_quad_mesh_stays_bounded_for_huge_radii(monkeypatch):
+    # p-radii of 3.5e9 and 1.4e8: each row has at most 6 more panels than
+    # the shared mesh, whatever the radius
+    sizes, mesh = [], gauss_measure._mesh
+
+    def counted(p, bp, halves):
+        sizes.append(bp.size - 1)
+        return mesh(p, bp, halves)
+
+    monkeypatch.setattr(gauss_measure, "_mesh", counted)
+    gauss_measure._profile.cache_clear()
+    far = mz(p_ball(3, 0.05, 1.0), (0.3, 0.1, -0.2))
+    # the shared mesh's answer, before rows were cut across the density
+    assert abs(far.value - float.fromhex("0x1.acd0713581ebep-1")) <= far.abs_error
+    est = mz(p_ball(2, 2.0, 1e8), (0.3, -0.2))
+    assert abs(est.value - 1.0) <= est.abs_error <= 1e-15
+    base = gauss_measure._BP.size - 1
+    assert base < max(sizes) <= base + 6
+    gauss_measure._profile.cache_clear()
 
 
 def test_slice_quad_nodes_are_the_rows_it_evaluates(monkeypatch):
-    # none at k = 1, one at k = 2, (n + 1) + 1 per node count n at k = 3
+    # none at k = 1; at k = 2 the last row on both rules; at k = 3,
+    # (n + 1) + 1 per node count n and the last row on the second rule
     rows, conv = [], gauss_measure._convolve_level
 
-    def counted(G_prev, p, theta_j, ws, pieces):
+    def counted(G_prev, p, theta_j, ws, halves=False):
         rows.append(np.size(ws))
-        return conv(G_prev, p, theta_j, ws, pieces)
+        return conv(G_prev, p, theta_j, ws, halves)
 
     monkeypatch.setattr(gauss_measure, "_convolve_level", counted)
-    for k, want in [(1, 0), (2, 1), (3, 33 + 1 + 65 + 1)]:
+    for k, want in [(1, 0), (2, 2), (3, 33 + 1 + 65 + 1 + 1)]:
         rows.clear()
         est = mz(p_ball(k, 1.5, 1.0), np.linspace(0.5, -0.3, k))
         assert est.samples_or_nodes == sum(rows) == want
 
 
 def test_convolve_level_blocks_keep_bits():
-    # radii are summed in fixed blocks; each row must equal the one-shot sum,
-    # on the one-piece mesh and on a mesh cut for wide radii
+    # radii are summed in fixed blocks; each row on the shared mesh must
+    # equal the one-shot sum, on both rules, also when rows cut across the
+    # density (w > 16 here) share the call
     from schur2.gauss_measure import _convolve_level, _profile
     p, theta_j = 1.5, 0.7
     G = lambda w: norm.cdf(w + 0.3) - norm.cdf(-w + 0.3)
-    for pieces, ws in [(1, np.linspace(-0.5, 6.0, 53)),
-                       (3, np.linspace(-0.5, 45.0, 37))]:
-        u, uw, prof = _profile(p, pieces)
+    ws = np.concatenate((np.linspace(-0.5, 6.0, 53), [20.0, 45.0, 3.0]))
+    for halves in (False, True):
+        u, uw, prof = _profile(p, halves)
         # the radius (w^p - v^p)^(1/p) at v = w u is w (1 - u^p)^(1/p)
         with mpmath.workdps(40):
             exact = [float((1 - mpmath.mpf(x) ** p) ** (1 / p)) for x in u]
         assert np.allclose(prof, exact, rtol=1e-14, atol=0.0)
-        w = ws[ws > 0]
+        got = _convolve_level(G, p, theta_j, ws, halves)
+        w = ws[(ws > 0) & (ws < 16)]
         rad = w[:, None] * prof[None, :]
         v = w[:, None] * u[None, :]
         g = norm.pdf(v - theta_j) + norm.pdf(v + theta_j)
-        want = np.zeros_like(ws)
-        want[ws > 0] = w * (G(rad) * g * uw[None, :]).sum(axis=1)
-        assert np.array_equal(_convolve_level(G, p, theta_j, ws, pieces),
-                              want)
+        assert np.array_equal(got[ws <= 0], np.zeros(np.sum(ws <= 0)))
+        assert np.array_equal(got[(ws > 0) & (ws < 16)],
+                              w * (G(rad) * g * uw[None, :]).sum(axis=1))
+        one = [_convolve_level(G, p, theta_j, [x], halves)[0] for x in ws]
+        assert np.array_equal(got, one)
 
 
 def test_polar_handles_unbounded_thin_arms():
@@ -280,9 +313,9 @@ def test_deterministic_bits_pinned():
         (complement(p_ball(2, math.inf, 0.8)), (0.5, -0.2), None,
          ("PRODUCT_1D", "0x1.68b1e91a83f6dp-1", "0x1.6849b86a12b9bp-46", 4)),
         (p_ball(3, 1.5, 1.0), (0.5, 0.2, -0.3), 1e-8,
-         ("SLICE_QUAD", "0x1.38590df0f89f8p-1", "0x1.203af9ee75616p-50", 100)),
+         ("SLICE_QUAD", "0x1.38590df0f89f8p-1", "0x1.203af9ee75616p-50", 101)),
         (complement(p_ball(2, 3.0, 1.2)), (0.4, 0.1), None,
-         ("SLICE_QUAD", "0x1.3b18a3009c6c8p-2", "0x1.203af9ee75616p-50", 1)),
+         ("SLICE_QUAD", "0x1.3b18a3009c6c8p-2", "0x1.203af9ee75616p-50", 2)),
         (pq_ball(2, 2.0, -0.4, 1.0), tuple(rotate2([1.0, 0.0], math.pi / 5)),
          None,
          ("POLAR2D", "0x1.0cd1cfe4b9939p-1", "0x1.02fbdc79bdb16p-17", 4097)),
@@ -333,9 +366,9 @@ def test_normal_helpers_match_scipy_stats_bits():
 
 
 def test_profile_cache_keeps_bits_and_its_size():
-    # SLICE_QUAD keeps one theta-free radii profile per (p, mesh pieces); a
-    # warm cache must give the bits of a cold one, a shift search at one p
-    # reuses a single profile, and the cache stays bounded
+    # SLICE_QUAD keeps one theta-free radii profile per (p, rule); a warm
+    # cache must give the bits of a cold one, a shift search at one p reuses
+    # the same two profiles, and the cache stays bounded
     S, shift = p_ball(3, 1.5, 1.0), (0.5, 0.2, -0.3)
     gauss_measure._profile.cache_clear()
     cold = mz(S, shift, target_rel_error=1e-8)
@@ -345,9 +378,9 @@ def test_profile_cache_keeps_bits_and_its_size():
         "0x1.38590df0f89f8p-1", "0x1.203af9ee75616p-50")
     for t in (0.5, 1.0, 2.0):
         mz(S, (t, 0.4 * t, -0.2 * t))
-    assert gauss_measure._profile.cache_info().misses == 1
-    for eps in (10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0):
-        mz(p_ball(2, 1.0, eps), (0.4, 0.1))  # wider balls cut more pieces
+    assert gauss_measure._profile.cache_info().misses == 2
+    for p in (1.1, 1.2, 1.3, 1.4):
+        mz(p_ball(2, p, 1.0), (0.4, 0.1))
     info = gauss_measure._profile.cache_info()
     assert info.maxsize == 8
     assert info.currsize == info.maxsize
