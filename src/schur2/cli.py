@@ -3,8 +3,9 @@
 Subcommands expose the measure engine, critical values, power-matching
 shifts, relative-efficiency computations, the verification suite, and the
 data behind the figures. Output is JSON (default) or CSV, to stdout or a
-file; floats are printed with 12 significant digits. Exit codes: 0 success,
-1 usage error, 2 a computation flagged a failed check or unmet target.
+file; floats are printed with 12 significant digits. Each command returns
+what it prints, and main emits it. Exit codes: 0 success, 1 usage error,
+2 a printed record has target_met or passed false.
 """
 
 import argparse
@@ -66,24 +67,17 @@ def _add_common(sp):
 
 
 def cmd_measure(args):
-    S = parse_set(args.set, args.k)
-    shift = _parse_vec(args.shift)
-    if shift.size != S.k:
-        raise SystemExit(f"shift has {shift.size} coordinates, set needs {S.k}")
-    est = measure(GaussianShiftQuery(
-        set=S, shift=shift, sigma=args.sigma, seed=args.seed,
-        workers=args.workers, target_rel_error=args.target,
-        method=args.method))
-    _emit(est.to_json(), args)
-    return 0 if est.target_met else 2
+    return measure(GaussianShiftQuery(
+        set=parse_set(args.set, args.k), shift=_parse_vec(args.shift),
+        sigma=args.sigma, seed=args.seed, workers=args.workers,
+        target_rel_error=args.target, method=args.method)).to_json()
 
 
 def cmd_critical(args):
     c = solvers.critical_value(args.k, args.p, args.alpha,
                                seed=args.seed, workers=args.workers)
-    _emit({"k": args.k, "p": args.p, "alpha": args.alpha,
-           "critical_value": c}, args)
-    return 0
+    return {"k": args.k, "p": args.p, "alpha": args.alpha,
+            "critical_value": c}
 
 
 def _design(args):
@@ -94,17 +88,14 @@ def _design(args):
 def cmd_shift(args):
     sol = solvers.shift_solution(_design(args), seed=args.seed,
                                  workers=args.workers)
-    _emit({"exists": sol.exists, "t": sol.t, "norm": sol.norm,
-           "achieved_power": sol.achieved_power,
-           "solver_error": sol.solver_error}, args)
-    return 0
+    return {"exists": sol.exists, "t": sol.t, "norm": sol.norm,
+            "achieved_power": sol.achieved_power,
+            "solver_error": sol.solver_error}
 
 
 def cmd_are(args):
-    res = are_analysis.are(_design(args), seed=args.seed,
-                           workers=args.workers)
-    _emit(res.to_dict(), args)
-    return 0
+    return are_analysis.are(_design(args), seed=args.seed,
+                            workers=args.workers).to_dict()
 
 
 def cmd_sweep(args):
@@ -112,42 +103,38 @@ def cmd_sweep(args):
         args.p, args.alpha, args.beta, n_angles=args.angles,
         seed=args.seed, workers=args.workers)
     if args.format == "csv":
-        _emit(are_analysis.sweep_to_csv(rows), args)
-    else:
-        _emit([dict(angle=t, **r.to_dict()) for t, r in rows], args)
-    return 0
+        return are_analysis.sweep_to_csv(rows)
+    return [dict(angle=t, **r.to_dict()) for t, r in rows]
 
 
 def cmd_verify(args):
     if args.check == "counterexample":
-        rep = verify.run_counterexample(
+        return verify.run_counterexample(
             verify.CounterexampleConfig(args.k, args.eps),
             seed=args.seed, budget=args.budget)
-    elif args.check == "rotation":
-        S = parse_set(args.set, 2)
+    if args.check == "rotation":
         grid = np.linspace(0.0, math.pi / 4.0, args.points)
-        rep = verify.check_rotation_monotonicity(
-            S, args.radius, grid, seed=args.seed, workers=args.workers)
-    elif args.check == "schur2":
-        if args.k < 2:
-            raise ValueError("a majorization transfer needs k >= 2")
-        S = parse_set(args.set, args.k)
-        rng = np.random.default_rng(args.seed)
-        pairs = []
-        for _ in range(args.points):
-            v = np.abs(rng.standard_normal(args.k)) * args.radius
-            w = np.sort(v * v)[::-1].copy()
-            w[0] += w[1] * 0.5  # transfer toward the top coordinate
-            w[1] *= 0.5
-            pairs.append((np.sqrt(np.sort(v * v)[::-1]), np.sqrt(w)))
-        rep = verify.check_schur2_monotonicity(S, pairs, seed=args.seed,
-                                               workers=args.workers)
-        if not any("ok" in pair for pair in rep["pairs"]):
-            raise ValueError("no comparable shift pair to check")
-    else:
-        rep = verify_power_report(args)
-    _emit(rep, args)
-    return 0 if rep.get("passed", True) else 2
+        return verify.check_rotation_monotonicity(
+            parse_set(args.set, 2), args.radius, grid, seed=args.seed,
+            workers=args.workers)
+    if args.check == "power":
+        return verify_power_report(args)
+    if args.k < 2:
+        raise ValueError("a majorization transfer needs k >= 2")
+    S = parse_set(args.set, args.k)
+    rng = np.random.default_rng(args.seed)
+    pairs = []
+    for _ in range(args.points):
+        v = np.abs(rng.standard_normal(args.k)) * args.radius
+        w = np.sort(v * v)[::-1].copy()
+        w[0] += w[1] * 0.5  # transfer toward the top coordinate
+        w[1] *= 0.5
+        pairs.append((np.sqrt(np.sort(v * v)[::-1]), np.sqrt(w)))
+    rep = verify.check_schur2_monotonicity(S, pairs, seed=args.seed,
+                                           workers=args.workers)
+    if not any("ok" in pair for pair in rep["pairs"]):
+        raise ValueError("no comparable shift pair to check")
+    return rep
 
 
 def verify_power_report(args):
@@ -185,51 +172,37 @@ def _boundary_cloud(S, half_width=2.5, n=384):
 
 
 def cmd_figures(args):
-    seed, workers = args.seed, args.workers
-    met = True
+    seed, workers, rows = args.seed, args.workers, []
     if args.which == 1:
-        rows = []
         for idx, S in enumerate(FIG1_PANELS):
-            for x, y in _boundary_cloud(S):
-                rows.append({"panel": idx, "set": format_set(S),
-                             "x": float(x), "y": float(y)})
-        payload = rows
+            rows += [{"panel": idx, "set": format_set(S), "x": float(x),
+                      "y": float(y)} for x, y in _boundary_cloud(S)]
     elif args.which == 2:
         S = pq_ball(2, 2.0, -0.4, 1.0)
-        payload = []
         for radius in (1.0, 11.0):
             for t in (math.pi / 5.0, math.pi / 20.0):
                 shift = radius * np.array([math.cos(t), math.sin(t)])
                 est = measure(GaussianShiftQuery(
                     set=S, shift=shift, seed=seed, workers=workers,
                     target_rel_error=1e-4 if radius < 2 else 1e-2))
-                met &= est.target_met
-                payload.append({"radius": radius, "angle": t,
-                                "value": est.value,
-                                "abs_error": est.abs_error})
+                rows.append({"radius": radius, "angle": t,
+                             "value": est.value, "abs_error": est.abs_error,
+                             "target_met": est.target_met})
     elif args.which == 3:
-        ps = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0]
-        payload = []
-        for p in ps:
+        for p in [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0]:
             r_diag, r_coord = are_analysis.are_extremes(
                 2, p, args.alpha, args.beta, seed=seed, workers=workers)
             psi = 2.0 * p / (2.0 * abs(p) + 3.0)  # compressed p axis
-            payload.append({"p": p, "psi_p": psi,
-                            "are_diagonal": r_diag.are,
-                            "are_coordinate": r_coord.are})
-    elif args.which == 4:
-        payload = []
-        for p in (2.1, 1.9):
-            rows = are_analysis.are_direction_sweep(
-                p, args.alpha, args.beta, n_angles=args.angles,
-                seed=seed, workers=workers)
-            for t, r in rows:
-                payload.append({"p": p, "angle": t, "are": r.are,
-                                "beats_lrt": bool(r.are > 1.0)})
+            rows.append({"p": p, "psi_p": psi, "are_diagonal": r_diag.are,
+                         "are_coordinate": r_coord.are})
     else:
-        raise SystemExit("unknown figure")
-    _emit(payload, args)
-    return 0 if met else 2
+        for p in (2.1, 1.9):
+            for t, r in are_analysis.are_direction_sweep(
+                    p, args.alpha, args.beta, n_angles=args.angles,
+                    seed=seed, workers=workers):
+                rows.append({"p": p, "angle": t, "are": r.are,
+                             "beats_lrt": bool(r.are > 1.0)})
+    return rows
 
 
 def build_parser():
@@ -316,10 +289,14 @@ def main(argv=None):
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        payload = args.fn(args)
+        _emit(payload, args)
     except (ValueError, SystemExit) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    rows = payload if isinstance(payload, list) else [payload]
+    return 2 if any(not (r.get("target_met", True) and r.get("passed", True))
+                    for r in rows if isinstance(r, dict)) else 0
 
 
 if __name__ == "__main__":

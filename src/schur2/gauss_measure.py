@@ -2,9 +2,11 @@
 
 measure divides sigma out once, P(sigma Z in A + theta) = P(Z in A/sigma +
 theta/sigma), resolves the default target and picks the engine from one
-table; every engine then sees a standard normal.
-  PRODUCT_1D    cubes and the p = +-inf balls (coordinatewise product, exact)
-  SLICE_QUAD    p-balls with finite p > 0 at any dimension: k-1 convolutions
+table; every engine then sees a standard normal and returns a value with its
+bar, and measure alone judges target_met from them.
+  PRODUCT_1D    cubes, the p = +-inf balls and every ball at k = 1
+                (coordinatewise product of slabs, exact)
+  SLICE_QUAD    p-balls with finite p > 0 at k >= 2: k-1 convolutions
                 of the running CDF of the p-radius; inner levels are Chebyshev
                 interpolants, the last runs at the one radius k^(1/p) eps on
                 two quadrature rules whose gap is its bar, and every shift
@@ -127,23 +129,27 @@ def _uncomplement(S):
 
 def _product_capable(S):
     S = _uncomplement(S)[0]
-    return S.variant == "cube" or (S.variant == "pball"
-                                   and S.p in (math.inf, -math.inf))
+    return (S.variant == "cube" or S.k == 1 and S.variant == "pqball"
+            or S.variant == "pball" and (S.k == 1 or abs(S.p) == math.inf))
 
 
 def _product_1d(S, theta, target, q):
-    """Exact value for cubes and +-inf balls and their complements."""
+    """Products over the slabs |Y_j| <= a, Y_j ~ N(theta_j, 1). Each slab's
+    inside mass m and outside mass o are taken on their small sides, and the
+    product, the -inf ball's 1 - prod(o) and the complements go through sums
+    of logs. ndtr(x) is good to about 1e-14 (1 + x^2 / 16) relative, so far
+    shifts keep a relative bar."""
     S, comp = _uncomplement(S)
     a = S.a if S.variant == "cube" else S.eps
-    per_coord = ndtr(a + theta) - ndtr(-a + theta)
-    if S.p == -math.inf:
-        # min |Y_j| <= a  <=>  not all coordinates escape the slab
-        v = 1.0 - np.prod(1.0 - per_coord)
-    else:
-        v = float(np.prod(per_coord))
-    if comp:
-        v = 1.0 - v
-    return "PRODUCT_1D", v, 1e-14 * S.k, 2 * S.k, True
+    t = np.abs(theta)
+    m, o = ndtr(a - t) - ndtr(-a - t), ndtr(t - a) + ndtr(-a - t)
+    union = S.p == -math.inf  # min |Y_j| <= a: not every Y_j leaves its slab
+    x, y = (o, m) if union else (m, o)
+    with np.errstate(divide="ignore"):  # log x from the smaller of x, 1 - x
+        L = np.sum(np.where(x < 0.5, np.log(x), np.log1p(-y)))
+    v = float(-np.expm1(L) if union != comp else np.exp(L))
+    err = 1e-14 * v * float(np.sum(1.0 + (a - t) ** 2 / 16.0))
+    return "PRODUCT_1D", v, err, 2 * S.k
 
 
 # ---------------------------------------------------------------------------
@@ -211,51 +217,47 @@ def _convolve_level(G_prev, p, theta_j, ws, halves=False):
 
 
 def pball_radius_cdf(k, p, theta, w_max, n_nodes=64):
-    """CDF of the p-radius (sum |Z_j - theta_j|^p)^(1/p) on [0, w_max].
+    """CDF of the p-radius (sum |Z_j - theta_j|^p)^(1/p) on [0, w_max], k >= 2.
 
-    A vectorized G(w, halves=False) = P(radius <= w): closed form at k = 1,
-    else the last convolution row run at the radii given (on the second rule
-    of _mesh if halves), over levels 1..k-2 held as Chebyshev interpolants of
-    n_nodes on [0, w_max]."""
-    if not (0.0 < p < math.inf):
-        raise ValueError("requires finite p > 0")
+    A vectorized G(w, halves=False) = P(radius <= w): the last convolution
+    row run at the radii given (on the second rule of _mesh if halves), over
+    the closed form of level 0 and levels 1..k-2 held as Chebyshev
+    interpolants of n_nodes on [0, w_max]."""
+    if k < 2 or not (0.0 < p < math.inf):
+        raise ValueError("requires k >= 2 and finite p > 0")
     theta = np.asarray(theta, dtype=float)
-    G = lambda w, halves=False: (ndtr(np.add(w, theta[0]))
-                                 - ndtr(np.subtract(theta[0], w)))
+    G = lambda w: ndtr(np.add(w, theta[0])) - ndtr(np.subtract(theta[0], w))
     for j in range(1, k - 1):
         level = Chebyshev.interpolate(
             lambda ws, Gp=G, t=theta[j]: _convolve_level(Gp, p, t, ws),
             n_nodes, domain=[0.0, w_max])
         G = lambda w, lv=level: np.clip(lv(np.asarray(w, dtype=float)), 0.0, 1.0)
-    return G if k == 1 else (
-        lambda w, halves=False: _convolve_level(G, p, theta[-1], w, halves))
+    return lambda w, halves=False: _convolve_level(G, p, theta[-1], w, halves)
 
 
 def _slice_capable(S):
     S = _uncomplement(S)[0]
-    return S.variant == "pball" and 0.0 < S.p < math.inf
+    return S.k > 1 and S.variant == "pball" and 0.0 < S.p < math.inf
 
 
 def _slice_quad(S, theta, target, q):
     """The radial CDF at k^(1/p) eps. Its bar: the n vs 2n gap of the inner
-    levels plus the gap of the last row on the two rules of _mesh. nodes: the
-    rows run, 0 at k = 1, else (k - 2)(n + 1) + 1 per node count n, plus 1."""
+    levels plus the gap of the last row on the two rules of _mesh, floored at
+    1e-15. nodes: the rows run, (k - 2)(n + 1) + 1 per node count n, plus 1."""
     S, comp = _uncomplement(S)
     k, p = S.k, S.p
     w_eval = k ** (1.0 / p) * S.eps
-    rows = int(k > 1)
+    rows = 1
     for n in (32, 64, 128, 256, 512):
         G = pball_radius_cdf(k, p, theta, w_eval, n_nodes=n)
         val = float(G(w_eval))
-        rows += (k > 1) * ((k - 2) * (n + 1) + 1)
+        rows += (k - 2) * (n + 1) + 1
         gap = 0.0 if n == 32 else abs(val - prev)
-        if k <= 2 or n > 32 and gap <= max(0.1 * target * val, 1e-13):
+        if k == 2 or n > 32 and gap <= max(0.1 * target * val, 1e-13):
             break
         prev = val
     err = gap + abs(val - float(G(w_eval, halves=True)))
-    val = 1.0 - val if comp else val
-    met = err <= target * max(abs(val), 1e-300) + 1e-13
-    return "SLICE_QUAD", val, max(err, 1e-15), rows, met
+    return "SLICE_QUAD", 1.0 - val if comp else val, max(err, 1e-15), rows
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +369,8 @@ def _polar2d(S, theta, target, q):
         merged[1::2] = mid_vals
         vals, n = merged, 2 * n
     value = integral / (2.0 * math.pi)
-    err_final = max(err / (2.0 * math.pi), 1e-15 * value)
-    met = bool(err <= target * max(integral, 1e-300))
-    return "POLAR2D", value, err_final, total_evals, met
+    err = max(err / (2.0 * math.pi), 1e-15 * value)
+    return "POLAR2D", value, err, total_evals
 
 
 # ---------------------------------------------------------------------------
@@ -496,11 +497,10 @@ def _mc(S, theta, target, q):
             var = max(mean * (1.0 - mean), 1.0 / n)
         else:
             var = max(s2 / n - mean * mean, 0.0)
-        se = math.sqrt(var / n)
-        met = mean > 0 and 2.0 * se <= target * mean
-        if met or n >= q.mc_max_samples:
+        err = 2.0 * math.sqrt(var / n)
+        if _target_met(mean, err, target) or n >= q.mc_max_samples:
             method = "MC_PLAIN" if center is None else "MC_IMPORTANCE"
-            return method, mean, 2.0 * se, n, met
+            return method, mean, err, n
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +511,7 @@ def _mc(S, theta, target, q):
 # dispatch; a forced method takes the row that names it. run(S, theta,
 # target, q) sees the set and shift divided by sigma; only Monte Carlo reads
 # q, for its seed, workers, sample cap and forced variant. It returns
-# (method, value, abs_error, nodes, target_met).
+# (method, value, abs_error, nodes); measure alone judges the target.
 _ENGINES = (
     (("PRODUCT_1D",), 1e-4, _product_capable, _product_1d),
     (("SLICE_QUAD",), 1e-4, _slice_capable, _slice_quad),
@@ -520,8 +520,14 @@ _ENGINES = (
 )
 
 
+def _target_met(value, abs_error, target):
+    """The accuracy verdict: a positive value within its relative target."""
+    return bool(0.0 < value and abs_error <= target * value)
+
+
 def measure(q):
-    """Estimate P(Z in A + shift) for Z ~ N(0, sigma^2 I_k)."""
+    """Estimate P(Z in A + shift) for Z ~ N(0, sigma^2 I_k). target_met is
+    judged here, for every engine, on the clipped value and its bar."""
     t0 = time.perf_counter()
     S = sets_mod.scale(q.set, 1.0 / q.sigma)
     theta = np.asarray(q.shift, dtype=float) / q.sigma
@@ -531,12 +537,12 @@ def measure(q):
     else:
         raise ValueError(f"engine {q.method!r} cannot measure "
                          f"{sets_mod.format_set(q.set)} at k={q.set.k}")
-    target = q.target_rel_error
-    method, value, err, nodes, met = run(
-        S, theta, default_target if target is None else target, q)
+    target = q.target_rel_error or default_target
+    method, value, err, nodes = run(S, theta, target, q)
 
-    value = min(max(value, 0.0), 1.0)
+    value, err = float(min(max(value, 0.0), 1.0)), float(err)
     wall = (time.perf_counter() - t0) * 1e3
     rel = err / max(value, 1e-300)
-    return MeasureEstimate(value, err, rel, method, nodes,
-                           seed=q.seed, wall_ms=wall, target_met=met)
+    return MeasureEstimate(value, err, rel, method, nodes, seed=q.seed,
+                           wall_ms=wall,
+                           target_met=_target_met(value, err, target))

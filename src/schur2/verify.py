@@ -1,8 +1,9 @@
 """Desk-scale verification suite.
 
-Checks, on concrete grids and shift pairs, the monotonicity of shifted-set
-Gaussian measures in the squared-coordinate majorization order, the strictness
-of that monotonicity for non-spherical sets, the uniform-on-a-ball
+Checks, on concrete grids and shift pairs, both halves of the theorem with
+one pair rule: shifted-set Gaussian measures are monotone in the
+squared-coordinate majorization order, strictly unless the set is spherical
+(rotation arcs are one case of the pairs). Also the uniform-on-a-ball
 counterexample showing the Gaussian assumption cannot be dropped, and the
 calibration of the finite-sample mean tests.
 
@@ -24,13 +25,6 @@ from .gauss_measure import GaussianShiftQuery, chunk_rng, measure
 from .sets import SetSpec, classify_set, format_set
 
 
-def _measure_at(S, theta, seed, workers, target):
-    est = measure(GaussianShiftQuery(set=S, shift=np.asarray(theta, float),
-                                     seed=seed, workers=workers,
-                                     target_rel_error=target))
-    return est.value, est.abs_error
-
-
 def _expected_sign(char):
     # +1: measure nondecreasing toward the diagonal; -1: nonincreasing
     if char.value == Schur2Value.SCHUR2_CONVEX:
@@ -40,35 +34,42 @@ def _expected_sign(char):
     raise ValueError("set classification must not be NEITHER_KNOWN")
 
 
+_COMPARABLE = (MajorizationVerdict.STRICT_MAJORIZES,
+               MajorizationVerdict.MAJORIZES_NONSTRICT,
+               MajorizationVerdict.EQUAL_SORTED)
+
+
 def check_schur2_monotonicity(S: SetSpec, shift_pairs, *, seed=0, workers=1,
                               target_rel_error=None):
-    """shift_pairs: iterable of (theta_low, theta_high) with
-    theta_low^2 majorized by theta_high^2."""
+    """shift_pairs: iterable of (theta_low, theta_high) with theta_low^2
+    majorized by theta_high^2. Each shift is measured once, and one rule
+    judges every pair, with sigma the sum of its two error bars: the measure
+    moves in the direction of the set's class within 3 sigma, a spherical
+    set's measures are equal within 3 sigma, and any other set shows a gap
+    above 5 sigma somewhere."""
     char = classify_set(S)
     sign = _expected_sign(char)
-    pairs, violations, strict_gap = [], 0, False
+    measured, pairs, violations, strict_gap = {}, [], 0, False
     for th1, th2 in shift_pairs:
-        verdict = schur2_compare(th2, th1)
-        if verdict not in (MajorizationVerdict.STRICT_MAJORIZES,
-                           MajorizationVerdict.MAJORIZES_NONSTRICT,
-                           MajorizationVerdict.EQUAL_SORTED):
-            pairs.append({"theta_low": list(map(float, th1)),
-                          "theta_high": list(map(float, th2)),
-                          "skipped": "squared shifts are not comparable"})
+        th1, th2 = tuple(map(float, th1)), tuple(map(float, th2))
+        pair = {"theta_low": list(th1), "theta_high": list(th2)}
+        pairs.append(pair)
+        if schur2_compare(th2, th1) not in _COMPARABLE:
+            pair["skipped"] = "squared shifts are not comparable"
             continue
-        m1, e1 = _measure_at(S, th1, seed, workers, target_rel_error)
-        m2, e2 = _measure_at(S, th2, seed, workers, target_rel_error)
+        for th in (th1, th2):
+            if th not in measured:
+                measured[th] = measure(GaussianShiftQuery(
+                    set=S, shift=th, seed=seed, workers=workers,
+                    target_rel_error=target_rel_error))
+        lo, hi = measured[th1], measured[th2]
+        m1, m2, sigma = lo.value, hi.value, lo.abs_error + hi.abs_error
         # sign=+1: balanced shift th1 should not lose mass; sign=-1: reverse
-        diff = sign * (m1 - m2)
-        ok = diff >= -3.0 * (e1 + e2)
-        if not ok:
-            violations += 1
-        if abs(m1 - m2) > 5.0 * (e1 + e2):
-            strict_gap = True
-        pairs.append({"theta_low": list(map(float, th1)),
-                      "theta_high": list(map(float, th2)),
-                      "measure_low": m1, "measure_high": m2,
-                      "abs_error": e1 + e2, "ok": ok})
+        ok = (abs(m1 - m2) if char.spherical
+              else sign * (m2 - m1)) <= 3.0 * sigma
+        violations += not ok
+        strict_gap |= abs(m1 - m2) > 5.0 * sigma
+        pair.update(measure_low=m1, measure_high=m2, abs_error=sigma, ok=ok)
     need_strict = not char.spherical and any("ok" in p for p in pairs)
     passed = violations == 0 and (strict_gap or not need_strict)
     return {"set": format_set(S), "k": S.k,
@@ -79,35 +80,24 @@ def check_schur2_monotonicity(S: SetSpec, shift_pairs, *, seed=0, workers=1,
 
 def check_rotation_monotonicity(S: SetSpec, r, t_grid, *, seed=0, workers=1,
                                 target_rel_error=None):
-    """Measures at shifts r(cos t, sin t) for t in [0, pi/4]; k = 2 only."""
+    """The arc case of check_schur2_monotonicity at k = 2: shifts
+    r(cos t, sin t) for t in [0, pi/4], where of two neighbours on the grid
+    the one nearer the diagonal has the majorized squares."""
     if S.k != 2:
         raise ValueError("rotation sweeps are defined for k = 2")
-    char = classify_set(S)
-    sign = _expected_sign(char)
     ts = [float(t) for t in t_grid]
     if any(t < -1e-12 or t > math.pi / 4.0 + 1e-12 for t in ts):
         raise ValueError("t_grid must lie in [0, pi/4]")
     if len(ts) < 2:
         raise ValueError("a rotation check needs at least 2 grid points")
-    vals, errs = [], []
-    for t in ts:
-        m, e = _measure_at(S, [r * math.cos(t), r * math.sin(t)],
-                           seed, workers, target_rel_error)
-        vals.append(m)
-        errs.append(e)
-    violations = []
-    for i in range(len(ts) - 1):
-        step = sign * (vals[i + 1] - vals[i])
-        if char.spherical:
-            ok = abs(vals[i + 1] - vals[i]) <= 3.0 * (errs[i] + errs[i + 1])
-        else:
-            ok = step >= -3.0 * (errs[i] + errs[i + 1])
-        if not ok:
-            violations.append(i)
-    return {"set": format_set(S), "radius": float(r),
-            "classification": char.value.name, "spherical": char.spherical,
-            "t_grid": ts, "measures": vals, "abs_errors": errs,
-            "violations": violations, "passed": not violations, "seed": seed}
+    at = lambda t: (r * math.cos(t), r * math.sin(t))
+    rep = check_schur2_monotonicity(
+        S, [(at(max(s, t)), at(min(s, t))) for s, t in zip(ts, ts[1:])],
+        seed=seed, workers=workers, target_rel_error=target_rel_error)
+    seen = {tuple(p["theta_" + e]): p["measure_" + e]
+            for p in rep["pairs"] for e in ("low", "high")}
+    return {**rep, "radius": float(r), "t_grid": ts,
+            "measures": [seen[at(t)] for t in ts]}
 
 
 @dataclass(frozen=True)

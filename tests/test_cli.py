@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from schur2 import cli, gauss_measure
+from schur2 import cli, gauss_measure, verify
 from schur2.cli import main
 
 
@@ -104,6 +104,7 @@ def test_figures_2_emits_four_measures(capsys):
     rows = json.loads(out)
     assert code == 0
     assert len(rows) == 4
+    assert [r["target_met"] for r in rows] == [True] * 4
     near = {round(r["angle"], 3): r["value"] for r in rows if r["radius"] == 1.0}
     assert near[round(math.pi / 5, 3)] == pytest.approx(0.5250, abs=5e-4)
     assert near[round(math.pi / 20, 3)] == pytest.approx(0.5268, abs=5e-4)
@@ -115,7 +116,30 @@ def test_figures_2_unmet_target_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(gauss_measure, "_POLAR_MAX_PANELS", 1024)
     code, out = run_cli(capsys, "figures", "--which", "2")
     assert code == 2
-    assert len(json.loads(out)) == 4
+    rows = json.loads(out)
+    assert len(rows) == 4
+    assert [r["target_met"] for r in rows] == [False, True, True, True]
+
+
+@pytest.mark.parametrize("check", ["rotation", "schur2"])
+def test_verify_report_on_a_polar_set_is_json(capsys, check):
+    # POLAR2D sums numpy floats; every pair verdict must still print as JSON
+    code, out = run_cli(capsys, "verify", check, "--set",
+                        "pqball:p=1,q=0,eps=1", "--points", "2")
+    rep = json.loads(out)
+    assert code == 0 and rep["passed"] is True
+    assert all(pair["ok"] is True for pair in rep["pairs"])
+
+
+def test_verify_rotation_exit_code_follows_the_report(capsys, monkeypatch):
+    # the far cube arc shows its strict gap; with every measure equal it
+    # shows none, and the printed report's passed = false exits 2
+    code, out = run_cli(capsys, "verify", "rotation", "--radius", "10")
+    assert code == 0 and json.loads(out)["passed"] is True
+    monkeypatch.setattr(verify, "measure", lambda q: gauss_measure.
+                        MeasureEstimate(0.5, 1e-6, 2e-6, "FAKE", 0))
+    code, out = run_cli(capsys, "verify", "rotation", "--radius", "10")
+    assert code == 2 and json.loads(out)["passed"] is False
 
 
 # (edge points, sha256 of the float64 bytes) of cli._boundary_cloud for each

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from schur2 import verify
+from schur2.gauss_measure import MeasureEstimate
 from schur2.sets import complement, cube, p_ball, pq_ball
 from schur2.solvers import critical_value
 from schur2.verify import (CounterexampleConfig, EmpiricalDesign,
@@ -60,6 +62,52 @@ def test_rotation_monotonicity_directions():
     assert up["passed"] and down["passed"]
     assert up["measures"][-1] > up["measures"][0]
     assert down["measures"][-1] < down["measures"][0]
+
+
+def _fake_measure(monkeypatch, value):
+    """Replace measure in verify by value(shift) with a 1e-6 bar; returns the
+    list of shifts it was asked for."""
+    asked = []
+
+    def fake(q):
+        asked.append(q.shift)
+        return MeasureEstimate(value(np.asarray(q.shift)), 1e-6, 0.0, "FAKE", 0)
+
+    monkeypatch.setattr(verify, "measure", fake)
+    return asked
+
+
+def test_arc_check_needs_a_strict_gap_unless_spherical(monkeypatch):
+    # equal measures along the arc show nothing for a cube, and are what the
+    # Euclidean ball must show; each grid shift is measured once
+    asked = _fake_measure(monkeypatch, lambda th: 0.5)
+    grid = np.linspace(0.0, math.pi / 4.0, 5)
+    flat = check_rotation_monotonicity(cube(2, 1.0), 2.0, grid)
+    assert not flat["passed"] and not flat["strict_gap_found"]
+    assert flat["violations"] == 0 and flat["measures"] == [0.5] * 5
+    assert len(asked) == len(set(asked)) == 5
+    ball = check_rotation_monotonicity(p_ball(2, 2.0, 1.0), 2.0, grid)
+    assert ball["passed"] and ball["spherical"]
+
+
+def test_spherical_set_with_unequal_measures_fails(monkeypatch):
+    # a spherical set's measures must agree within 3 sigma, whichever way
+    # they differ; sigma here is 2e-6 per pair
+    _fake_measure(monkeypatch, lambda th: 0.5 + 1e-3 * np.max(th * th)
+                  / np.sum(th * th))
+    rep = check_schur2_monotonicity(p_ball(2, 2.0, 1.0), arc_pairs(1.5))
+    assert not rep["passed"] and rep["violations"] == 2
+    assert all(not pair["ok"] for pair in rep["pairs"])
+
+
+def test_far_cube_arc_shows_its_strict_gap():
+    # at radius 10 the cube's measures are 7.7e-20 up to 4e-19; with relative
+    # bars the gaps between grid neighbours are far above 5 sigma
+    grid = np.linspace(0.0, math.pi / 4.0, 5)
+    rep = check_rotation_monotonicity(cube(2, 1.0), 10.0, grid)
+    assert rep["passed"] and rep["strict_gap_found"]
+    assert 0.0 < rep["measures"][0] < rep["measures"][-1]
+    assert [pair["ok"] for pair in rep["pairs"]] == [True] * 4
 
 
 def test_rotation_requires_k2():
