@@ -8,6 +8,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import chndtrinc
+from scipy.stats import chi2
 
 from .gauss_measure import rotate2
 from .solvers import TestDesign, normalize_direction, shift_solution
@@ -30,37 +32,33 @@ class AreResult:
 
 
 def _s2_norm(k, alpha, beta):
-    """||s_2|| depends only on alpha, beta, k (spherical symmetry)."""
-    d = TestDesign(k, 2.0, alpha, beta, tuple(normalize_direction(np.ones(k))))
-    sol = shift_solution(d)
-    return sol.norm, sol.solver_error
+    """||s_2|| depends only on alpha, beta, k (spherical symmetry): its
+    square is the ncx2 noncentrality with power beta at k c_2^2."""
+    return math.sqrt(chndtrinc(chi2.ppf(1.0 - alpha, k), k, 1.0 - beta))
 
 
-def are(d: TestDesign, *, seed=0, workers=1, s2=None) -> AreResult:
-    norm2, err2 = _s2_norm(d.k, d.alpha, d.beta) if s2 is None else s2
+def are(d: TestDesign, *, seed=0, workers=1) -> AreResult:
+    """ARE in the design's direction; its error propagates the solver_error
+    of s_p alone, since ||s_2|| has a closed form."""
+    norm2 = _s2_norm(d.k, d.alpha, d.beta)
     if d.p == 2.0:
         return AreResult(1.0, norm2, norm2, d, 0.0)
     sol = shift_solution(d, seed=seed, workers=workers)
     if not sol.exists:
-        return AreResult(0.0, norm2, math.nan, d, err2)
+        return AreResult(0.0, norm2, math.nan, d, 0.0)
     val = norm2 ** 2 / sol.norm ** 2
     # first-order error propagation on the ratio of squared norms
-    rel = 2.0 * (err2 / max(norm2, 1e-300) + sol.solver_error / max(sol.norm, 1e-300))
-    return AreResult(val, norm2, sol.norm, d, val * rel)
+    return AreResult(val, norm2, sol.norm, d,
+                     val * 2.0 * sol.solver_error / max(sol.norm, 1e-300))
 
 
 def are_extremes(k, p, alpha, beta, *, seed=0, workers=1):
     """ARE at the diagonal direction (all-ones) and the coordinate direction
     (sqrt(k) e1); these bracket the ARE over all directions."""
-    s2 = _s2_norm(k, alpha, beta)
-    diag = np.ones(k)
     coord = np.zeros(k)
     coord[0] = math.sqrt(k)
-    r_d = are(TestDesign(k, p, alpha, beta, tuple(diag)),
-              seed=seed, workers=workers, s2=s2)
-    r_c = are(TestDesign(k, p, alpha, beta, tuple(coord)),
-              seed=seed, workers=workers, s2=s2)
-    return r_d, r_c
+    return tuple(are(TestDesign(k, p, alpha, beta, tuple(u)), seed=seed,
+                     workers=workers) for u in (np.ones(k), coord))
 
 
 def are_direction_sweep(p, alpha, beta, n_angles=11, *, k=2, seed=0, workers=1):
@@ -70,12 +68,11 @@ def are_direction_sweep(p, alpha, beta, n_angles=11, *, k=2, seed=0, workers=1):
         raise ValueError("direction sweeps are defined for k = 2")
     if n_angles < 1:
         raise ValueError("a sweep needs at least one angle")
-    s2 = _s2_norm(2, alpha, beta)
     out = []
     for t in np.linspace(0.0, math.pi / 4.0, n_angles):
         u = math.sqrt(2.0) * np.array([math.cos(t), math.sin(t)])
         r = are(TestDesign(2, p, alpha, beta, tuple(u)),
-                seed=seed, workers=workers, s2=s2)
+                seed=seed, workers=workers)
         out.append((float(t), r))
     return out
 

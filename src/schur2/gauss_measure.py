@@ -137,18 +137,20 @@ def _product_1d(S, theta, target, q):
     """Products over the slabs |Y_j| <= a, Y_j ~ N(theta_j, 1). Each slab's
     inside mass m and outside mass o are taken on their small sides, and the
     product, the -inf ball's 1 - prod(o) and the complements go through sums
-    of logs. ndtr(x) is good to about 1e-14 (1 + x^2 / 16) relative, so far
-    shifts keep a relative bar."""
+    of logs. ndtr(x) is good to about 1e-14 (1 + x^2 / 16) relative, and m,
+    a difference, loses (ndtr(a - t) + ndtr(-a - t)) / m of it more, so far
+    shifts and narrow slabs keep a relative bar."""
     S, comp = _uncomplement(S)
     a = S.a if S.variant == "cube" else S.eps
     t = np.abs(theta)
     m, o = ndtr(a - t) - ndtr(-a - t), ndtr(t - a) + ndtr(-a - t)
+    cancel = (ndtr(a - t) + ndtr(-a - t)) / np.maximum(m, 1e-300)
     union = S.p == -math.inf  # min |Y_j| <= a: not every Y_j leaves its slab
     x, y = (o, m) if union else (m, o)
     with np.errstate(divide="ignore"):  # log x from the smaller of x, 1 - x
         L = np.sum(np.where(x < 0.5, np.log(x), np.log1p(-y)))
     v = float(-np.expm1(L) if union != comp else np.exp(L))
-    err = 1e-14 * v * float(np.sum(1.0 + (a - t) ** 2 / 16.0))
+    err = 1e-14 * v * float(np.sum(1.0 + (a - t) ** 2 / 16.0 + cancel))
     return "PRODUCT_1D", v, err, 2 * S.k
 
 

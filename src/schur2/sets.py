@@ -121,15 +121,23 @@ def _kernel(S, X):
     A = np.abs(X.T, order="C")
     if S.variant == "cube":
         return A.max(axis=0) <= S.a
-    if S.variant == "hatb":
-        # union over the group orbit of a*1: best center matches the signs of
-        # x coordinatewise, leaving sum ||x_j| - a|^p <= k eps^p
-        return np.sum(np.abs(A - S.a) ** S.p, axis=0) <= S.k * S.eps**S.p
-    if S.variant == "checkb":
-        # best center among +-a*e_i matches the sign of x_i; try every axis
-        Ap = A**S.p
-        cand = Ap.sum(axis=0) - Ap + np.abs(A - S.a) ** S.p
-        return cand.min(axis=0) <= S.k * S.eps**S.p
+    # powers of magnitudes over eps: no verdict rests on an underflow, and
+    # an overflow is an inf above k all the same. A is this call's own array,
+    # so D = (||x| - a| / eps)^p takes its place and allocates nothing
+    with np.errstate(over="ignore"):
+        if S.variant == "checkb":  # a term capped at 2k fails: no inf - inf
+            Ap = np.minimum((A / S.eps) ** S.p, 2.0 * S.k)
+        D = np.abs(np.subtract(A, S.a, out=A), out=A)
+        D /= S.eps
+        D **= S.p
+        if S.variant == "hatb":
+            # union over the group orbit of a*1: best center matches the
+            # signs of x coordinatewise, leaving sum ||x_j| - a|^p <= k eps^p
+            return np.sum(D, axis=0) <= S.k
+        if S.variant == "checkb":
+            # best center among +-a*e_i matches the sign of x_i; try every axis
+            D += np.subtract(Ap.sum(axis=0), Ap, out=Ap)
+            return D.min(axis=0) <= S.k
     raise ValueError(f"unknown variant {S.variant}")
 
 
@@ -138,10 +146,9 @@ def contains_rows(S, X):
     reduce over the coordinates as the rows of a (k, n) array, as the (n, k)
     view of a (k, n) buffer gives them. Rows outside the outer bound are
     non-members: when fewer than half of every 16th row pass it, the kernel
-    runs on the passing rows alone. Those fail the kernel too (unless a hat-B
-    or check-B power sum underflows) and no verdict depends on the rest of
-    its batch, so every bit is kept. A single point skips the bound, which
-    would cost a fifth of its kernel."""
+    runs on the passing rows alone. Those fail the kernel too and no verdict
+    depends on the rest of its batch, so every bit is kept. A single point
+    skips the bound, which would cost a fifth of its kernel."""
     X = np.asarray(X, dtype=float)
     if X.ndim < 2:  # cheaper than np.atleast_2d on the single-point path
         X = X.reshape(1, -1)

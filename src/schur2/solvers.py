@@ -6,8 +6,10 @@ finds the scalar t with power beta along a fixed direction u, relying on the
 strict monotonicity of the power curve in t.
 
 How c and t are found, past the closed forms (k = 1, p = 2, p = +-inf):
-  - finite p > 0: one zero-shift radial CDF G on a domain that holds c, and
-    the root of G(k^(1/p) c) = 1 - alpha on its last row; no measure call.
+  - c at k = 2: M_p is 1-homogeneous, so the zero-shift tail is, in polar
+    coordinates, (4/pi) int_0^(pi/4) exp(-c^2 / (2 M_p(cos, sin)^2)).
+  - c at k >= 3, finite p > 0: the root of G(k^(1/p) c) = 1 - alpha on the
+    last row of one zero-shift radial CDF G. Neither makes a measure call.
   - deterministic paths (quadrature or closed-form power): Brent's method on
     the probit-transformed power Phi^-1(P(t)) - Phi^-1(beta), nearly linear
     in t, with every evaluation memoised.
@@ -24,12 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 from scipy.stats import chi2, ncx2
 
-from .gauss_measure import GaussianShiftQuery, measure, pball_radius_cdf
-from .means import p_mean
-from .sets import p_ball
+from .gauss_measure import (GaussianShiftQuery, _profile, measure,
+                            pball_radius_cdf)
+from .means import p_mean, p_mean_rows
+from .sets import complement, p_ball
 
 T_MAX = 1e3
 BRACKET_RTOL = 1e-7
@@ -81,36 +84,25 @@ class ShiftSolution:
     solver_error: float
 
 
-def _tail_closed(k, p, c, shift):
-    """P(<Z + shift>_p > c) on the closed-form paths, else None."""
-    s = np.asarray(shift, dtype=float)
-    if k == 1:
-        return 1.0 - (ndtr(c - s[0]) - ndtr(-c - s[0]))
-    if p == 2.0:
-        return float(ncx2.sf(k * c * c, k, float(s @ s)))
-    if p == math.inf:
-        return 1.0 - float(np.prod(ndtr(c - s) - ndtr(-c - s)))
-    if p == -math.inf:
-        return float(np.prod(ndtr(s - c) + ndtr(-c - s)))
-    return None
-
-
 def tail_probability(k, p, c, shift, *, seed=0, workers=1,
                      target_rel_error=None):
-    """P(<Z + shift>_p > c) with a propagated absolute error estimate."""
-    closed = _tail_closed(k, p, c, shift)
-    if closed is not None:
-        return min(max(closed, 0.0), 1.0), 0.0
-    q = GaussianShiftQuery(set=p_ball(k, p, c),
-                           shift=-np.asarray(shift, dtype=float),
+    """P(<Z + shift>_p > c) with a propagated absolute error estimate: ncx2
+    at p = 2, else the measure of the ball's complement, on its small side.
+    Monte Carlo paths measure the ball, whose chunk p-means every c shares."""
+    s = np.asarray(shift, dtype=float)
+    if p == 2.0:
+        return float(ncx2.sf(k * c * c, k, float(s @ s))), 0.0
+    mc = _mc_path(k, p)
+    S = p_ball(k, p, c)
+    q = GaussianShiftQuery(set=S if mc else complement(S), shift=-s,
                            seed=seed, workers=workers,
                            target_rel_error=target_rel_error)
     est = measure(q)
-    return min(max(1.0 - est.value, 0.0), 1.0), est.abs_error
+    return (1.0 - est.value if mc else est.value), est.abs_error
 
 
 def _mc_path(k, p):
-    # closed forms cover k = 1 and p = +-inf, SLICE_QUAD finite p > 0 and
+    # PRODUCT_1D measures k = 1 and p = +-inf, SLICE_QUAD finite p > 0 and
     # POLAR2D every k = 2 set; only finite p <= 0 at k >= 3 is Monte Carlo
     return k >= 3 and math.isfinite(p) and p <= 0.0
 
@@ -164,46 +156,32 @@ def _monotone_root(h, x0, *, exact, xtol, rtol, steps=200, lo=None,
     return 0.5 * (lo + hi), 0.5 * (hi - lo), True
 
 
-def _radial_critical_value(k, p, alpha):
-    """c for finite p > 0 from one zero-shift radial CDF per node count.
-
-    If every |Z_j| <= m the p-mean is at most m, and 2k Phi-bar(m) is a small
-    share of alpha, so c lies in [0, m]. The CDF G of the p-radius is built
-    on [0, k^(1/p) m] and c is the root of G(k^(1/p) c) = 1 - alpha on its
-    last convolution row, run directly at every trial. At k >= 3 inner node
-    counts double until the roots of n and 2n nodes agree.
-    """
-    m = float(-ndtri(_CV_TAIL_SHARE * alpha / (2.0 * k)))
-    scale = k ** (1.0 / p)
-    for n in (32, 64, 128, 256, 512):
-        G = pball_radius_cdf(k, p, np.zeros(k), scale * m, n_nodes=n)
-        c = brentq(lambda x: float(G(scale * x)) - (1.0 - alpha), 0.0, m,
-                   xtol=1e-14)
-        if k == 2 or n > 32 and abs(c - prev) <= _CV_RTOL * c:
-            break
-        prev = c
-    return c
-
-
 def _chi2_guess(k, alpha):
     return math.sqrt(chi2.ppf(1.0 - alpha, k) / k)
 
 
 @functools.lru_cache(maxsize=256)
 def _exact_critical_value(k, p, alpha):
-    """Deterministic c, memoised per (k, p, alpha)."""
-    if math.isfinite(p) and p > 0.0:
-        return _radial_critical_value(k, p, alpha)
-    # p <= 0 at k = 2: root of the POLAR2D tail
-    zero = np.zeros(k)
-
-    @functools.cache
-    def tail(c):
-        return tail_probability(k, p, c, zero,
-                                target_rel_error=_QUAD_TARGET)[0]
-
-    return _monotone_root(lambda c: alpha - tail(c), _chi2_guess(k, alpha),
-                          exact=True, xtol=1e-10, rtol=1e-12)[0]
+    """c at k = 2 from the polar tail on the graded SLICE_QUAD nodes, or at
+    k >= 3 from the radial CDF on [0, k^(1/p) m], doubling inner nodes until
+    two roots agree; memoised per (k, p, alpha). The p-mean is at most m if
+    every |Z_j| <= m, and 2k Phi-bar(m) is 1e-3 alpha, so c lies in [0, m]."""
+    m = float(-ndtri(_CV_TAIL_SHARE * alpha / (2.0 * k)))
+    if k == 2:
+        u, w = _profile(1.0, False)[:2]  # p shapes only its radii
+        phi = 0.25 * math.pi * u
+        M = p_mean_rows(np.stack((np.cos(phi), np.sin(phi)), axis=1), p)
+        return brentq(lambda c: float(w @ np.exp(-0.5 * (c / M) ** 2))
+                      - alpha, 0.0, m, xtol=1e-14)
+    scale = k ** (1.0 / p)
+    for n in (32, 64, 128, 256, 512):
+        G = pball_radius_cdf(k, p, np.zeros(k), scale * m, n_nodes=n)
+        c = brentq(lambda x: float(G(scale * x)) - (1.0 - alpha), 0.0, m,
+                   xtol=1e-14)
+        if n > 32 and abs(c - prev) <= _CV_RTOL * c:
+            break
+        prev = c
+    return c
 
 
 def critical_value(k, p, alpha, *, seed=0, workers=1):

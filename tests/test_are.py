@@ -2,8 +2,10 @@ import csv
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from schur2.are_analysis import (are, are_direction_sweep, are_extremes,
                                  are_limit_trend, duality_partner,
@@ -62,19 +64,11 @@ def test_extremes_bracket_sweep():
         assert lo - slack <= r.are <= hi + slack
 
 
-def test_sweep_solves_critical_value_once(monkeypatch):
-    solves = []
-    orig = solvers._radial_critical_value
-
-    def counting(k, p, alpha):
-        solves.append((k, p, alpha))
-        return orig(k, p, alpha)
-
-    monkeypatch.setattr(solvers, "_radial_critical_value", counting)
+def test_sweep_solves_critical_value_once():
     solvers._exact_critical_value.cache_clear()
     rows = are_direction_sweep(3.0, 0.05, 0.9, n_angles=5)
     assert len(rows) == 5
-    assert solves == [(2, 3.0, 0.05)]
+    assert solvers._exact_critical_value.cache_info().misses == 1
 
 
 def test_sweep_monotone_direction_for_p_above_2():
@@ -117,28 +111,64 @@ def test_nonexistent_shift_gives_zero():
 
 
 def test_are_bits_pinned():
-    # (are, error, sp_norm) recorded bit for bit once SLICE_QUAD ran its last
-    # convolution directly at k^(1/p) eps and cut wide rows across the
-    # density; each ARE must lie within three times the summed error bars of
-    # the one recorded before (old are, error)
+    # (are, error, sp_norm) recorded bit for bit once ||s_2|| came from the
+    # ncx2 quantile and c at k = 2 from the polar tail; each ARE must lie
+    # within three times the summed error bars of the one recorded before
+    # (old are, error), when ||s_2|| was a Brent root with its own error
     cases = [
-        (2, 0.5, [1.0, 0.4], ("0x1.85af10a65a8f0p-1", "0x1.3d2dbabcd4db4p-24",
-                              "0x1.04f565104fc23p+2"),
-         ("0x1.85af10a65a989p-1", "0x1.3d2dbabcd4e38p-24")),
-        (2, 3.0, [1.0, 0.4], ("0x1.fbe8926883a09p-1", "0x1.a4ceae0259c12p-24",
-                              "0x1.c92819af83835p+1"),
-         ("0x1.fbe8926883a48p-1", "0x1.a4ceae0259c4ap-24")),
-        (3, 1.5, [1.0, 0.5, -0.2], ("0x1.f6954ccf16409p-1",
-                                    "0x1.62e2836b391adp-24",
+        (2, 0.5, [1.0, 0.4], ("0x1.85af10a7ea593p-1", "0x1.3750f7716f0ddp-25",
+                              "0x1.04f565104fc27p+2"),
+         ("0x1.85af10a65a8f0p-1", "0x1.3d2dbabcd4db4p-24")),
+        (2, 3.0, [1.0, 0.4], ("0x1.fbe8926a8cb52p-1", "0x1.a4914cbaad4dap-25",
+                              "0x1.c92819af8383bp+1"),
+         ("0x1.fbe8926883a09p-1", "0x1.a4ceae0259c12p-24")),
+        (3, 1.5, [1.0, 0.5, -0.2], ("0x1.f6954cd05c352p-1",
+                                    "0x1.625e132bf5758p-25",
                                     "0x1.e659880d7b53bp+1"),
-         ("0x1.f6954ccf1645ep-1", "0x1.62e2836b391ecp-24")),
-        (3, 4.0, [1.0, 0.5, -0.2], ("0x1.f28b616bb80ebp-1",
-                                    "0x1.5fcfb808ec8c6p-24",
+         ("0x1.f6954ccf16409p-1", "0x1.62e2836b391adp-24")),
+        (3, 4.0, [1.0, 0.5, -0.2], ("0x1.f28b616cfb64ap-1",
+                                    "0x1.5f139f7ec3f2fp-25",
                                     "0x1.e850d42a2bc14p+1"),
-         ("0x1.f28b616bb8143p-1", "0x1.5fcfb808ec909p-24")),
+         ("0x1.f28b616bb80ebp-1", "0x1.5fcfb808ec8c6p-24")),
     ]
     for k, p, u, want, before in cases:
         r = are(design(k, p, u, alpha=0.05, beta=0.9))
         assert (r.are.hex(), r.error.hex(), r.sp_norm.hex()) == want
         old_are, old_err = map(float.fromhex, before)
         assert abs(r.are - old_are) <= 3.0 * (r.error + old_err)
+
+
+def _mp_s2_norm(k, alpha, beta):
+    """||s_2|| at 40 digits: c_2 from the chi-square quantile, then the
+    noncentrality whose Poisson mixture of chi-square CDFs is 1 - beta."""
+    with mpmath.workdps(40):
+        half = mpmath.mpf(k) / 2
+
+        def cdf(x, lam):  # P(ncx2(k, lam) <= x)
+            total, j, term = mpmath.mpf(0), 0, 1
+            while j < 20 or term > mpmath.mpf(10) ** -45:
+                term = (mpmath.exp(-lam / 2) * (lam / 2) ** j
+                        / mpmath.factorial(j)
+                        * mpmath.gammainc(half + j, 0, x / 2,
+                                          regularized=True))
+                total, j = total + term, j + 1
+            return total
+
+        x = mpmath.findroot(lambda x: cdf(x, 0) - (1 - mpmath.mpf(alpha)),
+                            chi2.ppf(1.0 - alpha, k))
+        lam = mpmath.findroot(lambda lam: cdf(x, lam) - (1 - mpmath.mpf(beta)),
+                              10.0)
+        return mpmath.sqrt(lam)
+
+
+@pytest.mark.parametrize("k, alpha, beta", [(2, 0.05, 0.9), (3, 0.01, 0.95),
+                                            (5, 0.001, 0.99)])
+def test_s2_norm_matches_oracles(k, alpha, beta):
+    # the closed form against a 40-digit ncx2 oracle, and against the shift
+    # solved through the p = 2 power within that solve's own error
+    r = are(design(k, 2.0, np.ones(k), alpha=alpha, beta=beta))
+    want = _mp_s2_norm(k, alpha, beta)
+    assert abs(r.s2_norm - want) <= 1e-13 * want
+    sol = solvers.shift_solution(design(k, 2.0, np.ones(k), alpha=alpha,
+                                        beta=beta))
+    assert abs(sol.norm - r.s2_norm) <= sol.solver_error

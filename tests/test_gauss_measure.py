@@ -87,14 +87,23 @@ def _mp_product(S, theta):
     (complement(p_ball(2, math.inf, 0.8)), (0.5, -0.2)),
     (complement(p_ball(3, -math.inf, 1.0)), (9.0, -8.0, 10.0)),
     (complement(p_ball(2, -math.inf, 1.0)), (0.2, 0.1)),
+    # narrow slabs: their inside mass is a difference of near ndtr values
+    (cube(2, 1e-3), (0.0, 0.0)),  # 1.1e-13 off, under a 2.0e-14 bar once
+    (cube(1, 1e-3), (5.0,)),
+    (p_ball(3, -math.inf, 1e-3), (0.1, 0.2, 0.3)),
+    (p_ball(2, math.inf, 0.02), (0.5, -0.3)),
+    (complement(cube(2, 0.02)), (1.0, 0.2)),
 ])
 def test_product_1d_matches_mpmath(S, shift):
     # each slab on its small side, products through sums of logs: within
-    # k 1e-14 relative of a 40-digit oracle, and inside the stated bar
+    # k 1e-14 relative of a 40-digit oracle (k 1e-12 for slabs narrower than
+    # 0.1, which lose digits to the difference), and inside the stated bar
     est = mz(S, shift)
     want = _mp_product(S, shift)
+    T = S.inner if S.variant == "complement" else S
+    rel = 1e-14 if (T.a if T.variant == "cube" else T.eps) >= 0.1 else 1e-12
     assert est.method == "PRODUCT_1D" and est.target_met
-    assert abs(est.value - want) <= S.k * 1e-14 * want
+    assert abs(est.value - want) <= S.k * rel * want
     assert abs(est.value - want) <= est.abs_error
 
 
@@ -389,14 +398,16 @@ def test_deterministic_bits_pinned():
     # SLICE_QUAD rows were recorded once its last convolution ran directly
     # at k^(1/p) eps; test_slice_quad_pins_cover_their_oracles checks them.
     # The PRODUCT_1D rows were recorded once slab masses went through sums
-    # of logs with a relative bar; test_product_1d_matches_mpmath checks them
+    # of logs with a relative bar, and their bars once that bar took in the
+    # cancellation of each slab; test_product_1d_matches_mpmath checks them.
+    # The check-B bar was recorded once the kernel took powers over eps
     cases = [
         (cube(3, 1.0), (0.3, -0.7, 2.0), None,
-         ("PRODUCT_1D", "0x1.e88c1b47e746ep-5", "0x1.0a535c503d3d7p-49", 6)),
+         ("PRODUCT_1D", "0x1.e88c1b47e746ep-5", "0x1.1a14fdd289c76p-48", 6)),
         (p_ball(3, -math.inf, 1.0), (0.4, -1.1, 0.2), None,
-         ("PRODUCT_1D", "0x1.dedc25e9017adp-1", "0x1.020b27a6f545ap-45", 6)),
+         ("PRODUCT_1D", "0x1.dedc25e9017adp-1", "0x1.1bbca1a1e9887p-44", 6)),
         (complement(p_ball(2, math.inf, 0.8)), (0.5, -0.2), None,
-         ("PRODUCT_1D", "0x1.68b1e91a83f6dp-1", "0x1.0162c47c1a9dfp-46", 4)),
+         ("PRODUCT_1D", "0x1.68b1e91a83f6dp-1", "0x1.3aae35b982561p-45", 4)),
         (p_ball(3, 1.5, 1.0), (0.5, 0.2, -0.3), 1e-8,
          ("SLICE_QUAD", "0x1.38590df0f89f8p-1", "0x1.203af9ee75616p-50", 101)),
         (complement(p_ball(2, 3.0, 1.2)), (0.4, 0.1), None,
@@ -407,7 +418,7 @@ def test_deterministic_bits_pinned():
         (hat_b(2, 4.5, 1.0, 0.9), (0.5, 0.2), None,
          ("POLAR2D", "0x1.bd06f4addeadap-1", "0x1.fa7af29e56e20p-26", 1025)),
         (check_b(2, 1.5, 1.0, 0.45), (0.3, 0.6), None,
-         ("POLAR2D", "0x1.d200fcb34f5dap-2", "0x1.2a3fb94b21d42p-21", 8193)),
+         ("POLAR2D", "0x1.d200fcb34f5dap-2", "0x1.2a3fb94bc4cdap-21", 8193)),
     ]
     for S, shift, target, want in cases:
         est = mz(S, shift, target_rel_error=target)

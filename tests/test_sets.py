@@ -56,6 +56,19 @@ def test_hat_and_check_membership_against_orbit_union():
         assert contains(V, r) == want_v
 
 
+@pytest.mark.parametrize("S, x, member", [
+    (hat_b(2, 4.5, 1e-200, 1e-200), (5e-200, 5e-200), False),  # 0 <= 0 once
+    (check_b(2, 2.0, 1e160, 1e159), (1e160, 0.5), True),  # inf - inf once
+    (check_b(3, 2.0, 1e200, 1.0), (1e200, 0.3, -0.2), True),
+    (check_b(3, 2.0, 1e200, 1.0), (1e200, 1e200, 0.0), False),
+])
+def test_orbit_sets_at_extreme_scales(S, x, member):
+    # hat-B and check-B take powers of magnitudes over eps, so neither an
+    # underflow nor an overflow decides a verdict, one point or a batch
+    assert contains(S, x) is member
+    assert (contains_rows(S, np.tile(x, (64, 1))) == member).all()
+
+
 def test_gk_invariance_of_membership():
     rng = np.random.default_rng(3)
     sets = [p_ball(3, 1.0, 1.0), pq_ball(3, 5.0, -1.0, 1.0),

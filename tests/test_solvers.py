@@ -1,8 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import loggamma
 from scipy.stats import chi2, norm
 
 from schur2 import gauss_measure, solvers
@@ -55,7 +58,7 @@ def test_inf_mean_closed_form_against_mc():
 
 def test_quadrature_critical_value_consistency():
     # the returned c must reproduce alpha through the measure engine
-    for k, p in [(2, 1.0), (3, 3.0), (2, 0.0)]:
+    for k, p in [(2, 1.0), (3, 3.0), (2, 0.0), (2, -1.0)]:
         c = critical_value(k, p, 0.05)
         tail, err = tail_probability(k, p, c, np.zeros(k),
                                      target_rel_error=1e-7)
@@ -136,7 +139,7 @@ RADIAL_CASES = [(2, 1.0, 0.05), (3, 3.0, 0.05), (3, 0.5, 0.01), (6, 1.5, 0.01)]
 
 
 def test_radial_critical_value_makes_no_measure_calls(measure_calls):
-    for k, p, a in RADIAL_CASES:
+    for k, p, a in RADIAL_CASES + [(2, 0.0, 0.05), (2, -1.0, 0.01)]:
         critical_value(k, p, a)
     assert measure_calls == []
 
@@ -202,7 +205,46 @@ def test_solvers_reject_zero_workers(solve):
         solve()
 
 
-def test_polar_critical_value_bits_pinned():
-    # c(2, 0, .05) is the root of a POLAR2D tail; recorded bit for bit
-    # before POLAR2D built its points coordinate-major
-    assert critical_value(2, 0.0, 0.05).hex() == "0x1.7a25fd3659c17p+0"
+def _gil_pelaez_tail_p0(c):
+    """P(<Z>_0 > c) at k = 2 by Gil-Pelaez (1951): the 0-mean exceeds c when
+    log|Z_1| + log|Z_2| > 2 log c, and E|Z|^(it) = 2^(it/2)
+    Gamma((1 + it)/2) / sqrt(pi) is the characteristic function of log|Z|."""
+    x = 2.0 * math.log(c)
+
+    def f(t):
+        log_cf = 0.5j * t * math.log(2.0) + loggamma(0.5 + 0.5j * t)
+        return np.exp(2.0 * (log_cf - 0.5 * math.log(math.pi))
+                      - 1j * t * x).imag / t
+
+    # |cf|^2 decays like exp(-pi t / 2), below 1e-30 past t = 50
+    return 0.5 + sum(quad(f, lo, hi, epsabs=1e-17, limit=200)[0]
+                     for lo, hi in ((0.0, 5.0), (5.0, 50.0))) / math.pi
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.01])
+def test_critical_value_k2_p0_matches_gil_pelaez(alpha):
+    want = brentq(lambda c: _gil_pelaez_tail_p0(c) - alpha, 1.0, 3.0,
+                  xtol=1e-15, rtol=1e-15)
+    assert abs(critical_value(2, 0.0, alpha) - want) <= 1e-12
+
+
+def _mp_tail(c, shift):
+    """P(<Z + shift>_p > c) at 40 digits for the sets PRODUCT_1D measures:
+    k = 1, where every mean is |x|, and p = +inf, a cube of half-width c."""
+    with mpmath.workdps(40):
+        c = mpmath.mpf(c)
+        inside = mpmath.fprod(mpmath.ncdf(c - t) - mpmath.ncdf(-c - t)
+                              for t in map(mpmath.mpf, shift))
+        return 1 - inside
+
+
+@pytest.mark.parametrize("k, p, c, shift", [
+    (3, math.inf, 9.0, (0.0, 0.0, 0.0)),  # 6.77e-19: 1 - product gave 0
+    (1, 1.0, 8.0, (0.5,)),  # 3.19e-14
+    (2, math.inf, 3.0, (1.0, -0.5)),
+])
+def test_tails_on_their_small_side(k, p, c, shift):
+    value, err = tail_probability(k, p, c, shift)
+    want = _mp_tail(c, shift)
+    assert abs(value - want) <= 1e-12 * want
+    assert abs(value - want) <= err
