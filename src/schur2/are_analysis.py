@@ -22,13 +22,14 @@ class AreResult:
     sp_norm: float
     design: TestDesign
     error: float
+    target_met: bool  # every measure of the s_p solve met its target
 
     def to_dict(self):
         return {"are": self.are, "s2_norm": self.s2_norm,
                 "sp_norm": self.sp_norm, "error": self.error,
                 "k": self.design.k, "p": self.design.p,
                 "alpha": self.design.alpha, "beta": self.design.beta,
-                "u": list(self.design.u)}
+                "u": list(self.design.u), "target_met": self.target_met}
 
 
 def _s2_norm(k, alpha, beta):
@@ -42,14 +43,15 @@ def are(d: TestDesign, *, seed=0, workers=1) -> AreResult:
     of s_p alone, since ||s_2|| has a closed form."""
     norm2 = _s2_norm(d.k, d.alpha, d.beta)
     if d.p == 2.0:
-        return AreResult(1.0, norm2, norm2, d, 0.0)
+        return AreResult(1.0, norm2, norm2, d, 0.0, True)
     sol = shift_solution(d, seed=seed, workers=workers)
     if not sol.exists:
-        return AreResult(0.0, norm2, math.nan, d, 0.0)
+        return AreResult(0.0, norm2, math.nan, d, 0.0, sol.target_met)
     val = norm2 ** 2 / sol.norm ** 2
     # first-order error propagation on the ratio of squared norms
     return AreResult(val, norm2, sol.norm, d,
-                     val * 2.0 * sol.solver_error / max(sol.norm, 1e-300))
+                     val * 2.0 * sol.solver_error / max(sol.norm, 1e-300),
+                     sol.target_met)
 
 
 def are_extremes(k, p, alpha, beta, *, seed=0, workers=1):
@@ -77,16 +79,21 @@ def are_direction_sweep(p, alpha, beta, n_angles=11, *, k=2, seed=0, workers=1):
     return out
 
 
+def sweep_records(rows):
+    """The CSV records of a direction sweep, one per angle."""
+    return [{"angle": t, "are": r.are, "abs_error": r.error,
+             "s2_norm": r.s2_norm, "sp_norm": r.sp_norm,
+             "exists_flag": int(math.isfinite(r.sp_norm)),
+             "target_met": r.target_met} for t, r in rows]
+
+
 def sweep_to_csv(rows):
+    recs = sweep_records(rows)
     buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["angle", "are", "abs_error", "s2_norm", "sp_norm", "exists_flag"])
-    for t, r in rows:
-        exists = math.isfinite(r.sp_norm)
-        w.writerow([f"{t:.12g}", f"{r.are:.12g}", f"{r.error:.12g}",
-                    f"{r.s2_norm:.12g}",
-                    f"{r.sp_norm:.12g}" if exists else "nan",
-                    int(exists)])
+    w = csv.DictWriter(buf, fieldnames=list(recs[0]))
+    w.writeheader()
+    w.writerows({k: f"{v:.12g}" if isinstance(v, float) else v
+                 for k, v in rec.items()} for rec in recs)
     return buf.getvalue()
 
 

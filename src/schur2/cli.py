@@ -10,6 +10,7 @@ what it prints, and main emits it. Exit codes: 0 success, 1 usage error,
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -35,9 +36,7 @@ def _round_floats(obj):
 
 
 def _emit(payload, args):
-    if getattr(args, "format", "json") == "csv" and isinstance(payload, str):
-        text = payload
-    elif getattr(args, "format", "json") == "csv":
+    if getattr(args, "format", "json") == "csv":
         rows = payload if isinstance(payload, list) else [payload]
         buf = io.StringIO()
         w = csv.DictWriter(buf, fieldnames=list(rows[0]))
@@ -86,11 +85,8 @@ def _design(args):
 
 
 def cmd_shift(args):
-    sol = solvers.shift_solution(_design(args), seed=args.seed,
-                                 workers=args.workers)
-    return {"exists": sol.exists, "t": sol.t, "norm": sol.norm,
-            "achieved_power": sol.achieved_power,
-            "solver_error": sol.solver_error}
+    return dataclasses.asdict(solvers.shift_solution(
+        _design(args), seed=args.seed, workers=args.workers))
 
 
 def cmd_are(args):
@@ -103,7 +99,7 @@ def cmd_sweep(args):
         args.p, args.alpha, args.beta, n_angles=args.angles,
         seed=args.seed, workers=args.workers)
     if args.format == "csv":
-        return are_analysis.sweep_to_csv(rows)
+        return are_analysis.sweep_records(rows)
     return [dict(angle=t, **r.to_dict()) for t, r in rows]
 
 
@@ -194,14 +190,16 @@ def cmd_figures(args):
                 2, p, args.alpha, args.beta, seed=seed, workers=workers)
             psi = 2.0 * p / (2.0 * abs(p) + 3.0)  # compressed p axis
             rows.append({"p": p, "psi_p": psi, "are_diagonal": r_diag.are,
-                         "are_coordinate": r_coord.are})
+                         "are_coordinate": r_coord.are, "target_met":
+                         r_diag.target_met and r_coord.target_met})
     else:
         for p in (2.1, 1.9):
             for t, r in are_analysis.are_direction_sweep(
                     p, args.alpha, args.beta, n_angles=args.angles,
                     seed=seed, workers=workers):
                 rows.append({"p": p, "angle": t, "are": r.are,
-                             "beats_lrt": bool(r.are > 1.0)})
+                             "beats_lrt": bool(r.are > 1.0),
+                             "target_met": r.target_met})
     return rows
 
 

@@ -6,15 +6,15 @@ table; every engine then sees a standard normal and returns a value with its
 bar, and measure alone judges target_met from them.
   PRODUCT_1D    cubes, the p = +-inf balls and every ball at k = 1
                 (coordinatewise product of slabs, exact)
-  SLICE_QUAD    p-balls with finite p > 0 at k >= 2: k-1 convolutions
-                of the running CDF of the p-radius; inner levels are Chebyshev
-                interpolants, the last runs at the one radius k^(1/p) eps on
-                two quadrature rules whose gap is its bar, and every shift
-                shares one radii profile per p and rule
-  POLAR2D       any set at k = 2: adaptive Simpson over the angle with the
-                radial integral done in closed form on membership intervals;
-                ray points are built coordinate-major, and the crossings of
-                all rays of a refinement level are bisected in one pass
+  SLICE_QUAD    p-balls at k >= 2 with p > 0 and k^(1/p) <= 1e6: k-1
+                convolutions of the running CDF of the p-radius; inner levels
+                are Chebyshev interpolants, the last runs at the one radius
+                k^(1/p) eps on two quadrature rules whose gap is its bar, and
+                every shift shares one radii profile per p and rule
+  POLAR2D       any set at k = 2: periodic Simpson over n distinct rays from
+                two running trapezoid means, each ray's radial integral in
+                closed form on its membership intervals, found by a scan, the
+                ray's two axis crossings and one bisection per level
   MC_PLAIN /    everything else, in one Monte Carlo loop: plain draws, or
   MC_IMPORTANCE importance sampling from N(center, I) around a near member
                 point when the event is rare; chunk-indexed counter-based
@@ -239,7 +239,8 @@ def pball_radius_cdf(k, p, theta, w_max, n_nodes=64):
 
 def _slice_capable(S):
     S = _uncomplement(S)[0]
-    return S.k > 1 and S.variant == "pball" and 0.0 < S.p < math.inf
+    return (S.k > 1 and S.variant == "pball" and S.p < math.inf
+            and sets_mod.bounded_root(S.k, S.p))
 
 
 def _slice_quad(S, theta, target, q):
@@ -266,18 +267,12 @@ def _slice_quad(S, theta, target, q):
 # POLAR2D
 
 
-_HINT_OFFSETS = np.concatenate([
-    [0.0], 10.0 ** -np.arange(1.0, 14.0), -(10.0 ** -np.arange(1.0, 14.0))])
-
-
 def _axis_hint_radii(theta, cos_ph, sin_ph, rho_max):
-    """Probe radii clustered where each ray crosses the shifted axis lines
-    x = theta_1 and y = theta_2; the unbounded q < 0 families have arms that
-    hug those lines at widths far below any uniform scan resolution."""
+    """Where each ray crosses the shifted axis lines x = theta_1, y = theta_2:
+    a coordinate there is 0 within rounding, inside every arm of the q < 0
+    and p <= 0 families, however far below the scan resolution it hugs."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        base = np.stack([theta[0] / cos_ph, theta[1] / sin_ph], axis=1)  # (m,2)
-    hints = base[:, :, None] + _HINT_OFFSETS[None, None, :]
-    hints = hints.reshape(base.shape[0], -1)
+        hints = np.stack([theta[0] / cos_ph, theta[1] / sin_ph], axis=1)
     bad = ~np.isfinite(hints) | (hints <= 0.0) | (hints >= rho_max)
     return np.where(bad, 0.0, hints)  # rho=0 duplicates are harmless
 
@@ -302,7 +297,7 @@ def _radial_mass_batch(S, theta, phis, rho_max):
 
     mass(phi) = sum over membership intervals [a,b] of the ray of
     exp(-a^2/2) - exp(-b^2/2); intervals located by a scan of _N_SCAN radii
-    (plus axis-line hint probes) in chunks of rays, then polished by one
+    (plus the two _axis_hint_radii) in chunks of rays, then polished by one
     vectorized bisection across the crossings of all chunks: one bisection
     per refinement level of _polar2d. Points are built coordinate-major
     (_ray_points), so membership reads each coordinate as one contiguous row.
@@ -339,40 +334,27 @@ def _radial_mass_batch(S, theta, phis, rho_max):
     return out
 
 
-def _composite_simpson(vals, h):
-    return h / 3.0 * (vals[0] + vals[-1]
-                      + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-1:2].sum())
-
-
 _POLAR_MAX_PANELS = 1 << 14
 
 
 def _polar2d(S, theta, target, q):
+    """Simpson on periodic data, S_n = (4 T_n - T_(n/2)) / 3, from the mean
+    radial masses T_n of n rays 2 pi i / n; a doubling adds the midpoint rays,
+    T_2n = (T_n + their mean) / 2, until two S agree. nodes: distinct rays."""
     rho_max = float(np.linalg.norm(theta)) + 40.0
-
-    n = 512  # panels; doubled until two refinements agree
-    phis = np.linspace(0.0, 2.0 * math.pi, n + 1)
-    vals = _radial_mass_batch(S, theta, phis, rho_max)
-    total_evals = phis.size
-    prev = None
+    n = 512
+    vals = _radial_mass_batch(S, theta, math.tau / n * np.arange(n), rho_max)
+    t_half, t_n = vals[::2].mean(), vals.mean()
+    value = (4.0 * t_n - t_half) / 3.0
     while True:
-        integral = _composite_simpson(vals, 2.0 * math.pi / n)
-        if prev is not None:
-            err = abs(integral - prev)
-            if (err <= 0.2 * target * max(integral, 1e-300)
-                    or n >= _POLAR_MAX_PANELS):
-                break
-        prev = integral
-        mids = np.linspace(0.0, 2.0 * math.pi, 2 * n + 1)[1::2]
-        mid_vals = _radial_mass_batch(S, theta, mids, rho_max)
-        total_evals += mids.size
-        merged = np.empty(2 * n + 1)
-        merged[0::2] = vals
-        merged[1::2] = mid_vals
-        vals, n = merged, 2 * n
-    value = integral / (2.0 * math.pi)
-    err = max(err / (2.0 * math.pi), 1e-15 * value)
-    return "POLAR2D", value, err, total_evals
+        mids = math.pi / n * np.arange(1, 2 * n, 2)
+        t_half, n = t_n, 2 * n
+        t_n = 0.5 * (t_n + _radial_mass_batch(S, theta, mids, rho_max).mean())
+        prev, value = value, (4.0 * t_n - t_half) / 3.0
+        err = abs(value - prev)
+        if err <= 0.2 * target * max(value, 1e-300) or n >= _POLAR_MAX_PANELS:
+            break
+    return "POLAR2D", value, max(err, 1e-15 * value), n
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ orbit-union sets hat-B (balls around the diagonal points a*g*1) and check-B
 Membership is exact and vectorized; a point on the defining boundary is a
 member (the sets are closed). Every member passes its family's outer bound
 (~2 ns/row): (p,q)-means lie between min_j |x_j| and max_j |x_j| and rise
-with q, so p- and pq-balls lie in {min_j |x_j| <= eps} and, for p > 0 <= q,
-in {max_j |x_j| <= k^(1/p) eps}; hat-B and check-B lie in
+with q, so p- and pq-balls lie in {min_j |x_j| <= eps} and, for q >= 0 and
+k^(1/p) <= 1e6, in {max_j |x_j| <= k^(1/p) eps}; hat-B and check-B lie in
 {max_j |x_j| <= a + k^(1/p) eps}. A cube, {max_j |x_j| <= a}, is its own.
 """
 
@@ -99,11 +99,16 @@ def scale(S, f):
     return replace(S, a=a, eps=eps)
 
 
+def bounded_root(k, p):
+    """Whether p > 0 and k^(1/p) <= 1e6. Past it the radial interpolants on
+    [0, k^(1/p) eps] stop resolving (k = 6, p = 0.1 read 1), then overflow."""
+    return p > math.log(k) / math.log(1e6)
+
+
 def _outer_bound(S, A):
     """Which columns of the (k, n) magnitudes A pass S's outer bound."""
     up = 1.0 + 1e-6  # no kernel rounding puts a member outside the bound
-    # k^(1/p), infinite where it would overflow
-    root = S.k ** (1.0 / S.p) if S.p > math.log(S.k) / 700.0 else math.inf
+    root = S.k ** (1.0 / S.p) if bounded_root(S.k, S.p) else math.inf
     if S.variant in ("hatb", "checkb"):
         return (A <= (S.a + root * S.eps) * up).all(axis=0)
     inside = (A <= S.eps * up).any(axis=0)

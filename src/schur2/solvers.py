@@ -8,13 +8,13 @@ strict monotonicity of the power curve in t.
 How c and t are found, past the closed forms (k = 1, p = 2, p = +-inf):
   - c at k = 2: M_p is 1-homogeneous, so the zero-shift tail is, in polar
     coordinates, (4/pi) int_0^(pi/4) exp(-c^2 / (2 M_p(cos, sin)^2)).
-  - c at k >= 3, finite p > 0: the root of G(k^(1/p) c) = 1 - alpha on the
-    last row of one zero-shift radial CDF G. Neither makes a measure call.
+  - c at k >= 3 if bounded_root(k, p): G(k^(1/p) c) = 1 - alpha on the last
+    row of one zero-shift radial CDF G. Neither makes a measure call.
   - deterministic paths (quadrature or closed-form power): Brent's method on
     the probit-transformed power Phi^-1(P(t)) - Phi^-1(beta), nearly linear
     in t, with every evaluation memoised.
-  - Monte Carlo paths (p <= 0 at k >= 3): bisection with a fixed seed at
-    every trial point: common random numbers, each chunk reduced once.
+  - Monte Carlo paths (the other finite p at k >= 3): bisection with a fixed
+    seed at every trial point: common random numbers, each chunk reduced once.
   - deterministic c is memoised per (k, p, alpha), so the directions of one
     design share a single solve.
 Both solvers use one monotone root finder for the bracket and its refinement.
@@ -32,7 +32,7 @@ from scipy.stats import chi2, ncx2
 from .gauss_measure import (GaussianShiftQuery, _profile, measure,
                             pball_radius_cdf)
 from .means import p_mean, p_mean_rows
-from .sets import complement, p_ball
+from .sets import bounded_root, complement, p_ball
 
 T_MAX = 1e3
 BRACKET_RTOL = 1e-7
@@ -65,6 +65,8 @@ class TestDesign:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be at least 1")
+        if math.isnan(self.p):
+            raise ValueError("p must not be NaN")
         if not 0.0 < self.alpha < self.beta < 1.0:
             raise ValueError("need 0 < alpha < beta < 1")
         u = np.asarray(self.u, dtype=float)
@@ -82,29 +84,30 @@ class ShiftSolution:
     norm: float
     achieved_power: float
     solver_error: float
+    target_met: bool  # every measure of the solve met its target
 
 
 def tail_probability(k, p, c, shift, *, seed=0, workers=1,
                      target_rel_error=None):
-    """P(<Z + shift>_p > c) with a propagated absolute error estimate: ncx2
-    at p = 2, else the measure of the ball's complement, on its small side.
-    Monte Carlo paths measure the ball, whose chunk p-means every c shares."""
+    """P(<Z + shift>_p > c), its absolute error and target_met: ncx2 at p = 2,
+    else the measure of the ball's complement, on its small side. Monte Carlo
+    paths measure the ball, whose chunk p-means every c shares."""
     s = np.asarray(shift, dtype=float)
     if p == 2.0:
-        return float(ncx2.sf(k * c * c, k, float(s @ s))), 0.0
+        return float(ncx2.sf(k * c * c, k, float(s @ s))), 0.0, True
     mc = _mc_path(k, p)
     S = p_ball(k, p, c)
     q = GaussianShiftQuery(set=S if mc else complement(S), shift=-s,
                            seed=seed, workers=workers,
                            target_rel_error=target_rel_error)
     est = measure(q)
-    return (1.0 - est.value if mc else est.value), est.abs_error
+    return 1.0 - est.value if mc else est.value, est.abs_error, est.target_met
 
 
 def _mc_path(k, p):
-    # PRODUCT_1D measures k = 1 and p = +-inf, SLICE_QUAD finite p > 0 and
-    # POLAR2D every k = 2 set; only finite p <= 0 at k >= 3 is Monte Carlo
-    return k >= 3 and math.isfinite(p) and p <= 0.0
+    # PRODUCT_1D measures k = 1 and p = +-inf, SLICE_QUAD finite p > 0 with
+    # k^(1/p) <= 1e6 and POLAR2D every k = 2 set; the rest is Monte Carlo
+    return k >= 3 and math.isfinite(p) and not bounded_root(k, p)
 
 
 def _monotone_root(h, x0, *, exact, xtol, rtol, steps=200, lo=None,
@@ -176,6 +179,8 @@ def _exact_critical_value(k, p, alpha):
     scale = k ** (1.0 / p)
     for n in (32, 64, 128, 256, 512):
         G = pball_radius_cdf(k, p, np.zeros(k), scale * m, n_nodes=n)
+        if float(G(scale * m)) < 1.0 - alpha:  # G is taken on its big side
+            raise ValueError(f"alpha = {alpha:g} is below what c resolves")
         c = brentq(lambda x: float(G(scale * x)) - (1.0 - alpha), 0.0, m,
                    xtol=1e-14)
         if n > 32 and abs(c - prev) <= _CV_RTOL * c:
@@ -190,6 +195,8 @@ def critical_value(k, p, alpha, *, seed=0, workers=1):
         raise ValueError("k must be at least 1")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
+    if math.isnan(p):
+        raise ValueError("p must not be NaN")
     if workers < 1:  # the closed forms build no query, which checks it too
         raise ValueError("workers must be at least 1")
     if k == 1:
@@ -227,7 +234,7 @@ def shift_solution(d: TestDesign, *, seed=0, workers=1, c=None):
     u = np.asarray(d.u, dtype=float)
     exact = not _mc_path(d.k, d.p)
     target = _QUAD_TARGET if exact else None
-    powers = {0.0: (d.alpha, 0.0)}  # t -> (power, abs error)
+    powers = {0.0: (d.alpha, 0.0, True)}  # t -> (power, abs error, met)
 
     def pw(t):
         if t not in powers:
@@ -251,10 +258,11 @@ def shift_solution(d: TestDesign, *, seed=0, workers=1, c=None):
     tol = 0.25 * BRACKET_RTOL if exact else BRACKET_RTOL
     t, t_err, found = _monotone_root(h, 1.0, lo=0.0, hi_max=T_MAX,
                                      exact=exact, xtol=tol, rtol=tol)
-    achieved, err = pw(t)
+    achieved, err, _ = pw(t)
+    met = all(m for _, _, m in powers.values())
     if not found:
         return ShiftSolution(False, math.nan, math.nan, achieved,
-                             max(err, 1e-12))
+                             max(err, 1e-12), met)
     solver_error = max(err, abs(achieved - d.beta), t_err)
     s_norm = t * float(np.linalg.norm(u))
-    return ShiftSolution(True, float(t), s_norm, achieved, solver_error)
+    return ShiftSolution(True, float(t), s_norm, achieved, solver_error, met)

@@ -177,20 +177,18 @@ def run_counterexample(cfg: CounterexampleConfig, *, seed=0, budget=400_000):
         p1 = vol / _ball_volume(3, R)
         err = qerr / _ball_volume(3, R) + 1e-12
     else:
-        # uniform ball sampling: Gaussian direction times U^{1/k} radius
+        # uniform draws U on the cube x1 + [-1, 1]^k: p1 = p0 P(|U| <= R),
+        # whose gap from p0 is the share of the cube outside the ball
         hits = 0
         n_chunks = max(1, budget // 65536)
         per = budget // n_chunks
         for c in range(n_chunks):
-            rng = chunk_rng(seed, c)
-            g = rng.standard_normal((per, k))
-            g /= np.linalg.norm(g, axis=1, keepdims=True)
-            pts = R * g * rng.random((per, 1)) ** (1.0 / k)
-            hits += int(np.count_nonzero(
-                np.all(np.abs(pts - cfg.x1) <= 1.0, axis=1)))
+            U = cfg.x1 + chunk_rng(seed, c).uniform(-1.0, 1.0, (per, k))
+            hits += int(np.count_nonzero((U * U).sum(axis=1) <= R * R))
         n = per * n_chunks
-        p1 = hits / n
-        err = 3.0 * math.sqrt(max(p1 * (1.0 - p1), 1e-12) / n)
+        f = hits / n
+        p1 = p0 * f
+        err = 3.0 * p0 * math.sqrt(max(f * (1.0 - f), 1e-12) / n)
     gap_ok = p0 - p1 > 5.0 * err
     passed = abs(containment) < 1e-9 and x1_maj and gap_ok
     return {"k": k, "epsilon": cfg.epsilon, "R": R, "r": r,

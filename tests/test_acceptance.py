@@ -148,7 +148,7 @@ def test_criterion_08_power_monotone_in_shift():
                 u = normalize_direction(rng.standard_normal(k))
                 vals, errs = [], []
                 for t in np.linspace(0.0, 3.0, 20):
-                    v, e = tail_probability(k, p, c, t * u, seed=11,
+                    v, e, _ = tail_probability(k, p, c, t * u, seed=11,
                                             target_rel_error=target)
                     vals.append(v)
                     errs.append(e)

@@ -85,7 +85,7 @@ def test_sweep_csv_columns():
     text = sweep_to_csv(rows)
     parsed = list(csv.DictReader(io.StringIO(text)))
     assert list(parsed[0]) == ["angle", "are", "abs_error", "s2_norm",
-                               "sp_norm", "exists_flag"]
+                               "sp_norm", "exists_flag", "target_met"]
     assert len(parsed) == 3
     assert float(parsed[0]["are"]) == 1.0
 

@@ -1,10 +1,13 @@
+import csv
+import dataclasses
 import hashlib
+import io
 import json
 import math
 
 import pytest
 
-from schur2 import cli, gauss_measure, verify
+from schur2 import cli, gauss_measure, solvers, verify
 from schur2.cli import main
 
 
@@ -55,6 +58,7 @@ def test_are_reference(capsys):
     code, out = run_cli(capsys, "are", "--k", "2", "--p", "1",
                         "--alpha", "0.05", "--beta", "0.95", "--u", "1,1")
     rec = json.loads(out)
+    assert code == 0 and rec["target_met"] is True
     assert rec["are"] == pytest.approx(1.0317, abs=0.003)
 
 
@@ -71,7 +75,8 @@ def test_sweep_csv_format(capsys):
     code, out = run_cli(capsys, "sweep", "--p", "2", "--alpha", "0.05",
                         "--beta", "0.9", "--angles", "3", "--format", "csv")
     lines = out.strip().splitlines()
-    assert lines[0] == "angle,are,abs_error,s2_norm,sp_norm,exists_flag"
+    assert lines[0] == ("angle,are,abs_error,s2_norm,sp_norm,exists_flag,"
+                        "target_met")
     assert len(lines) == 4
 
 
@@ -111,14 +116,70 @@ def test_figures_2_emits_four_measures(capsys):
 
 
 def test_figures_2_unmet_target_exits_2(capsys, monkeypatch):
-    # at 1024 panels the r = 1, pi/5 shift stops short of its 1e-4 target
-    # (it needs 4,097 angle evaluations)
+    # at 1024 rays the r = 1, pi/5 shift stops short of its 1e-4 target
+    # (it needs 4,096)
     monkeypatch.setattr(gauss_measure, "_POLAR_MAX_PANELS", 1024)
     code, out = run_cli(capsys, "figures", "--which", "2")
     assert code == 2
     rows = json.loads(out)
     assert len(rows) == 4
     assert [r["target_met"] for r in rows] == [False, True, True, True]
+
+
+def verdicts(out, fmt):
+    if fmt == "csv":
+        return [r["target_met"] == "True"
+                for r in csv.DictReader(io.StringIO(out))]
+    rows = json.loads(out)
+    return [r["target_met"] for r in (rows if isinstance(rows, list)
+                                      else [rows])]
+
+
+SOLVE = ("--alpha", "0.05", "--beta", "0.95")
+
+
+@pytest.mark.parametrize("argv", [
+    ("shift", "--k", "2", "--p", "1", *SOLVE, "--u", "1,1"),
+    ("are", "--k", "2", "--p", "1", *SOLVE, "--u", "1,1"),
+    ("sweep", "--p", "1.9", *SOLVE, "--angles", "2"),
+    ("sweep", "--p", "1.9", *SOLVE, "--angles", "2", "--format", "csv"),
+    ("figures", "--which", "4", "--angles", "2"),
+])
+def test_solver_commands_exit_2_on_a_missed_inner_target(capsys, monkeypatch,
+                                                          argv):
+    # each record prints the AND of the verdicts of its solve's measures
+    fmt = "csv" if "csv" in argv else "json"
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and all(verdicts(out, fmt))
+    monkeypatch.setattr(solvers, "measure", lambda q: dataclasses.replace(
+        gauss_measure.measure(q), target_met=False))
+    code, out = run_cli(capsys, *argv)
+    assert code == 2 and not any(verdicts(out, fmt))
+
+
+@pytest.mark.parametrize("argv, met", [
+    (("shift", "--k", "2", "--p", "-3", *SOLVE, "--u", "1,1"), [False]),
+    (("are", "--k", "2", "--p", "-3", *SOLVE, "--u", "1,1"), [False]),
+    # only the p = 0 row solves on POLAR2D; it misses 1e-7 without the cap
+    (("figures", "--which", "3"), [False] + [True] * 7),
+])
+def test_polar_panel_cap_reaches_the_exit_code(capsys, monkeypatch, argv,
+                                               met):
+    monkeypatch.setattr(gauss_measure, "_POLAR_MAX_PANELS", 1024)
+    code, out = run_cli(capsys, *argv)
+    assert code == 2 and verdicts(out, "json") == met
+
+
+@pytest.mark.parametrize("argv, msg", [
+    (("critical", "--k", "3", "--p", "1", "--alpha", "1e-12"), "below what"),
+    (("critical", "--k", "2", "--p", "nan", "--alpha", "0.05"), "p must not"),
+    (("shift", "--k", "2", "--p", "nan", *SOLVE, "--u", "1,1"), "p must not"),
+])
+def test_unresolvable_or_nan_inputs_are_usage_errors(capsys, argv, msg):
+    # scipy's root finders raised their own messages here
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and msg in err
 
 
 @pytest.mark.parametrize("check", ["rotation", "schur2"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -9,6 +10,9 @@ from scipy.special import loggamma
 from scipy.stats import chi2, norm
 
 from schur2 import gauss_measure, solvers
+from schur2.are_analysis import are
+from schur2.gauss_measure import GaussianShiftQuery, measure
+from schur2.sets import p_ball
 from schur2.solvers import (ShiftSolution, TestDesign, critical_value,
                             normalize_direction, shift_solution,
                             tail_probability)
@@ -60,7 +64,7 @@ def test_quadrature_critical_value_consistency():
     # the returned c must reproduce alpha through the measure engine
     for k, p in [(2, 1.0), (3, 3.0), (2, 0.0), (2, -1.0)]:
         c = critical_value(k, p, 0.05)
-        tail, err = tail_probability(k, p, c, np.zeros(k),
+        tail, err, _ = tail_probability(k, p, c, np.zeros(k),
                                      target_rel_error=1e-7)
         assert tail == pytest.approx(0.05, abs=max(1e-6, 3 * err))
 
@@ -244,7 +248,58 @@ def _mp_tail(c, shift):
     (2, math.inf, 3.0, (1.0, -0.5)),
 ])
 def test_tails_on_their_small_side(k, p, c, shift):
-    value, err = tail_probability(k, p, c, shift)
+    value, err, met = tail_probability(k, p, c, shift)
     want = _mp_tail(c, shift)
     assert abs(value - want) <= 1e-12 * want
     assert abs(value - want) <= err
+    assert met is True
+
+
+def test_solves_report_every_inner_verdict(monkeypatch):
+    # target_met is the AND of the measures a solve made; ncx2 counts as met
+    d = TestDesign(2, 1.0, 0.05, 0.95, tuple(normalize_direction([1.0, 1.0])))
+    assert tail_probability(2, 2.0, 1.5, (0.3, 0.1))[2] is True
+    assert shift_solution(d).target_met is True
+    assert are(d).target_met is True
+    orig = solvers.measure
+    monkeypatch.setattr(solvers, "measure", lambda q: dataclasses.replace(
+        orig(q), target_met=False))
+    assert tail_probability(2, 1.0, 1.5, (0.3, 0.1))[2] is False
+    assert shift_solution(d).target_met is False
+    assert are(d).target_met is False
+    p2 = dataclasses.replace(d, p=2.0)
+    assert shift_solution(p2).target_met is are(p2).target_met is True
+
+
+def test_tiny_positive_p_lies_between_its_neighbours():
+    # k^(1/p) overflowed (OverflowError); past k^(1/p) = 1e6, SLICE_QUAD and
+    # the radial c read 1.0 and 7e-15 at k = 3, p = 0.01. Such p goes where
+    # p <= 0 goes, and the p-mean rises with p, so the measure falls and c
+    # rises from p = 0 to the tiny p to p = 0.01
+    for k, p, method in [(2, 1e-4, "POLAR2D"), (3, 1e-3, "MC_PLAIN")]:
+        shift = (0.3, 0.5, 0.0)[:k]
+        lo, mid, hi = (measure(GaussianShiftQuery(set=p_ball(k, x, 1.0),
+                                                  shift=shift))
+                       for x in (0.01, p, 0.0))
+        assert mid.method == method and mid.target_met
+        assert (lo.value - 3.0 * (lo.abs_error + mid.abs_error) <= mid.value
+                <= hi.value + 3.0 * (hi.abs_error + mid.abs_error))
+    c = [critical_value(3, x, 0.05) for x in (0.0, 1e-3, 0.01)]
+    assert c[0] <= c[1] <= c[2] < 1.3
+    far = measure(GaussianShiftQuery(set=p_ball(6, 0.1, 1.0), shift=[0.0] * 6))
+    assert far.method == "MC_PLAIN" and 0.92 < far.value < 0.95
+    with pytest.raises(ValueError, match="cannot measure"):
+        measure(GaussianShiftQuery(set=p_ball(3, 0.05, 1.0), shift=(0.0,) * 3,
+                                   method="SLICE_QUAD"))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: critical_value(3, 1.0, 1e-12), "below what"),
+    (lambda: critical_value(3, 0.5, 1e-9), "below what"),
+    (lambda: critical_value(3, 2.5, 1e-10), "below what"),
+    (lambda: critical_value(2, math.nan, 0.05), "p must not be NaN"),
+    (lambda: TestDesign(2, math.nan, 0.05, 0.95, (1.0, 1.0)), "p must not"),
+])
+def test_usage_errors_say_what_is_wrong(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -149,6 +149,17 @@ def test_counterexample_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("k, eps", [(4, 0.3), (6, 0.5)])
+def test_counterexample_sampled_on_the_cube(k, eps):
+    # draws on the cube at x1 resolve the share of it outside the ball;
+    # draws on the ball read p_x1 = 0.004478 +- 3.2e-4 at k = 4 (failed)
+    # and p_x1 > p_x0 at k = 6
+    rep = run_counterexample(CounterexampleConfig(k, eps), seed=3)
+    assert rep["passed"]
+    assert rep["p_x0"] - rep["p_x1"] > 10.0 * rep["p_error"]
+    assert rep == run_counterexample(CounterexampleConfig(k, eps), seed=3)
+
+
 def test_empirical_size_gaussian():
     c = critical_value(2, 2.0, 0.05)
     rate, se = empirical_power(EmpiricalDesign(n=400, k=2, p=2.0, c=c,
