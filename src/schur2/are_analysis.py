@@ -35,7 +35,7 @@ class AreResult:
 def _s2_norm(k, alpha, beta):
     """||s_2|| depends only on alpha, beta, k (spherical symmetry): its
     square is the ncx2 noncentrality with power beta at k c_2^2."""
-    return math.sqrt(chndtrinc(chi2.ppf(1.0 - alpha, k), k, 1.0 - beta))
+    return math.sqrt(chndtrinc(chi2.isf(alpha, k), k, 1.0 - beta))
 
 
 def are(d: TestDesign, *, seed=0, workers=1) -> AreResult:

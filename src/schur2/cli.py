@@ -219,7 +219,7 @@ def build_parser():
     m.add_argument("--target", type=float, default=None,
                    help="target relative error")
     m.add_argument("--method", default=None,
-                   choices=["PRODUCT_1D", "SLICE_QUAD", "POLAR2D",
+                   choices=["PRODUCT_1D", "SLICE_QUAD", "SEP", "POLAR2D",
                             "MC_PLAIN", "MC_IMPORTANCE", "MC"])
     _add_common(m)
     m.set_defaults(fn=cmd_measure)

@@ -11,7 +11,9 @@ bar, and measure alone judges target_met from them.
                 are Chebyshev interpolants, the last runs at the one radius
                 k^(1/p) eps on two quadrature rules whose gap is its bar, and
                 every shift shares one radii profile per p and rule
-  POLAR2D       any set at k = 2: periodic Simpson over n distinct rays from
+  SEP           the other sets at k = 2 of finite exponents: the integral
+                over |Y_1| of Y_2's mass in the set's slice, cut at its kinks
+  POLAR2D       any set at k = 2, forced: periodic Simpson over n rays from
                 two running trapezoid means, each ray's radial integral in
                 closed form on its membership intervals, found by a scan, the
                 ray's two axis crossings and one bisection per level
@@ -52,7 +54,8 @@ class MeasureEstimate:
     value: float
     abs_error: float
     rel_error: float
-    method: str  # PRODUCT_1D | SLICE_QUAD | POLAR2D | MC_PLAIN | MC_IMPORTANCE
+    method: str  # PRODUCT_1D | SLICE_QUAD | SEP | POLAR2D | MC_PLAIN
+    #              | MC_IMPORTANCE
     samples_or_nodes: int
     seed: int = None
     wall_ms: float = 0.0
@@ -261,6 +264,129 @@ def _slice_quad(S, theta, target, q):
         prev = val
     err = gap + abs(val - float(G(w_eval, halves=True)))
     return "SLICE_QUAD", 1.0 - val if comp else val, max(err, 1e-15), rows
+
+
+# ---------------------------------------------------------------------------
+# SEP
+
+
+def _solve(H, dH, c, lo, hi):
+    """Roots in [lo, hi] of H = c, H monotone there, or an end if c is out
+    of range: Newton on log(H / c), or asinh(H) if H changes sign, bisecting
+    when a step leaves the bracket, to a step or H - c at rounding level."""
+    h_lo, h_hi = H(lo), H(hi)
+    s, log = 1.0 if h_hi > h_lo else -1.0, (h_lo > 0.0) == (h_hi > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.where(s * c > s * h_lo, hi, lo)
+        i = np.flatnonzero((s * c > s * h_lo) & (s * c < s * h_hi))
+        a, b, c, v = lo, hi, c[i], np.full(i.size, np.clip(0.0, lo, hi))
+        for _ in range(100):
+            h = H(v)
+            a, b = np.where(s * h < s * c, v, a), np.where(s * h < s * c, b, v)
+            vn = v - (np.log(h / c) * h if log else np.hypot(1.0, h) * (
+                np.arcsinh(h) - np.arcsinh(c))) / dH(v)
+            vn = np.where((a <= vn) & (vn <= b), vn, 0.5 * (a + b))
+            done = ((abs(vn - v) <= 1e-15 * (1.0 + abs(v)))
+                    | (abs(h - c) <= 1e-15 * abs(c)))
+            x[i[done]] = vn[done]
+            i, a, b, c, v = (z[~done] for z in (i, a, b, c, vn))
+            if not i.size:
+                break
+        x[i] = v
+    return x
+
+
+def _sep_set(S, xb):
+    """(slices, cuts, reach) at k = 2 (README, SEP): slices(y) = (a1, b1, a2,
+    b2) puts (y, x) in the set for |x| in [a1, b1] u [a2, b2], in its
+    complement for the rest of [0, b2]; smooth between the cuts, which
+    include where a slice end crosses xb, and empty past reach."""
+    inf, eps, x = np.inf, S.eps, (lambda v: S.eps * np.exp(v))
+    if S.variant in ("hatb", "checkb"):
+        p, a, hatb = S.p, S.a, S.variant == "hatb"
+        d = lambda y: eps * np.maximum(  # ||x| - a| <= d(y) on the ball
+            2.0 - (abs(y - a) / eps) ** p, 0.0) ** (1.0 / p)
+        X = np.r_[0.0, a, xb] if hatb else a + np.r_[0.0, xb]
+        cuts = np.r_[a, a - d(X), a + d(X)]  # an end meets X (check-B: X-a)
+        if hatb:
+            return (lambda y: (np.maximum(a - d(y), 0.0), a + d(y), inf, inf)
+                    ), cuts, a + d(a)
+        f = lambda y: y**p + abs(y - a) ** p  # = 2 eps^p where d(y) = y
+        df = lambda y: p * (y**(p - 1) + np.sign(y - a) * abs(y - a)**(p - 1))
+        c = np.array([2.0 * eps**p])
+        cuts = np.r_[cuts, xb, _solve(f, df, c, 0.0, 0.5 * a),
+                     _solve(f, df, c, 0.5 * a, a + d(a))]
+        return (lambda y: (0.0, np.minimum(y, d(y)), y, y)), cuts, a + d(a)
+    p, q = sorted((S.p, S.q or 0.0))[::-1]  # a p-ball is the (p, 0)-ball
+    H = ((lambda v: v * np.exp(p * v)) if p == q else
+         (lambda v: np.exp(p * v) - np.exp(q * v)))
+    dH = ((lambda v: (p * v + 1.0) * np.exp(p * v)) if p == q else
+          (lambda v: p * np.exp(p * v) - q * np.exp(q * v)))
+    lo, hi = -600.0 / (abs(q) or p or 1.0), 600.0 / (abs(p) or -q or 1.0)
+    vs = lo if p * q <= 0.0 else (  # where H turns
+        math.log(q / p) / (p - q) if p != q else -1.0 / p)
+    root = lambda c, lo, hi: x(_solve(H, dH, c, lo, hi))
+
+    def slices(y):
+        u, r = np.log(y / eps), p + q
+        if p * q == 0.0:
+            return 0.0, x(np.log1p(np.maximum(-np.expm1(r * u), -1.0)) / r
+                          if r else -u), inf, inf
+        x_lo, x_hi = root(-H(u), lo, vs), root(-H(u), vs, hi)
+        return (x_lo, x_hi, inf, inf) if p > 0.0 else (0.0, x_lo, x_hi, inf)
+    # -H(u) meets H at v*, at the ends of its range, at 0 and at x in xb
+    with np.errstate(over="ignore"):
+        c = -H(np.r_[lo, vs, hi, 0.0, np.log(xb / eps)])
+        up = root(c, vs, hi)
+        cuts = np.r_[root(c, lo, vs), up]
+    return slices, cuts[cuts > x(lo)], up[1] if p > 0.0 else inf
+
+
+def _sep(S, theta, target, q):
+    """int_0^Y g(y) m(y) dy, g the density of |Y_1| at the larger shift, m
+    the N(theta_2, 1) mass of the slice at y, on both rules of _mesh between
+    cuts at the slices' kinks and across |theta_1| + _BAND; check-B sums it
+    over the largest coordinate. Bar: the rules' gap, ndtr's rounding (as
+    in _product_1d) and the mass past Y."""
+    S, comp = _uncomplement(S)
+    t = np.sort(np.abs(theta))[::-1]  # every symmetry image: the same bits
+    checkb = S.variant == "checkb"
+    value = err = nodes = 0
+    for t_out, t_in in (t, t[::-1])[:1 + checkb]:
+        xb = t_in + _BAND
+        slices, cuts, reach = _sep_set(S, xb[xb > 0.0])
+        Y = min(reach, t[0] + 14.0)
+        bp = np.unique(np.clip(np.r_[0.0, Y, cuts, t_out + _BAND], 0.0, Y))
+        bp = np.unique(bp[:-1, None] + np.diff(bp)[:, None] * _BP)
+        rules = []
+        for y, w, _ in (_mesh(1.0, bp, False), _mesh(1.0, bp, True)):
+            with np.errstate(divide="ignore", over="ignore"):  # ends at inf
+                a1, b1, a2, b2 = slices(y)
+            m = e = 0.0
+            parts = ((0.0, a1), (b1, a2)) if comp else ((a1, b1), (a2, b2))
+            for lo, hi in parts:  # slabs of |Y_2|, each on its small side
+                if np.any(np.less(lo, hi)):  # ndtr is most of the cost
+                    z = np.stack(np.broadcast_arrays(
+                        lo - t_in, hi - t_in, -hi - t_in, -lo - t_in))
+                    z[:2] = np.where(z[0] > 0.0, -z[1::-1], z[:2])
+                    N = ndtr(z)
+                    m = m + N[1] - N[0] + N[3] - N[2]
+                    e = e + (N * (1 + np.clip(z, -40, 0) ** 2 / 16)).sum(0)
+            g = w * (_npdf(y - t_out) + _npdf(y + t_out))
+            e = e + (1.0 + (y - t_out) ** 2 / 16.0) * m  # and g's rounding
+            rules.append((g @ m, 1e-14 * g @ e, y.size))
+        (v1, e1, n), (v2, _, _) = rules
+        value, err, nodes = value + v1, err + abs(v1 - v2) + e1, nodes + n
+    o = ndtr(t - Y) + ndtr(-t - Y)  # P(|Y_j| > Y), all in the complement
+    tail = o[0] + o[1] - o[0] * o[1] if checkb else o[0]
+    rounding = 1e-14 * (1.0 + max((Y - t) ** 2) / 16.0)  # ndtr's, as above
+    err += ((Y < reach) + comp * rounding) * tail
+    return "SEP", value + comp * tail, err, nodes
+
+
+def _sep_capable(S):
+    S = _uncomplement(S)[0]  # every k = 2 family of finite exponents
+    return S.k == 2 and S.variant != "cube" and math.isfinite(S.p + (S.q or 0))
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +625,7 @@ def _mc(S, theta, target, q):
 _ENGINES = (
     (("PRODUCT_1D",), 1e-4, _product_capable, _product_1d),
     (("SLICE_QUAD",), 1e-4, _slice_capable, _slice_quad),
+    (("SEP",), 1e-4, _sep_capable, _sep),
     (("POLAR2D",), 1e-4, lambda S: S.k == 2, _polar2d),
     (("MC", "MC_PLAIN", "MC_IMPORTANCE"), 1e-2, lambda S: True, _mc),
 )

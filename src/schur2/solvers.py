@@ -106,7 +106,7 @@ def tail_probability(k, p, c, shift, *, seed=0, workers=1,
 
 def _mc_path(k, p):
     # PRODUCT_1D measures k = 1 and p = +-inf, SLICE_QUAD finite p > 0 with
-    # k^(1/p) <= 1e6 and POLAR2D every k = 2 set; the rest is Monte Carlo
+    # k^(1/p) <= 1e6 and SEP every other k = 2 ball; the rest is Monte Carlo
     return k >= 3 and math.isfinite(p) and not bounded_root(k, p)
 
 
@@ -199,14 +199,15 @@ def critical_value(k, p, alpha, *, seed=0, workers=1):
         raise ValueError("p must not be NaN")
     if workers < 1:  # the closed forms build no query, which checks it too
         raise ValueError("workers must be at least 1")
+    # closed forms on their small side: tail quantiles, never 1 - alpha
     if k == 1:
-        return float(ndtri(1.0 - alpha / 2.0))
+        return float(-ndtri(alpha / 2.0))
     if p == 2.0:
-        return _chi2_guess(k, alpha)
-    if p == math.inf:
-        return float(ndtri(0.5 * (1.0 + (1.0 - alpha) ** (1.0 / k))))
-    if p == -math.inf:
-        return float(ndtri(1.0 - alpha ** (1.0 / k) / 2.0))
+        return math.sqrt(chi2.isf(alpha, k) / k)
+    if p == math.inf:  # every |Z_j| <= c with probability 1 - alpha
+        return float(-ndtri(-0.5 * math.expm1(math.log1p(-alpha) / k)))
+    if p == -math.inf:  # every |Z_j| > c with probability alpha
+        return float(-ndtri(0.5 * math.exp(math.log(alpha) / k)))
     if not _mc_path(k, p):
         return _exact_critical_value(k, p, alpha)
 

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from schur2.are_analysis import (are, are_direction_sweep, are_extremes,
-                                 are_limit_trend, duality_partner,
-                                 sweep_to_csv)
+from schur2.are_analysis import (_s2_norm, are, are_direction_sweep,
+                                 are_extremes, are_limit_trend,
+                                 duality_partner, sweep_to_csv)
 from schur2 import solvers
 from schur2.solvers import TestDesign, normalize_direction
 
@@ -112,22 +112,24 @@ def test_nonexistent_shift_gives_zero():
 
 def test_are_bits_pinned():
     # (are, error, sp_norm) recorded bit for bit once ||s_2|| came from the
-    # ncx2 quantile and c at k = 2 from the polar tail; each ARE must lie
-    # within three times the summed error bars of the one recorded before
-    # (old are, error), when ||s_2|| was a Brent root with its own error
+    # ncx2 quantile at chi2.isf(alpha) (the last bits of are and error moved
+    # from chi2.ppf(1 - alpha); sp_norm kept its bits) and c at k = 2 from
+    # the polar tail; each ARE must lie within three times the summed error
+    # bars of the one recorded before (old are, error), when ||s_2|| was a
+    # Brent root with its own error
     cases = [
-        (2, 0.5, [1.0, 0.4], ("0x1.85af10a7ea593p-1", "0x1.3750f7716f0ddp-25",
+        (2, 0.5, [1.0, 0.4], ("0x1.85af10a7ea594p-1", "0x1.3750f7716f0dep-25",
                               "0x1.04f565104fc27p+2"),
          ("0x1.85af10a65a8f0p-1", "0x1.3d2dbabcd4db4p-24")),
-        (2, 3.0, [1.0, 0.4], ("0x1.fbe8926a8cb52p-1", "0x1.a4914cbaad4dap-25",
+        (2, 3.0, [1.0, 0.4], ("0x1.fbe8926a8cb55p-1", "0x1.a4914cbaad4dcp-25",
                               "0x1.c92819af8383bp+1"),
          ("0x1.fbe8926883a09p-1", "0x1.a4ceae0259c12p-24")),
-        (3, 1.5, [1.0, 0.5, -0.2], ("0x1.f6954cd05c352p-1",
-                                    "0x1.625e132bf5758p-25",
+        (3, 1.5, [1.0, 0.5, -0.2], ("0x1.f6954cd05c350p-1",
+                                    "0x1.625e132bf5756p-25",
                                     "0x1.e659880d7b53bp+1"),
          ("0x1.f6954ccf16409p-1", "0x1.62e2836b391adp-24")),
-        (3, 4.0, [1.0, 0.5, -0.2], ("0x1.f28b616cfb64ap-1",
-                                    "0x1.5f139f7ec3f2fp-25",
+        (3, 4.0, [1.0, 0.5, -0.2], ("0x1.f28b616cfb648p-1",
+                                    "0x1.5f139f7ec3f2ep-25",
                                     "0x1.e850d42a2bc14p+1"),
          ("0x1.f28b616bb80ebp-1", "0x1.5fcfb808ec8c6p-24")),
     ]
@@ -154,10 +156,11 @@ def _mp_s2_norm(k, alpha, beta):
                 total, j = total + term, j + 1
             return total
 
-        x = mpmath.findroot(lambda x: cdf(x, 0) - (1 - mpmath.mpf(alpha)),
-                            chi2.ppf(1.0 - alpha, k))
+        x = mpmath.findroot(lambda x: mpmath.gammainc(
+            half, x / 2, mpmath.inf, regularized=True) - alpha,
+            chi2.isf(alpha, k))
         lam = mpmath.findroot(lambda lam: cdf(x, lam) - (1 - mpmath.mpf(beta)),
-                              10.0)
+                              (mpmath.mpf(0), 4 * x + 40), solver="illinois")
         return mpmath.sqrt(lam)
 
 
@@ -172,3 +175,11 @@ def test_s2_norm_matches_oracles(k, alpha, beta):
     sol = solvers.shift_solution(design(k, 2.0, np.ones(k), alpha=alpha,
                                         beta=beta))
     assert abs(sol.norm - r.s2_norm) <= sol.solver_error
+
+
+@pytest.mark.parametrize("k, alpha", [(2, 1e-20), (3, 1e-30)])
+def test_s2_norm_takes_the_small_side(k, alpha):
+    # chi2.ppf(1 - alpha) is inf below alpha ~ 1.1e-16; chi2.isf(alpha) is
+    # not
+    want = _mp_s2_norm(k, alpha, 0.5)
+    assert abs(_s2_norm(k, alpha, 0.5) - want) <= 1e-12 * want

@@ -115,10 +115,21 @@ def test_figures_2_emits_four_measures(capsys):
     assert near[round(math.pi / 20, 3)] == pytest.approx(0.5268, abs=5e-4)
 
 
+def sep_misses(monkeypatch, shifts=None):
+    """Make SEP report a bar as large as its value, a missed target, at the
+    given shifts (all if None)."""
+    def run(S, theta, target, q, sep=gauss_measure._sep):
+        method, value, err, nodes = sep(S, theta, target, q)
+        miss = shifts is None or tuple(q.shift) in shifts
+        return method, value, value if miss else err, nodes
+    monkeypatch.setattr(gauss_measure, "_ENGINES", tuple(
+        (m, t, c, run if m == ("SEP",) else r)
+        for m, t, c, r in gauss_measure._ENGINES))
+
+
 def test_figures_2_unmet_target_exits_2(capsys, monkeypatch):
-    # at 1024 rays the r = 1, pi/5 shift stops short of its 1e-4 target
-    # (it needs 4,096)
-    monkeypatch.setattr(gauss_measure, "_POLAR_MAX_PANELS", 1024)
+    # a miss at the r = 1, pi/5 shift alone reaches the exit code
+    sep_misses(monkeypatch, [(math.cos(math.pi / 5), math.sin(math.pi / 5))])
     code, out = run_cli(capsys, "figures", "--which", "2")
     assert code == 2
     rows = json.loads(out)
@@ -160,14 +171,23 @@ def test_solver_commands_exit_2_on_a_missed_inner_target(capsys, monkeypatch,
 @pytest.mark.parametrize("argv, met", [
     (("shift", "--k", "2", "--p", "-3", *SOLVE, "--u", "1,1"), [False]),
     (("are", "--k", "2", "--p", "-3", *SOLVE, "--u", "1,1"), [False]),
-    # only the p = 0 row solves on POLAR2D; it misses 1e-7 without the cap
+    # only the p = 0 row solves on SEP
     (("figures", "--which", "3"), [False] + [True] * 7),
 ])
-def test_polar_panel_cap_reaches_the_exit_code(capsys, monkeypatch, argv,
-                                               met):
-    monkeypatch.setattr(gauss_measure, "_POLAR_MAX_PANELS", 1024)
+def test_sep_miss_reaches_the_exit_code(capsys, monkeypatch, argv, met):
+    sep_misses(monkeypatch)
     code, out = run_cli(capsys, *argv)
     assert code == 2 and verdicts(out, "json") == met
+
+
+@pytest.mark.parametrize("argv", [
+    ("figures", "--which", "3"),
+    ("shift", "--k", "2", "--p", "0", *SOLVE, "--u", "1,1"),
+])
+def test_p0_solves_meet_their_targets(capsys, argv):
+    # their p = 0 tails come from SEP, which meets the solvers' 1e-7
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and all(verdicts(out, "json"))
 
 
 @pytest.mark.parametrize("argv, msg", [
@@ -184,7 +204,7 @@ def test_unresolvable_or_nan_inputs_are_usage_errors(capsys, argv, msg):
 
 @pytest.mark.parametrize("check", ["rotation", "schur2"])
 def test_verify_report_on_a_polar_set_is_json(capsys, check):
-    # POLAR2D sums numpy floats; every pair verdict must still print as JSON
+    # SEP sums numpy floats; every pair verdict must still print as JSON
     code, out = run_cli(capsys, "verify", check, "--set",
                         "pqball:p=1,q=0,eps=1", "--points", "2")
     rep = json.loads(out)

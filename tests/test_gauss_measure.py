@@ -149,8 +149,8 @@ def test_method_agreement_slice_polar_mc():
     S = p_ball(2, 1.0, 1.0)
     theta = [0.8, 0.3]
     ests = [mz(S, theta, method=m, target_rel_error=t, seed=7)
-            for m, t in [("SLICE_QUAD", 1e-8), ("POLAR2D", 1e-6),
-                         ("MC_PLAIN", 1e-3)]]
+            for m, t in [("SLICE_QUAD", 1e-8), ("SEP", 1e-8),
+                         ("POLAR2D", 1e-6), ("MC_PLAIN", 1e-3)]]
     ref = ests[0]
     for e in ests[1:]:
         tol = 3 * (ref.abs_error + e.abs_error)
@@ -405,7 +405,8 @@ def test_deterministic_bits_pinned():
     # cancellation of each slab; test_product_1d_matches_mpmath checks them.
     # The POLAR2D rows were recorded once it took periodic Simpson from two
     # trapezoid means and probed only the two axis crossings of each ray;
-    # its nodes count distinct rays
+    # its nodes count distinct rays. SEP measures them automatically now, so
+    # they force POLAR2D
     cases = [
         (cube(3, 1.0), (0.3, -0.7, 2.0), None,
          ("PRODUCT_1D", "0x1.e88c1b47e746ep-5", "0x1.1a14fdd289c76p-48", 6)),
@@ -426,7 +427,8 @@ def test_deterministic_bits_pinned():
          ("POLAR2D", "0x1.d200fcb34f5dbp-2", "0x1.2a3fb94c00000p-21", 8192)),
     ]
     for S, shift, target, want in cases:
-        est = mz(S, shift, target_rel_error=target)
+        est = mz(S, shift, target_rel_error=target,
+                 method="POLAR2D" if want[0] == "POLAR2D" else None)
         got = (est.method, est.value.hex(), est.abs_error.hex(),
                est.samples_or_nodes)
         assert got == want
@@ -542,6 +544,9 @@ def test_mc_without_member_point_is_not_exact(S, shift):
     (p_ball(2, 1.0, 1.0), (0.5, 0.2), "PRODUCT_1D"),
     (p_ball(3, 0.0, 1.0), (0.5, 0.2, 0.1), "POLAR2D"),
     (p_ball(2, 1.0, 1.0), (0.5, 0.2), "BOGUS"),
+    (p_ball(3, 0.0, 1.0), (0.5, 0.2, 0.1), "SEP"),
+    (cube(2, 1.0), (0.5, 0.2), "SEP"),
+    (pq_ball(2, math.inf, 1.0, 1.0), (0.5, 0.2), "SEP"),
 ])
 def test_forced_method_must_be_capable(S, shift, method):
     # a forced engine that cannot measure the set must not return a value
@@ -567,21 +572,28 @@ def test_polar_reports_missed_target(monkeypatch):
     assert met.target_met is True
 
 
-def test_polar_bar_covers_check_b_oracle():
-    # four disjoint l^1.5 balls of radius (2 eps^p)^(1/p) around theta +
-    # (+-1, 0) and theta + (0, +-1), each a 1-D mpmath integral; with 54
-    # offset probes a ray, POLAR2D read 0.16372631 +- 1.8e-7, 2.2x off
-    theta = 2.0 * np.array([math.cos(math.pi / 5), math.sin(math.pi / 5)])
+def _mp_disjoint_check_b(p, a, eps, theta):
+    """Check-B at k = 2 when its four l^p balls of radius (2 eps^p)^(1/p)
+    around (+-a, 0) and (0, +-a) are disjoint: a sum of four 1-D mpmath
+    integrals of chords."""
     with mpmath.workdps(20):
-        p, want = mpmath.mpf(1.5), 0
-        r = (2 * mpmath.mpf(0.45) ** p) ** (1 / p)
-        for cx, cy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        p, want = mpmath.mpf(p), 0
+        r = (2 * mpmath.mpf(eps) ** p) ** (1 / p)
+        for cx, cy in ((a, 0), (-a, 0), (0, a), (0, -a)):
             def chord(u, x=cx + theta[0], y=cy + theta[1]):
                 h = (r ** p - abs(u) ** p) ** (1 / p)
                 return mpmath.npdf(x + u) * (mpmath.ncdf(y + h)
                                              - mpmath.ncdf(y - h))
             want += mpmath.quad(chord, [-r, 0, r])
-    est = mz(check_b(2, 1.5, 1.0, 0.45), theta)
+        return want
+
+
+def test_polar_bar_covers_check_b_oracle():
+    # with 54 offset probes a ray, POLAR2D read 0.16372631 +- 1.8e-7, 2.2x
+    # off; SEP measures this set automatically now, so POLAR2D is forced
+    theta = 2.0 * np.array([math.cos(math.pi / 5), math.sin(math.pi / 5)])
+    want = _mp_disjoint_check_b(1.5, 1.0, 0.45, theta)
+    est = mz(check_b(2, 1.5, 1.0, 0.45), theta, method="POLAR2D")
     assert est.method == "POLAR2D" and est.target_met
     assert abs(est.value - float(want)) <= est.abs_error
 
@@ -590,7 +602,8 @@ def test_polar_bits_pinned():
     # (method, value, abs_error, nodes) recorded bit for bit once POLAR2D
     # took periodic Simpson from two trapezoid means and probed only the two
     # axis crossings of each ray; each lies within its bar of the value
-    # before. The far q < 0 shift runs the axis hints and the far tail
+    # before. The far q < 0 shift runs the axis hints and the far tail.
+    # SEP measures these sets automatically now, so POLAR2D is forced
     far = tuple(11.0 * np.array([math.cos(math.pi / 20),
                                  math.sin(math.pi / 20)]))
     cases = [
@@ -604,7 +617,130 @@ def test_polar_bits_pinned():
          ("POLAR2D", "0x1.16ff81a658513p-1", "0x1.2a3fb94c00000p-21", 8192)),
     ]
     for S, shift, want in cases:
-        est = mz(S, shift)
+        est = mz(S, shift, method="POLAR2D")
         got = (est.method, est.value.hex(), est.abs_error.hex(),
                est.samples_or_nodes)
         assert got == want
+
+
+def _mp_pq_polar(p, q, eps, theta):
+    """P(Z - theta in the (p, q)-ball) at k = 2 in polar coordinates: M_(p,q)
+    is 1-homogeneous, so the ball is rho <= eps / M(cos phi, sin phi) and
+    each ray's Gaussian mass is a closed form; an integration order SEP
+    does not use."""
+    with mpmath.workdps(20):
+        p, q, eps = mpmath.mpf(p), mpmath.mpf(q), mpmath.mpf(eps)
+        t1, t2 = map(mpmath.mpf, theta)
+
+        def M(a):  # the (p, q)-mean of the magnitudes a
+            if p == q == 0:
+                return mpmath.sqrt(a[0] * a[1])
+            if p == q:
+                w = [x ** p for x in a]
+                return mpmath.exp(sum(wi * mpmath.log(x)
+                                      for wi, x in zip(w, a)) / sum(w))
+            s = lambda e: 2 if e == 0 else sum(x ** e for x in a)
+            return (s(p) / s(q)) ** (1 / (p - q))
+
+        def ray(phi):
+            c, s = mpmath.cos(phi), mpmath.sin(phi)
+            m, u = M([abs(c), abs(s)]), c * t1 + s * t2
+            far = mpmath.exp(-(eps / m - u) ** 2 / 2) if m > 0 else 0
+            R = eps / m if m > 0 else mpmath.inf
+            return (mpmath.exp(-(t1 ** 2 + t2 ** 2 - u ** 2) / 2)
+                    * (mpmath.exp(-u ** 2 / 2) - far + u * mpmath.sqrt(
+                        2 * mpmath.pi) * (mpmath.ncdf(R - u)
+                                          - mpmath.ncdf(-u)))
+                    / (2 * mpmath.pi))
+        return mpmath.quad(ray, [i * mpmath.pi / 4 for i in range(9)])
+
+
+def _mp_hat_b(p, a, eps, theta):
+    """hat-B at k = 2 as a 1-D mpmath integral over |Y_1| of the N(theta_2,
+    1) mass of ||x| - a| <= (2 eps^p - ||y| - a|^p)^(1/p)."""
+    with mpmath.workdps(20):
+        p, a, eps = map(mpmath.mpf, (p, a, eps))
+        t1, t2 = map(mpmath.mpf, theta)
+        r, e = 2 ** (1 / p) * eps, 2 * eps ** p - a ** p
+
+        def f(y):
+            D = 2 * eps ** p - abs(y - a) ** p
+            d = D ** (1 / p) if D > 0 else 0
+            lo, hi = max(a - d, 0), a + d
+            return ((mpmath.npdf(y - t1) + mpmath.npdf(y + t1))
+                    * (mpmath.ncdf(hi - t2) - mpmath.ncdf(lo - t2)
+                       + mpmath.ncdf(-lo - t2) - mpmath.ncdf(-hi - t2)))
+        pts = {0, a, a - r, a + r} | ({a - e ** (1 / p), a + e ** (1 / p)}
+                                      if e > 0 else set())
+        return mpmath.quad(f, sorted(x for x in pts if 0 <= x <= a + r))
+
+
+_R1, _R2 = math.pi / 16, math.pi / 5
+_HAT = hat_b(2, 4.5, 1.0, 2.0 ** (-1.0 / 4.5) + 0.01)  # the figure-1 hat-B
+
+
+def _at(r, t):
+    return (r * math.cos(t), r * math.sin(t))
+
+
+@pytest.mark.parametrize("S, shift, oracle", [
+    # the 1 - 4.5 bars POLAR2D missed by: near pq(0.7, 0.7), mid hat-B, far
+    # check-B; both polar and Cartesian mpmath orders give 0.19328412451909
+    (pq_ball(2, 0.7, 0.7, 1.0), _at(2.0, _R2),
+     lambda th: _mp_pq_polar(0.7, 0.7, 1.0, th)),
+    (_HAT, _at(3.0, _R2), lambda th: _mp_hat_b(4.5, 1.0, _HAT.eps, th)),
+    (check_b(2, 1.5, 1.0, 0.45), _at(2.0, _R2),
+     lambda th: _mp_disjoint_check_b(1.5, 1.0, 0.45, th)),
+    (check_b(2, 1.5, 1.0, 0.45), _at(8.0, _R2),
+     lambda th: _mp_disjoint_check_b(1.5, 1.0, 0.45, th)),
+    # the l^1 ball of radius 2 is a square turned by pi/4: a product of two
+    # slabs in the turned coordinates
+    (pq_ball(2, 1.0, 0.0, 1.0), _at(12.0, _R1), lambda th: mpmath.fprod(
+        mpmath.ncdf(mpmath.sqrt(2) - m) - mpmath.ncdf(-mpmath.sqrt(2) - m)
+        for m in ((th[0] + th[1]) / mpmath.sqrt(2),
+                  (th[0] - th[1]) / mpmath.sqrt(2)))),
+    # a maximum of h: slices [0, x_lo] u [x_hi, inf)
+    (pq_ball(2, -1.0, -3.0, 1.0), (0.8, 0.5),
+     lambda th: _mp_pq_polar(-1.0, -3.0, 1.0, th)),
+    (pq_ball(2, -0.5, -0.5, 1.0), (1.2, -0.3),
+     lambda th: _mp_pq_polar(-0.5, -0.5, 1.0, th)),
+    (p_ball(2, 0.0, 1.0), (1.0, 0.6), lambda th: _mp_pq_polar(0, 0, 1.0, th)),
+    (p_ball(2, -3.0, 1.2), (-1.0, -1.0),
+     lambda th: _mp_pq_polar(0.0, -3.0, 1.2, th)),
+    (p_ball(2, 1e-4, 1.0), (-3.9, -0.9),
+     lambda th: _mp_pq_polar(1e-4, 0.0, 1.0, th)),
+    # slice ends sweep across the density of Y_2 within 0.3 of |Y_1|
+    (pq_ball(2, 0.3, -2.0, 0.5), (1.5, 0.4),
+     lambda th: _mp_pq_polar(0.3, -2.0, 0.5, th)),
+    (hat_b(2, 1.0, 0.5, 1.0), (1.3, -3.8),
+     lambda th: _mp_hat_b(1.0, 0.5, 1.0, th)),
+    # overlapping balls: the slice [0, min(y, d(y))] has kinks where d = y.
+    # 0.629656414569122 is the mpmath integral over x_1 of the union of the
+    # four balls' slices in |x_2|, cut where they meet or vanish
+    (check_b(2, 2.0, 0.5, 1.0), (1.1, 0.3), lambda th: 0.629656414569122),
+])
+def test_sep_covers_oracles(S, shift, oracle):
+    # SEP measures every k = 2 set off PRODUCT_1D and SLICE_QUAD; the set
+    # and its complement must each meet the default target with a bar that
+    # covers an oracle computed another way
+    want = oracle(shift)
+    for T, w in ((S, want), (complement(S), 1 - want)):
+        est = mz(T, shift)
+        assert est.method == "SEP" and est.target_met
+        assert abs(est.value - float(w)) <= est.abs_error
+
+
+def test_sep_bits_agree_on_every_symmetry_image():
+    # every family is invariant under the 8 signed permutations of the
+    # plane, and SEP sorts |theta|, so each image gives the same bits
+    for S, shift in [(pq_ball(2, 2.0, -0.4, 1.0), _at(11.0, math.pi / 20)),
+                     (pq_ball(2, 5.0, 1.0, 1.0), _at(4.5, _R1)),
+                     (_HAT, _at(2.0, _R1)),
+                     (complement(check_b(2, 1.5, 1.0, 0.45)), _at(4.5, _R2)),
+                     (p_ball(2, 0.0, 1.0), (0.3, -1.7))]:
+        x, y = shift
+        got = {(e.value.hex(), e.abs_error.hex(), e.samples_or_nodes)
+               for e in (mz(S, (sx * a, sy * b))
+                         for a, b in ((x, y), (y, x))
+                         for sx in (1, -1) for sy in (1, -1))}
+        assert len(got) == 1

@@ -276,7 +276,7 @@ def test_tiny_positive_p_lies_between_its_neighbours():
     # the radial c read 1.0 and 7e-15 at k = 3, p = 0.01. Such p goes where
     # p <= 0 goes, and the p-mean rises with p, so the measure falls and c
     # rises from p = 0 to the tiny p to p = 0.01
-    for k, p, method in [(2, 1e-4, "POLAR2D"), (3, 1e-3, "MC_PLAIN")]:
+    for k, p, method in [(2, 1e-4, "SEP"), (3, 1e-3, "MC_PLAIN")]:
         shift = (0.3, 0.5, 0.0)[:k]
         lo, mid, hi = (measure(GaussianShiftQuery(set=p_ball(k, x, 1.0),
                                                   shift=shift))
@@ -303,3 +303,32 @@ def test_tiny_positive_p_lies_between_its_neighbours():
 def test_usage_errors_say_what_is_wrong(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def _mp_closed_form_c(k, p, alpha):
+    """c from P(<Z>_p > c) = alpha at 50 digits, where the tail is a
+    closed form: a slab at k = 1, chi-square at p = 2, and products of slabs
+    at p = +-inf."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        out = lambda c: mpmath.erfc(c / mpmath.sqrt(2))  # P(|Z_j| > c)
+        tail = {1: out,
+                2: lambda c: mpmath.gammainc(k / 2, k * c * c / 2, mpmath.inf,
+                                             regularized=True),
+                math.inf: lambda c: 1 - (1 - out(c)) ** k,
+                -math.inf: lambda c: out(c) ** k}[1 if k == 1 else p]
+        # the log of the tail is near linear in c^2: solve for c^2
+        s = mpmath.findroot(lambda s: mpmath.log(tail(mpmath.sqrt(s)))
+                            - mpmath.log(a), 2 * mpmath.log(1 / a))
+        return float(mpmath.sqrt(s))
+
+
+@pytest.mark.parametrize("alpha", [1e-20, 1e-30])
+@pytest.mark.parametrize("k, p", [(1, 1.0), (2, 2.0), (3, 2.0),
+                                  (2, math.inf), (3, math.inf),
+                                  (2, -math.inf), (3, -math.inf)])
+def test_closed_form_critical_values_on_their_small_side(k, p, alpha):
+    # 1 - alpha rounds to 1 below alpha ~ 1e-16, where the big-side forms
+    # read inf or lose every digit
+    want = _mp_closed_form_c(k, p, alpha)
+    assert abs(critical_value(k, p, alpha) - want) <= 1e-12 * want
