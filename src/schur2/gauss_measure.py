@@ -19,9 +19,10 @@ bar, and measure alone judges target_met from them.
                 ray's two axis crossings and one bisection per level
   MC_PLAIN /    everything else, in one Monte Carlo loop: plain draws, or
   MC_IMPORTANCE importance sampling from N(center, I) around a near member
-                point when the event is rare; chunk-indexed counter-based
-                streams make the estimates independent of the worker count,
-                and plain draws memoise a p-ball's chunk p-means across eps
+                point when the event is rare, which the first common member
+                scanned rules out; chunk-indexed streams make the estimates
+                independent of the worker count, and plain draws memoise a
+                p-ball's chunk p-means across eps
 A forced engine must be able to measure the set, or measure raises.
 """
 
@@ -487,13 +488,18 @@ def _polar2d(S, theta, target, q):
 # Monte Carlo
 
 
+@functools.lru_cache(maxsize=None)
+def _pool(workers):
+    """One thread pool per worker count, kept for the life of the process."""
+    return ThreadPoolExecutor(max_workers=workers)
+
+
 def _run_chunks(worker, n_chunks, workers, start=0):
     """Map worker(chunk_index) over chunk indices, reducing in chunk order."""
     idx = range(start, start + n_chunks)
     if workers <= 1:
         return [worker(i) for i in idx]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, idx))
+    return list(_pool(workers).map(worker, idx))
 
 
 _MC_CHUNK = 1 << 15
@@ -507,31 +513,39 @@ def _scan_directions(k):
     return dirs
 
 
-def _nearest_member_point(S, theta, rho_max, seed=0):
-    """Approximate point of S + theta closest to the origin.
+def _nearest_member_point(S, theta, seed=0, forced=False):
+    """Approximate point of S + theta closest to the origin, to centre
+    importance draws on; None for plain draws, when no member is found or,
+    unless forced, N(0, I) puts mass >= 1e-6 outside its ball.
 
     Multi-start: radial scans along the axes, the diagonals, and the shift
-    direction, followed by a shrink-and-slide descent on the norm.
+    direction, followed by a shrink-and-slide descent on the norm, which
+    never lengthens a point: the first common member scanned decides.
     """
+    def plain(y):
+        return not forced and chi2.sf(np.linalg.norm(y)**2, S.k) >= 1e-6
+
     best = None
     starts = _scan_directions(S.k)
     tn = np.linalg.norm(theta)
     if tn > 0:
         starts.append(theta / tn)
     if sets_mod.contains(S, -theta):  # origin itself is in S + theta
-        return np.zeros(S.k), 0.0
+        return None if plain(np.zeros(S.k)) else np.zeros(S.k)
+    rho = np.linspace(0.0, float(tn) + 40.0, 4096)
     for d in starts:
-        rho = np.linspace(0.0, rho_max, 4096)
         pts = rho[:, None] * d[None, :] - theta[None, :]
         mem = contains_rows(S, pts)
         hit = np.nonzero(mem)[0]
         if hit.size == 0:
             continue
         cand = rho[hit[0]] * d
+        if plain(cand):
+            return None
         if best is None or np.linalg.norm(cand) < np.linalg.norm(best):
             best = cand
     if best is None:
-        return None, math.inf
+        return None
     rng = np.random.default_rng(seed)
     y = best.copy()
     step = 0.25
@@ -549,7 +563,7 @@ def _nearest_member_point(S, theta, rho_max, seed=0):
             step *= 0.9
         if step < 1e-10:
             break
-    return y, float(np.linalg.norm(y))
+    return None if plain(y) else y
 
 
 @functools.lru_cache(maxsize=_MC_ROUND)
@@ -572,12 +586,8 @@ def _mc(S, theta, target, q):
     """
     center = None
     if q.method != "MC_PLAIN":
-        rho_max = float(np.linalg.norm(theta)) + 40.0
-        center, dist = _nearest_member_point(S, theta, rho_max, seed=q.seed)
-        # with no member point to centre on, plain draws even when forced
-        if (center is not None and q.method != "MC_IMPORTANCE"
-                and chi2.sf(dist**2, S.k) >= 1e-6):
-            center = None
+        center = _nearest_member_point(S, theta, q.seed,
+                                       q.method == "MC_IMPORTANCE")
     if center is not None:
         c2 = float(center @ center)
 

@@ -15,6 +15,8 @@ How c and t are found, past the closed forms (k = 1, p = 2, p = +-inf):
     in t, with every evaluation memoised.
   - Monte Carlo paths (the other finite p at k >= 3): bisection with a fixed
     seed at every trial point: common random numbers, each chunk reduced once.
+    A shift trial keeps the sign of one round of draws if beta lies 3 bars
+    off it; else its full measure reuses that round, keeping every bit.
   - deterministic c is memoised per (k, p, alpha), so the directions of one
     design share a single solve.
 Both solvers use one monotone root finder for the bracket and its refinement.
@@ -29,8 +31,8 @@ from scipy.optimize import brentq
 from scipy.special import ndtri
 from scipy.stats import chi2, ncx2
 
-from .gauss_measure import (GaussianShiftQuery, _profile, measure,
-                            pball_radius_cdf)
+from .gauss_measure import (_MC_CHUNK, _MC_ROUND, GaussianShiftQuery,
+                            _profile, measure, pball_radius_cdf)
 from .means import p_mean, p_mean_rows
 from .sets import bounded_root, complement, p_ball
 
@@ -84,11 +86,12 @@ class ShiftSolution:
     norm: float
     achieved_power: float
     solver_error: float
-    target_met: bool  # every measure of the solve met its target
+    target_met: bool  # every full measure of the solve met its target
 
 
 def tail_probability(k, p, c, shift, *, seed=0, workers=1,
-                     target_rel_error=None):
+                     target_rel_error=None,
+                     mc_max_samples=GaussianShiftQuery.mc_max_samples):
     """P(<Z + shift>_p > c), its absolute error and target_met: ncx2 at p = 2,
     else the measure of the ball's complement, on its small side. Monte Carlo
     paths measure the ball, whose chunk p-means every c shares."""
@@ -99,7 +102,8 @@ def tail_probability(k, p, c, shift, *, seed=0, workers=1,
     S = p_ball(k, p, c)
     q = GaussianShiftQuery(set=S if mc else complement(S), shift=-s,
                            seed=seed, workers=workers,
-                           target_rel_error=target_rel_error)
+                           target_rel_error=target_rel_error,
+                           mc_max_samples=mc_max_samples)
     est = measure(q)
     return 1.0 - est.value if mc else est.value, est.abs_error, est.target_met
 
@@ -236,14 +240,16 @@ def shift_solution(d: TestDesign, *, seed=0, workers=1, c=None):
     exact = not _mc_path(d.k, d.p)
     target = _QUAD_TARGET if exact else None
     powers = {0.0: (d.alpha, 0.0, True)}  # t -> (power, abs error, met)
+    probes = {}  # Monte Carlo: t -> the same from one round of draws
 
-    def pw(t):
-        if t not in powers:
+    def pw(t, memo=powers, cap=GaussianShiftQuery.mc_max_samples):
+        if t not in memo:
             # fixed seed across all t: common random numbers on MC paths
-            powers[t] = tail_probability(d.k, d.p, c, t * u, seed=seed,
-                                         workers=workers,
-                                         target_rel_error=target)
-        return powers[t]
+            memo[t] = tail_probability(d.k, d.p, c, t * u, seed=seed,
+                                       workers=workers,
+                                       target_rel_error=target,
+                                       mc_max_samples=cap)
+        return memo[t]
 
     if exact:
         probit_beta = _probit(d.beta)
@@ -252,7 +258,10 @@ def shift_solution(d: TestDesign, *, seed=0, workers=1, c=None):
             return _probit(pw(t)[0]) - probit_beta
     else:
         def h(t):
-            return pw(t)[0] - d.beta
+            P, err, _ = pw(t, probes, _MC_ROUND * _MC_CHUNK)
+            if abs(P - d.beta) <= 3.0 * err:  # the sign is not settled yet
+                P = pw(t)[0]
+            return P - d.beta
 
     # Brent's bound tol * (1 + t) stays within the half-bracket
     # 0.5 * BRACKET_RTOL * max(1, t) that bisection stops at

@@ -190,6 +190,16 @@ def test_p0_solves_meet_their_targets(capsys, argv):
     assert code == 0 and all(verdicts(out, "json"))
 
 
+def test_mc_shift_meets_its_target(capsys):
+    # one bracket trial holds power 1 - 1.2e-4: its sign is settled after one
+    # round, where its own 1e-2 target would take the whole sample cap
+    code, out = run_cli(capsys, "shift", "--k", "3", "--p", "0", *SOLVE,
+                        "--u", "1,1,1")
+    rec = json.loads(out)
+    assert code == 0 and rec["target_met"] is True
+    assert rec["t"] == 2.53323686123
+
+
 @pytest.mark.parametrize("argv, msg", [
     (("critical", "--k", "3", "--p", "1", "--alpha", "1e-12"), "below what"),
     (("critical", "--k", "2", "--p", "nan", "--alpha", "0.05"), "p must not"),

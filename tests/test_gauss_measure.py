@@ -395,6 +395,20 @@ def test_mc_bits_pinned():
             assert got == want
 
 
+def test_plain_draws_skip_the_member_point_search(monkeypatch):
+    # the first member a ray scan meets is common under N(0, I), and the
+    # descent only brings it nearer, so plain draws follow with no probe
+    # past the origin check; the bits are those of the full search
+    calls, contains = [], gauss_measure.sets_mod.contains
+    monkeypatch.setattr(gauss_measure.sets_mod, "contains",
+                        lambda S, x: calls.append(x) or contains(S, x))
+    est = mz(p_ball(3, 0.0, 1.0), (2.4, 1.5, 0.5))
+    assert len(calls) <= 1
+    assert est.method == "MC_PLAIN"
+    assert (est.value.hex(), est.abs_error.hex()) == (
+        "0x1.5067000000000p-2", "0x1.e0f248de2c96fp-10")
+
+
 def test_deterministic_bits_pinned():
     # (method, value, abs_error, nodes) recorded bit for bit before measure
     # divided sigma out of the engines; at sigma = 1 nothing may move. The

@@ -198,6 +198,22 @@ def test_mc_critical_value_draws_each_chunk_once(monkeypatch):
     assert sorted(draws) == [(0, i) for i in range(8)]
 
 
+@pytest.mark.parametrize("p, alpha, bits", [
+    (0.0, 0.05, ("0x1.2596908000000p+1", "0x1.ccccc00000000p-1",
+                 "0x1.b27277f583484p-11")),
+    (-1.0, 0.01, ("0x1.5cc8270000000p+1", "0x1.cccd000000000p-1",
+                  "0x1.b2718699557d9p-11")),
+])
+def test_mc_shift_solution_bits_pinned(p, alpha, bits):
+    # recorded while every bracket trial still ran to its own target; a
+    # trial whose sign one round settles must leave (t, power, error) alone
+    d = TestDesign(3, p, alpha, 0.9, (1.0, 1.0, 1.0))
+    sol = shift_solution(d, workers=2)
+    assert sol.exists
+    assert (sol.t.hex(), sol.achieved_power.hex(),
+            sol.solver_error.hex()) == bits
+
+
 @pytest.mark.parametrize("solve", [
     lambda: critical_value(2, 2.0, 0.05, workers=0),
     lambda: critical_value(3, 0.0, 0.05, workers=0),
