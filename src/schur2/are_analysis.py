@@ -2,8 +2,6 @@
 (likelihood ratio) test: are = ||s_2||^2 / ||s_p||^2 for the power-matching
 shifts along a common direction, with 0 when s_p does not exist."""
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -85,16 +83,6 @@ def sweep_records(rows):
              "s2_norm": r.s2_norm, "sp_norm": r.sp_norm,
              "exists_flag": int(math.isfinite(r.sp_norm)),
              "target_met": r.target_met} for t, r in rows]
-
-
-def sweep_to_csv(rows):
-    recs = sweep_records(rows)
-    buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=list(recs[0]))
-    w.writeheader()
-    w.writerows({k: f"{v:.12g}" if isinstance(v, float) else v
-                 for k, v in rec.items()} for rec in recs)
-    return buf.getvalue()
 
 
 def are_limit_trend(k, p, u, alpha_grid, beta_grid, *, seed=0, workers=1):

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import are_analysis, solvers, verify
-from .gauss_measure import GaussianShiftQuery, measure
+from .gauss_measure import METHODS, GaussianShiftQuery, measure
 from .sets import (check_b, contains_rows, cube, format_set, hat_b, parse_set,
                    pq_ball)
 
@@ -218,9 +218,7 @@ def build_parser():
     m.add_argument("--sigma", type=float, default=1.0)
     m.add_argument("--target", type=float, default=None,
                    help="target relative error")
-    m.add_argument("--method", default=None,
-                   choices=["PRODUCT_1D", "SLICE_QUAD", "SEP", "POLAR2D",
-                            "MC_PLAIN", "MC_IMPORTANCE", "MC"])
+    m.add_argument("--method", default=None, choices=METHODS)
     _add_common(m)
     m.set_defaults(fn=cmd_measure)
 

@@ -1,11 +1,11 @@
 """Gaussian measure of shifted sets: P(Z in A + theta) for Z ~ N(0, sigma^2 I).
 
 measure divides sigma out once, P(sigma Z in A + theta) = P(Z in A/sigma +
-theta/sigma), resolves the default target and picks the engine from one
-table; every engine then sees a standard normal and returns a value with its
-bar, and measure alone judges target_met from them.
-  PRODUCT_1D    cubes, the p = +-inf balls and every ball at k = 1
-                (coordinatewise product of slabs, exact)
+theta/sigma), resolves the default target and takes the engine from one
+table (engine); every engine then sees a standard normal and returns a value
+with its bar, and measure alone judges target_met from them.
+  PRODUCT_1D    cubes, balls with an infinite exponent and every ball at
+                k = 1 (coordinatewise products of slabs or their union, exact)
   SLICE_QUAD    p-balls at k >= 2 with p > 0 and k^(1/p) <= 1e6: k-1
                 convolutions of the running CDF of the p-radius; inner levels
                 are Chebyshev interpolants, the last runs at the one radius
@@ -13,16 +13,16 @@ bar, and measure alone judges target_met from them.
                 every shift shares one radii profile per p and rule
   SEP           the other sets at k = 2 of finite exponents: the integral
                 over |Y_1| of Y_2's mass in the set's slice, cut at its kinks
-  POLAR2D       any set at k = 2, forced: periodic Simpson over n rays from
-                two running trapezoid means, each ray's radial integral in
-                closed form on its membership intervals, found by a scan, the
-                ray's two axis crossings and one bisection per level
   MC_PLAIN /    everything else, in one Monte Carlo loop: plain draws, or
   MC_IMPORTANCE importance sampling from N(center, I) around a near member
                 point when the event is rare, which the first common member
                 scanned rules out; chunk-indexed streams make the estimates
                 independent of the worker count, and plain draws memoise a
                 p-ball's chunk p-means across eps
+  POLAR2D       any set at k = 2, forced only: periodic Simpson over n rays
+                from two running trapezoid means, each ray's radial integral
+                in closed form on its membership intervals, found by a scan,
+                the ray's two axis crossings and one bisection per level
 A forced engine must be able to measure the set, or measure raises.
 """
 
@@ -38,12 +38,15 @@ from scipy.special import ndtr
 from scipy.stats import chi2
 
 from . import sets as sets_mod
+from .means import pq_extreme
 from .sets import contains_rows
 
 __all__ = [
     "MeasureEstimate",
     "GaussianShiftQuery",
     "measure",
+    "engine",
+    "METHODS",
     "rotate2",
     "pball_radius_cdf",
     "chunk_rng",
@@ -55,8 +58,8 @@ class MeasureEstimate:
     value: float
     abs_error: float
     rel_error: float
-    method: str  # PRODUCT_1D | SLICE_QUAD | SEP | POLAR2D | MC_PLAIN
-    #              | MC_IMPORTANCE
+    method: str  # PRODUCT_1D | SLICE_QUAD | SEP | MC_PLAIN | MC_IMPORTANCE
+    #              | POLAR2D (forced only)
     samples_or_nodes: int
     seed: int = None
     wall_ms: float = 0.0
@@ -132,15 +135,14 @@ def _uncomplement(S):
 
 
 def _product_capable(S):
-    S = _uncomplement(S)[0]
-    return (S.variant == "cube" or S.k == 1 and S.variant == "pqball"
-            or S.variant == "pball" and (S.k == 1 or abs(S.p) == math.inf))
+    return S.variant == "cube" or S.variant in ("pball", "pqball") and (
+        S.k == 1 or pq_extreme(S.p, S.q or 0.0))
 
 
 def _product_1d(S, theta, target, q):
     """Products over the slabs |Y_j| <= a, Y_j ~ N(theta_j, 1). Each slab's
     inside mass m and outside mass o are taken on their small sides, and the
-    product, the -inf ball's 1 - prod(o) and the complements go through sums
+    product, the slab union's 1 - prod(o) and the complements go through sums
     of logs. ndtr(x) is good to about 1e-14 (1 + x^2 / 16) relative, and m,
     a difference, loses (ndtr(a - t) + ndtr(-a - t)) / m of it more, so far
     shifts and narrow slabs keep a relative bar."""
@@ -149,7 +151,8 @@ def _product_1d(S, theta, target, q):
     t = np.abs(theta)
     m, o = ndtr(a - t) - ndtr(-a - t), ndtr(t - a) + ndtr(-a - t)
     cancel = (ndtr(a - t) + ndtr(-a - t)) / np.maximum(m, 1e-300)
-    union = S.p == -math.inf  # min |Y_j| <= a: not every Y_j leaves its slab
+    # min |Y_j| <= a: not every Y_j leaves its slab
+    union = S.variant != "cube" and pq_extreme(S.p, S.q or 0.0) == "min"
     x, y = (o, m) if union else (m, o)
     with np.errstate(divide="ignore"):  # log x from the smaller of x, 1 - x
         L = np.sum(np.where(x < 0.5, np.log(x), np.log1p(-y)))
@@ -242,7 +245,6 @@ def pball_radius_cdf(k, p, theta, w_max, n_nodes=64):
 
 
 def _slice_capable(S):
-    S = _uncomplement(S)[0]
     return (S.k > 1 and S.variant == "pball" and S.p < math.inf
             and sets_mod.bounded_root(S.k, S.p))
 
@@ -385,8 +387,7 @@ def _sep(S, theta, target, q):
     return "SEP", value + comp * tail, err, nodes
 
 
-def _sep_capable(S):
-    S = _uncomplement(S)[0]  # every k = 2 family of finite exponents
+def _sep_capable(S):  # every k = 2 family of finite exponents
     return S.k == 2 and S.variant != "cube" and math.isfinite(S.p + (S.q or 0))
 
 
@@ -506,13 +507,6 @@ _MC_CHUNK = 1 << 15
 _MC_ROUND = 8  # chunks per convergence check
 
 
-def _scan_directions(k):
-    dirs = list(np.eye(k)) + list(-np.eye(k))
-    diag = np.ones(k) / math.sqrt(k)
-    dirs += [diag, -diag]
-    return dirs
-
-
 def _nearest_member_point(S, theta, seed=0, forced=False):
     """Approximate point of S + theta closest to the origin, to centre
     importance draws on; None for plain draws, when no member is found or,
@@ -525,8 +519,8 @@ def _nearest_member_point(S, theta, seed=0, forced=False):
     def plain(y):
         return not forced and chi2.sf(np.linalg.norm(y)**2, S.k) >= 1e-6
 
-    best = None
-    starts = _scan_directions(S.k)
+    best, diag = None, np.ones(S.k) / math.sqrt(S.k)
+    starts = [*np.eye(S.k), *-np.eye(S.k), diag, -diag]
     tn = np.linalg.norm(theta)
     if tn > 0:
         starts.append(theta / tn)
@@ -628,22 +622,36 @@ def _mc(S, theta, target, q):
 
 
 # (methods, default target, capable, run) in the order of automatic
-# dispatch; a forced method takes the row that names it. run(S, theta,
-# target, q) sees the set and shift divided by sigma; only Monte Carlo reads
-# q, for its seed, workers, sample cap and forced variant. It returns
-# (method, value, abs_error, nodes); measure alone judges the target.
+# dispatch; a forced method takes the row that names it, and a row past
+# Monte Carlo's, which measures anything, runs only when forced. capable(S)
+# sees the set under any complement, run(S, theta, target, q) the set and
+# shift divided by sigma; only Monte Carlo reads q, for its seed, workers,
+# sample cap and forced variant. run returns (method, value, abs_error,
+# nodes); measure alone judges the target.
 _ENGINES = (
     (("PRODUCT_1D",), 1e-4, _product_capable, _product_1d),
     (("SLICE_QUAD",), 1e-4, _slice_capable, _slice_quad),
     (("SEP",), 1e-4, _sep_capable, _sep),
-    (("POLAR2D",), 1e-4, lambda S: S.k == 2, _polar2d),
     (("MC", "MC_PLAIN", "MC_IMPORTANCE"), 1e-2, lambda S: True, _mc),
+    (("POLAR2D",), 1e-4, lambda S: S.k == 2, _polar2d),
 )
+METHODS = tuple(m for row in _ENGINES for m in row[0])
 
 
 def _target_met(value, abs_error, target):
     """The accuracy verdict: a positive value within its relative target."""
     return bool(0.0 < value and abs_error <= target * value)
+
+
+def engine(S, method=None):
+    """The _ENGINES row that measures S: the first capable one, or the one
+    that names a forced method, if it is capable."""
+    inner = _uncomplement(S)[0]
+    for row in _ENGINES:
+        if method in (None, *row[0]) and row[2](inner):
+            return row
+    raise ValueError(f"engine {method!r} cannot measure "
+                     f"{sets_mod.format_set(S)} at k={S.k}")
 
 
 def measure(q):
@@ -652,12 +660,7 @@ def measure(q):
     t0 = time.perf_counter()
     S = sets_mod.scale(q.set, 1.0 / q.sigma)
     theta = np.asarray(q.shift, dtype=float) / q.sigma
-    for methods, default_target, capable, run in _ENGINES:
-        if q.method in (None, *methods) and capable(S):
-            break
-    else:
-        raise ValueError(f"engine {q.method!r} cannot measure "
-                         f"{sets_mod.format_set(q.set)} at k={q.set.k}")
+    _, default_target, _, run = engine(q.set, q.method)
     target = q.target_rel_error or default_target
     method, value, err, nodes = run(S, theta, target, q)
 

@@ -31,6 +31,7 @@ __all__ = [
     "truncated_mean",
     "pq_mean",
     "pq_mean_rows",
+    "pq_extreme",
     "classify_mean",
     "schur_ostrowski_sign",
 ]
@@ -115,10 +116,9 @@ def pq_mean_rows(X, p, q):
         p, q = q, p
     A = np.abs(np.atleast_2d(np.asarray(X, dtype=float)).T, order="C")
     k = A.shape[0]
-    if p == math.inf:
-        return A.max(axis=0)
-    if q == -math.inf:
-        return A.min(axis=0)
+    extreme = pq_extreme(p, q)
+    if extreme:
+        return A.max(axis=0) if extreme == "max" else A.min(axis=0)
     m = A.max(axis=0)
     # zero coordinates and all-zero rows yield nan or inf here; the limit
     # conventions below overwrite every such row
@@ -156,6 +156,13 @@ def pq_mean_rows(X, p, q):
     return out
 
 
+def pq_extreme(p, q):
+    """Which extreme of the |x_j| the (p,q)-mean is: "max" if its larger
+    exponent is +inf, else "min" if its smaller one is -inf, else None."""
+    p, q = max(p, q), min(p, q)
+    return "max" if p == math.inf else "min" if q == -math.inf else None
+
+
 def pq_mean(x, p, q):
     """(p,q)-mean of a single vector."""
     return float(pq_mean_rows(np.asarray(x, dtype=float)[None, :], p, q)[0])
@@ -170,6 +177,10 @@ def classify_mean(spec):
         p, q = spec.p, spec.q  # MeanSpec keeps p >= q
         if (p, q) == (2.0, 0.0):
             return SchurCharacter(Schur2Value.SCHUR2_CONVEX, spherical=True)
+        extreme = pq_extreme(p, q)
+        if extreme:  # the cube's max_j |x_j| or the slab union's min_j
+            return SchurCharacter(Schur2Value.SCHUR2_CONVEX if extreme == "max"
+                                  else Schur2Value.SCHUR2_CONCAVE)
         if q <= 0.0 <= p <= 2.0:
             return SchurCharacter(Schur2Value.SCHUR2_CONCAVE)
         if 0.0 <= q <= 2.0 <= p:

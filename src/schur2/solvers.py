@@ -13,13 +13,15 @@ How c and t are found, past the closed forms (k = 1, p = 2, p = +-inf):
   - deterministic paths (quadrature or closed-form power): Brent's method on
     the probit-transformed power Phi^-1(P(t)) - Phi^-1(beta), nearly linear
     in t, with every evaluation memoised.
-  - Monte Carlo paths (the other finite p at k >= 3): bisection with a fixed
-    seed at every trial point: common random numbers, each chunk reduced once.
+  - Monte Carlo paths (where gauss_measure.engine takes the p-ball to Monte
+    Carlo: the other finite p at k >= 3): bisection with a fixed seed at
+    every trial point: common random numbers, each chunk reduced once.
     A shift trial keeps the sign of one round of draws if beta lies 3 bars
     off it; else its full measure reuses that round, keeping every bit.
   - deterministic c is memoised per (k, p, alpha), so the directions of one
     design share a single solve.
-Both solvers use one monotone root finder for the bracket and its refinement.
+Both solvers use one monotone root finder for the bracket and its
+refinement, which evaluates each point once.
 """
 
 import functools
@@ -32,9 +34,9 @@ from scipy.special import ndtri
 from scipy.stats import chi2, ncx2
 
 from .gauss_measure import (_MC_CHUNK, _MC_ROUND, GaussianShiftQuery,
-                            _profile, measure, pball_radius_cdf)
+                            _profile, engine, measure, pball_radius_cdf)
 from .means import p_mean, p_mean_rows
-from .sets import bounded_root, complement, p_ball
+from .sets import complement, p_ball
 
 T_MAX = 1e3
 BRACKET_RTOL = 1e-7
@@ -108,10 +110,8 @@ def tail_probability(k, p, c, shift, *, seed=0, workers=1,
     return 1.0 - est.value if mc else est.value, est.abs_error, est.target_met
 
 
-def _mc_path(k, p):
-    # PRODUCT_1D measures k = 1 and p = +-inf, SLICE_QUAD finite p > 0 with
-    # k^(1/p) <= 1e6 and SEP every other k = 2 ball; the rest is Monte Carlo
-    return k >= 3 and math.isfinite(p) and not bounded_root(k, p)
+def _mc_path(k, p):  # whether measure takes the p-balls to Monte Carlo
+    return engine(p_ball(k, p, 1.0))[0][0] == "MC"
 
 
 def _monotone_root(h, x0, *, exact, xtol, rtol, steps=200, lo=None,
@@ -126,8 +126,10 @@ def _monotone_root(h, x0, *, exact, xtol, rtol, steps=200, lo=None,
 
     Returns (x, err, found): the root and a bound on |x - root|, or
     (hi_max, inf, False) when h(hi_max) < 0. Raises RuntimeError when no
-    sign change appears within _GROW_STEPS doublings.
+    sign change appears within _GROW_STEPS doublings. h is memoised, so the
+    bracket search measures x0 once.
     """
+    h = functools.lru_cache(maxsize=None)(h)
     if lo is None:
         lo = x0
         for _ in range(_GROW_STEPS):
@@ -161,10 +163,6 @@ def _monotone_root(h, x0, *, exact, xtol, rtol, steps=200, lo=None,
         else:
             hi = mid
     return 0.5 * (lo + hi), 0.5 * (hi - lo), True
-
-
-def _chi2_guess(k, alpha):
-    return math.sqrt(chi2.ppf(1.0 - alpha, k) / k)
 
 
 @functools.lru_cache(maxsize=256)
@@ -221,8 +219,8 @@ def critical_value(k, p, alpha, *, seed=0, workers=1):
         return alpha - tail_probability(k, p, c, zero, seed=seed,
                                         workers=workers)[0]
 
-    return _monotone_root(h, _chi2_guess(k, alpha), exact=False, xtol=0.0,
-                          rtol=0.0, steps=40)[0]
+    x0 = math.sqrt(chi2.ppf(1.0 - alpha, k) / k)  # the p = 2 value
+    return _monotone_root(h, x0, exact=False, xtol=0.0, rtol=0.0, steps=40)[0]
 
 
 def _probit(P):

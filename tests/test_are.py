@@ -1,5 +1,3 @@
-import csv
-import io
 import math
 
 import mpmath
@@ -9,7 +7,7 @@ from scipy.stats import chi2
 
 from schur2.are_analysis import (_s2_norm, are, are_direction_sweep,
                                  are_extremes, are_limit_trend,
-                                 duality_partner, sweep_to_csv)
+                                 duality_partner)
 from schur2 import solvers
 from schur2.solvers import TestDesign, normalize_direction
 
@@ -78,16 +76,6 @@ def test_sweep_monotone_direction_for_p_above_2():
     errs = [r.error for _, r in rows]
     for i in range(len(vals) - 1):
         assert vals[i + 1] <= vals[i] + 3 * (errs[i] + errs[i + 1]) + 1e-6
-
-
-def test_sweep_csv_columns():
-    rows = are_direction_sweep(2.0, 0.05, 0.9, n_angles=3)
-    text = sweep_to_csv(rows)
-    parsed = list(csv.DictReader(io.StringIO(text)))
-    assert list(parsed[0]) == ["angle", "are", "abs_error", "s2_norm",
-                               "sp_norm", "exists_flag", "target_met"]
-    assert len(parsed) == 3
-    assert float(parsed[0]["are"]) == 1.0
 
 
 def test_limit_trend_validates_grids():

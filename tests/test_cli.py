@@ -78,6 +78,8 @@ def test_sweep_csv_format(capsys):
     assert lines[0] == ("angle,are,abs_error,s2_norm,sp_norm,exists_flag,"
                         "target_met")
     assert len(lines) == 4
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [float(r["are"]) for r in rows] == [1.0] * 3  # p = 2 is the LRT
 
 
 def test_seed_fixes_mc_output(capsys):
@@ -220,6 +222,23 @@ def test_verify_report_on_a_polar_set_is_json(capsys, check):
     rep = json.loads(out)
     assert code == 0 and rep["passed"] is True
     assert all(pair["ok"] is True for pair in rep["pairs"])
+
+
+def test_verify_schur2_on_an_infinite_exponent_ball(capsys):
+    # the (inf, -0.4)-ball is the cube, so it is Schur2-convex like cube:a=1
+    code, out = run_cli(capsys, "verify", "schur2", "--set",
+                        "pqball:p=inf,q=-0.4,eps=1", "--k", "2")
+    rep = json.loads(out)
+    assert code == 0 and rep["passed"] is True
+    assert rep["classification"] == "SCHUR2_CONVEX"
+
+
+def test_method_choices_are_the_engine_table():
+    measure_cmd = next(a for a in cli.build_parser()._actions
+                       if a.dest == "cmd").choices["measure"]
+    method = next(a for a in measure_cmd._actions if a.dest == "method")
+    assert tuple(method.choices) == tuple(
+        m for row in gauss_measure._ENGINES for m in row[0])
 
 
 def test_verify_rotation_exit_code_follows_the_report(capsys, monkeypatch):

@@ -758,3 +758,49 @@ def test_sep_bits_agree_on_every_symmetry_image():
                          for a, b in ((x, y), (y, x))
                          for sx in (1, -1) for sy in (1, -1))}
         assert len(got) == 1
+
+
+# pq-balls with an infinite exponent: the larger exponent +inf makes the
+# cube {max_j |x_j| <= eps}, else the smaller one -inf the slab union
+# {min_j |x_j| <= eps}, which is p_ball(k, -inf, eps)
+_INFINITE_EXPONENTS = [(math.inf, q) for q in (-math.inf, -0.4, 1.0, 3.0,
+                                               math.inf)] + [
+    (p, -math.inf) for p in (5.0, 0.0, -1.0, -math.inf)]
+
+
+def test_infinite_exponent_balls_return_their_twins_bits():
+    for k, shift in ((2, (0.7, -0.3)), (3, (0.4, -1.1, 0.2))):
+        for p, q in _INFINITE_EXPONENTS:
+            S = pq_ball(k, p, q, 1.3)
+            twin = (cube(k, 1.3) if max(p, q) == math.inf
+                    else p_ball(k, -math.inf, 1.3))
+            for T, W in ((S, twin), (complement(S), complement(twin))):
+                got, want = mz(T, shift), mz(W, shift)
+                assert got.method == want.method == "PRODUCT_1D"
+                assert got.target_met
+                assert ((got.value.hex(), got.abs_error.hex(),
+                         got.samples_or_nodes) ==
+                        (want.value.hex(), want.abs_error.hex(),
+                         want.samples_or_nodes))
+    # POLAR2D read this one as 0.37911882 +- 1.5e-6; the cube's is exact
+    est = mz(pq_ball(2, math.inf, 1.0, 1.0), (0.7, -0.3))
+    assert (est.value.hex(), est.abs_error.hex()) == (
+        "0x1.8437392df6a29p-2", "0x1.3245773fbb9c9p-46")
+
+
+def test_no_automatic_k2_measure_runs_polar2d():
+    # POLAR2D sits past Monte Carlo's row, which can measure anything, and
+    # PRODUCT_1D or SEP takes every k = 2 family, so it runs only when forced
+    sets = ([cube(2, 1.0), hat_b(2, 4.5, 1.0, 0.9), check_b(2, 1.5, 1.0, 0.45)]
+            + [p_ball(2, p, 1.0) for p in (-math.inf, -1.0, 0.0, 0.05, 1.0,
+                                           2.0, 3.0, math.inf)]
+            + [pq_ball(2, p, q, 1.0) for p, q in [(2.0, -0.4), (5.0, 1.0),
+                                                  (0.7, 0.7)]
+               + _INFINITE_EXPONENTS])
+    for S in sets:
+        for T in (S, complement(S)):
+            assert gauss_measure.engine(T)[0] != ("POLAR2D",)
+            assert mz(T, (0.5, 0.2)).method in ("PRODUCT_1D", "SLICE_QUAD",
+                                                "SEP")
+    forced = gauss_measure.engine(pq_ball(2, 2.0, -0.4, 1.0), "POLAR2D")
+    assert forced[0] == ("POLAR2D",)

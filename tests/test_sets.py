@@ -116,6 +116,21 @@ def test_classification_table():
     assert classify_set(complement(cube(2, 1.0))).value == C
 
 
+def test_infinite_exponent_balls_classify_like_their_twins():
+    # a larger exponent +inf makes max_j |x_j| (the cube), else a smaller
+    # exponent -inf makes min_j |x_j| (the slab union, p_ball at -inf)
+    for k in (2, 3):
+        for p, q in [(math.inf, -0.4), (math.inf, 3.0), (math.inf, -math.inf),
+                     (math.inf, math.inf), (5.0, -math.inf), (0.0, -math.inf),
+                     (-math.inf, -math.inf)]:
+            S = pq_ball(k, p, q, 1.0)
+            twin = (cube(k, 1.0) if max(p, q) == math.inf
+                    else p_ball(k, -math.inf, 1.0))
+            assert classify_set(S) == classify_set(twin)
+            assert classify_set(complement(S)) == classify_set(complement(twin))
+            assert classify_set(S).value != Schur2Value.NEITHER_KNOWN
+
+
 def test_classification_agrees_with_membership_sampling():
     # closed-downward in the squared majorization order for convex sets,
     # closed-upward for concave ones

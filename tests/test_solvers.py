@@ -184,6 +184,33 @@ def test_mc_critical_value_bits_pinned(p, alpha, bits):
     assert critical_value(3, p, alpha, workers=2).hex() == bits
 
 
+def test_mc_critical_value_measures_each_point_once(monkeypatch):
+    # the bracket search starts at the chi2 value c = 1.61397314137619 and
+    # took its tail twice; 42 distinct tails remain, with the same bits
+    cs, tail = [], solvers.tail_probability
+
+    def counted(k, p, c, *args, **kw):
+        cs.append(c)
+        return tail(k, p, c, *args, **kw)
+
+    monkeypatch.setattr(solvers, "tail_probability", counted)
+    c = critical_value(3, 0.0, 0.05, workers=2)
+    assert c == float.fromhex("0x1.4654469e27263p+0")
+    assert len(cs) == len(set(cs)) == 42
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_mc_path_is_the_engine_tables_choice(k):
+    # measure's table alone decides; it keeps the rule it replaced: Monte
+    # Carlo for finite p at k >= 3 unless p > 0 and k^(1/p) <= 1e6
+    edge = math.log(k) / math.log(1e6)
+    for p in (-math.inf, -3.0, -1.0, 0.0, 1e-4, 0.05, 0.1, 0.2, 0.5, 1.0,
+              2.0, 3.0, math.inf, edge, np.nextafter(edge, math.inf)):
+        rule = k >= 3 and math.isfinite(p) and not p > edge
+        assert (gauss_measure.engine(p_ball(k, p, 1.0))[0][0] == "MC") == rule
+        assert solvers._mc_path(k, p) == rule
+
+
 def test_mc_critical_value_draws_each_chunk_once(monkeypatch):
     # all 43 tails of the c bisection read chunks 0-7 of seed 0
     draws, rng = [], gauss_measure.chunk_rng
