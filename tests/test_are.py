@@ -7,7 +7,7 @@ from scipy.stats import chi2
 
 from schur2.are_analysis import (_s2_norm, are, are_direction_sweep,
                                  are_extremes, are_limit_trend,
-                                 duality_partner)
+                                 duality_partner, sweep_records)
 from schur2 import solvers
 from schur2.solvers import TestDesign, normalize_direction
 
@@ -76,6 +76,14 @@ def test_sweep_monotone_direction_for_p_above_2():
     errs = [r.error for _, r in rows]
     for i in range(len(vals) - 1):
         assert vals[i + 1] <= vals[i] + 3 * (errs[i] + errs[i + 1]) + 1e-6
+
+
+def test_sweep_csv_columns():
+    rows = sweep_records(are_direction_sweep(2.0, 0.05, 0.9, n_angles=3))
+    assert list(rows[0]) == ["angle", "are", "abs_error", "s2_norm",
+                             "sp_norm", "exists_flag", "target_met"]
+    assert len(rows) == 3
+    assert rows[0]["are"] == 1.0
 
 
 def test_limit_trend_validates_grids():
