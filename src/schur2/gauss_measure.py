@@ -12,7 +12,7 @@ with its bar, and measure alone judges target_met from them.
                 k^(1/p) eps on two quadrature rules whose gap is its bar, and
                 every shift shares one radii profile per p and rule
   SEP           the other sets at k = 2 of finite exponents: the integral
-                over |Y_1| of Y_2's mass in the set's slice, cut at its kinks
+                over |Y_1| of Y_2's mass in the set's slice, graded to kinks
   MC_PLAIN /    everything else, in one Monte Carlo loop: plain draws, or
   MC_IMPORTANCE importance sampling from N(center, I) around a near member
                 point when the event is rare, which the first common member
@@ -30,7 +30,7 @@ import functools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
@@ -65,17 +65,9 @@ class MeasureEstimate:
     wall_ms: float = 0.0
     target_met: bool = True
 
-    def to_json(self):
-        return {
-            "value": self.value,
-            "abs_error": self.abs_error,
-            "rel_error": self.rel_error,
-            "method": self.method,
-            "nodes": self.samples_or_nodes,
-            "seed": self.seed,
-            "wall_ms": self.wall_ms,
-            "target_met": self.target_met,
-        }
+    def to_json(self):  # the fields in order, samples_or_nodes as "nodes"
+        return {"nodes" if k == "samples_or_nodes" else k: v
+                for k, v in asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -169,6 +161,7 @@ _BP = np.unique(np.r_[0.0, 1.0, (e := 0.5 ** np.arange(1.0, 50.0)), 1.0 - e])
 _PANEL_V = 4.0  # widest panel in v units: 24 nodes resolve a unit density
 _BAND = _PANEL_V * np.arange(-2.5, 3.0)  # cuts across theta_j +- 10
 _ROW_BLOCK = 16  # radii per block: bounds the (block x nodes) temporaries
+_leggauss = functools.lru_cache(maxsize=2)(np.polynomial.legendre.leggauss)
 
 
 def _mesh(p, bp, halves):
@@ -176,7 +169,7 @@ def _mesh(p, bp, halves):
     halves), weights, and the radius (w^p - v^p)^(1/p) at v = w u over w."""
     if halves:
         bp = np.sort(np.concatenate((bp, 0.5 * (bp[1:] + bp[:-1]))))
-    x, wx = np.polynomial.legendre.leggauss(12 if halves else 24)
+    x, wx = _leggauss(12 if halves else 24)
     mids, halfs = 0.5 * (bp[1:] + bp[:-1]), 0.5 * (bp[1:] - bp[:-1])
     u = (mids[:, None] + halfs[:, None] * x[None, :]).ravel()
     uw = (halfs[:, None] * wx[None, :]).ravel()
@@ -273,16 +266,16 @@ def _slice_quad(S, theta, target, q):
 # SEP
 
 
-def _solve(H, dH, c, lo, hi):
+def _solve(H, dH, c, lo, hi, v0=0.0):
     """Roots in [lo, hi] of H = c, H monotone there, or an end if c is out
-    of range: Newton on log(H / c), or asinh(H) if H changes sign, bisecting
-    when a step leaves the bracket, to a step or H - c at rounding level."""
+    of range: Newton from v0 on log(H / c), or asinh(H) if H changes sign,
+    bisecting off the bracket, until a step or H - c is at rounding level."""
     h_lo, h_hi = H(lo), H(hi)
     s, log = 1.0 if h_hi > h_lo else -1.0, (h_lo > 0.0) == (h_hi > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         x = np.where(s * c > s * h_lo, hi, lo)
         i = np.flatnonzero((s * c > s * h_lo) & (s * c < s * h_hi))
-        a, b, c, v = lo, hi, c[i], np.full(i.size, np.clip(0.0, lo, hi))
+        a, b, c, v = lo, hi, c[i], np.full(c.shape, np.clip(v0, lo, hi))[i]
         for _ in range(100):
             h = H(v)
             a, b = np.where(s * h < s * c, v, a), np.where(s * h < s * c, b, v)
@@ -300,35 +293,42 @@ def _solve(H, dH, c, lo, hi):
 
 
 def _sep_set(S, xb):
-    """(slices, cuts, reach) at k = 2 (README, SEP): slices(y) = (a1, b1, a2,
-    b2) puts (y, x) in the set for |x| in [a1, b1] u [a2, b2], in its
-    complement for the rest of [0, b2]; smooth between the cuts, which
-    include where a slice end crosses xb, and empty past reach."""
+    """(slices, kinks, cuts, reach) at k = 2 (README, SEP): slices(y) = (a1,
+    b1, a2, b2) puts (y, x) in the set for |x| in [a1, b1] u [a2, b2], in its
+    complement for the rest of [0, b2]; analytic off the kinks and empty past
+    reach. The cuts, where a slice end crosses xb, only resolve Y_2's mass."""
     inf, eps, x = np.inf, S.eps, (lambda v: S.eps * np.exp(v))
     if S.variant in ("hatb", "checkb"):
         p, a, hatb = S.p, S.a, S.variant == "hatb"
         d = lambda y: eps * np.maximum(  # ||x| - a| <= d(y) on the ball
             2.0 - (abs(y - a) / eps) ** p, 0.0) ** (1.0 / p)
-        X = np.r_[0.0, a, xb] if hatb else a + np.r_[0.0, xb]
-        cuts = np.r_[a, a - d(X), a + d(X)]  # an end meets X (check-B: X-a)
+        X = np.r_[0.0, a, xb] if hatb else a + np.r_[0.0, xb]  # kinks first
+        ends = (a + np.c_[-d(X), d(X)]).ravel()  # ends at X (check-B: X - a)
+        kinks, cuts = np.r_[a, ends[:2 + 2 * hatb]], ends[2 + 2 * hatb:]
         if hatb:
             return (lambda y: (np.maximum(a - d(y), 0.0), a + d(y), inf, inf)
-                    ), cuts, a + d(a)
+                    ), kinks, cuts, a + d(a)
         f = lambda y: y**p + abs(y - a) ** p  # = 2 eps^p where d(y) = y
         df = lambda y: p * (y**(p - 1) + np.sign(y - a) * abs(y - a)**(p - 1))
         c = np.array([2.0 * eps**p])
-        cuts = np.r_[cuts, xb, _solve(f, df, c, 0.0, 0.5 * a),
-                     _solve(f, df, c, 0.5 * a, a + d(a))]
-        return (lambda y: (0.0, np.minimum(y, d(y)), y, y)), cuts, a + d(a)
+        kinks = np.r_[kinks, _solve(f, df, c, 0.0, 0.5 * a),
+                      _solve(f, df, c, 0.5 * a, a + d(a))]
+        return (lambda y: (0.0, np.minimum(y, d(y)), y, y)), kinks, np.r_[
+            cuts, xb], a + d(a)
     p, q = sorted((S.p, S.q or 0.0))[::-1]  # a p-ball is the (p, 0)-ball
     H = ((lambda v: v * np.exp(p * v)) if p == q else
          (lambda v: np.exp(p * v) - np.exp(q * v)))
     dH = ((lambda v: (p * v + 1.0) * np.exp(p * v)) if p == q else
           (lambda v: p * np.exp(p * v) - q * np.exp(q * v)))
     lo, hi = -600.0 / (abs(q) or p or 1.0), 600.0 / (abs(p) or -q or 1.0)
-    vs = lo if p * q <= 0.0 else (  # where H turns
+    vs = lo if p * q <= 0.0 else (  # where H turns, and H''(vs) (0: no turn)
         math.log(q / p) / (p - q) if p != q else -1.0 / p)
-    root = lambda c, lo, hi: x(_solve(H, dH, c, lo, hi))
+    d2 = p * math.exp(p * vs) * ((p - q) or 1.0) if p * q > 0.0 else 0.0
+
+    def root(c, lo, hi):  # within 1 of vs, start at H's quadratic model
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v0 = np.sqrt(2.0 * (c - H(vs)) / d2) * (1.0 if lo == vs else -1.0)
+        return x(_solve(H, dH, c, lo, hi, np.where(abs(v0) <= 1, vs + v0, 0)))
 
     def slices(y):
         u, r = np.log(y / eps), p + q
@@ -337,30 +337,30 @@ def _sep_set(S, xb):
                           if r else -u), inf, inf
         x_lo, x_hi = root(-H(u), lo, vs), root(-H(u), vs, hi)
         return (x_lo, x_hi, inf, inf) if p > 0.0 else (0.0, x_lo, x_hi, inf)
-    # -H(u) meets H at v*, at the ends of its range, at 0 and at x in xb
+    # kinks where -H(u) meets H at v*, its range's ends and 0; cuts at xb
     with np.errstate(over="ignore"):
         c = -H(np.r_[lo, vs, hi, 0.0, np.log(xb / eps)])
-        up = root(c, vs, hi)
-        cuts = np.r_[root(c, lo, vs), up]
-    return slices, cuts[cuts > x(lo)], up[1] if p > 0.0 else inf
+        ends = np.c_[root(c, lo, vs), (up := root(c, vs, hi))]
+    return slices, *(e[e > x(lo)] for e in (ends[:4], ends[4:])), (
+        up[1] if p > 0.0 else inf)
 
 
 def _sep(S, theta, target, q):
     """int_0^Y g(y) m(y) dy, g the density of |Y_1| at the larger shift, m
-    the N(theta_2, 1) mass of the slice at y, on both rules of _mesh between
-    cuts at the slices' kinks and across |theta_1| + _BAND; check-B sums it
-    over the largest coordinate. Bar: the rules' gap, ndtr's rounding (as
-    in _product_1d) and the mass past Y."""
+    the N(theta_2, 1) mass of the slice at y, on both rules of _mesh, graded
+    toward 0, Y and the kinks, cut at the cuts and |theta_1| + _BAND; check-B
+    sums over the larger coordinate. Bar: rules' gap, rounding, mass past Y."""
     S, comp = _uncomplement(S)
     t = np.sort(np.abs(theta))[::-1]  # every symmetry image: the same bits
     checkb = S.variant == "checkb"
     value = err = nodes = 0
     for t_out, t_in in (t, t[::-1])[:1 + checkb]:
         xb = t_in + _BAND
-        slices, cuts, reach = _sep_set(S, xb[xb > 0.0])
+        slices, kinks, cuts, reach = _sep_set(S, xb[xb > 0.0])
         Y = min(reach, t[0] + 14.0)
-        bp = np.unique(np.clip(np.r_[0.0, Y, cuts, t_out + _BAND], 0.0, Y))
-        bp = np.unique(bp[:-1, None] + np.diff(bp)[:, None] * _BP)
+        bp = np.unique(np.clip(np.r_[0.0, Y, kinks], 0.0, Y))
+        bp = np.union1d(bp[:-1, None] + np.diff(bp)[:, None] * _BP,
+                        np.clip(np.r_[cuts, t_out + _BAND], 0.0, Y))
         rules = []
         for y, w, _ in (_mesh(1.0, bp, False), _mesh(1.0, bp, True)):
             with np.errstate(divide="ignore", over="ignore"):  # ends at inf

@@ -732,6 +732,12 @@ def _at(r, t):
     # 0.629656414569122 is the mpmath integral over x_1 of the union of the
     # four balls' slices in |x_2|, cut where they meet or vanish
     (check_b(2, 2.0, 0.5, 1.0), (1.1, 0.3), lambda th: 0.629656414569122),
+    # p > q > 0, a figure-1 panel: H turns at a minimum, and each slice
+    # [x_lo, x_hi] closes where its ends meet at that turning point
+    (pq_ball(2, 5.0, 1.0, 1.0), _at(1.0, _R2),
+     lambda th: _mp_pq_polar(5.0, 1.0, 1.0, th)),
+    (pq_ball(2, 5.0, 1.0, 1.0), _at(4.5, _R1),
+     lambda th: _mp_pq_polar(5.0, 1.0, 1.0, th)),
 ])
 def test_sep_covers_oracles(S, shift, oracle):
     # SEP measures every k = 2 set off PRODUCT_1D and SLICE_QUAD; the set
@@ -742,6 +748,66 @@ def test_sep_covers_oracles(S, shift, oracle):
         est = mz(T, shift)
         assert est.method == "SEP" and est.target_met
         assert abs(est.value - float(w)) <= est.abs_error
+
+
+# (value, abs_error, nodes) of SEP on each figure-1 panel at 3 (cos pi/5,
+# sin pi/5), then on its complement, recorded when SEP graded its panels
+# toward every cut. At this shift each panel has a cut where its integrand
+# is analytic; at radii up to 2 the bounded panels have none, and their
+# meshes are the same either way
+_SEP_GRADED_AT_EVERY_CUT = [
+    (("0x1.50d3d8f84f032p-3", "0x1.523a4aa691131p-48", 23280),
+     ("0x1.abcb09c1ec3f3p-1", "0x1.675ab432814fbp-46", 23280)),
+    (("0x1.69d97b17b4fd4p-5", "0x1.7cb406cd950e3p-49", 21168),
+     ("0x1.e962684e84b04p-1", "0x1.807327acf2a5dp-46", 21168)),
+    (("0x1.1af8d3dd2ec0bp-5", "0x1.657466598f58ep-49", 21168),
+     ("0x1.ee5072c22d140p-1", "0x1.a35850f4f4fe2p-46", 21168)),
+    (("0x1.28cea1c7c5262p-5", "0x1.1e635748937c6p-50", 9408),
+     ("0x1.ed7315e383adap-1", "0x1.cb07ce33ead50p-47", 9408)),
+    (("0x1.8cbe4f29b3542p-5", "0x1.ace1cf61d7f64p-50", 7056),
+     ("0x1.e7341b0d64cadp-1", "0x1.efe62f9485f58p-47", 7056)),
+    (("0x1.70c83035455f1p-6", "0x1.672030a2e2f44p-51", 9408),
+     ("0x1.f479be7e55d51p-1", "0x1.ba83f8231b8e0p-47", 9408)),
+    (("0x1.567c058c40310p-6", "0x1.49dffea1aa769p-51", 9408),
+     ("0x1.f54c1fd39dfe7p-1", "0x1.b977bc468aaccp-47", 9408)),
+    (("0x1.84af50779c90bp-3", "0x1.379e2f10e4965p-48", 11760),
+     ("0x1.9ed42be218dbdp-1", "0x1.8083ea9a4fe2ep-47", 11760)),
+    (("0x1.013be02d4e9d8p-5", "0x1.49ff684d1372ap-50", 28176),
+     ("0x1.efec41fd2b163p-1", "0x1.a604ba9554208p-47", 28176)),
+]
+
+
+def test_sep_grades_only_toward_kinks():
+    # off the kinks the integrand is analytic, so plain breakpoints there
+    # give the same integral from fewer nodes, with a bar no wider
+    from schur2.cli import FIG1_PANELS
+    for S, rows in zip(FIG1_PANELS, _SEP_GRADED_AT_EVERY_CUT, strict=True):
+        for T, (v, e, n) in zip((S, complement(S)), rows):
+            v, e, est = float.fromhex(v), float.fromhex(e), mz(T, _at(3, _R2))
+            assert est.method == "SEP" and est.samples_or_nodes < n
+            assert abs(est.value - v) <= e + est.abs_error
+            assert est.abs_error <= 1.1 * e
+
+
+def test_sep_slice_roots_take_few_newton_steps(monkeypatch):
+    # where H turns, the slices next to the reach end on a near-double root;
+    # started on H's quadratic model about the turning point, Newton needs
+    # few steps there (27 or 28 from a start at 0)
+    steps, solve = [], gauss_measure._solve
+
+    def counted(H, dH, c, lo, hi, *start):
+        calls = []
+        x = solve(lambda v: calls.append(v) or H(v), dH, c, lo, hi, *start)
+        steps.append(len(calls) - 2)  # H at the bracket ends is no step
+        return x
+
+    monkeypatch.setattr(gauss_measure, "_solve", counted)
+    for S, shift in ((pq_ball(2, 5.0, 1.0, 1.0), _at(1.0, _R2)),
+                     (pq_ball(2, 0.7, 0.7, 1.0), _at(2.0, _R2))):
+        for T in (S, complement(S)):
+            steps.clear()
+            assert mz(T, shift).method == "SEP"
+            assert steps and max(steps) <= 10
 
 
 def test_sep_bits_agree_on_every_symmetry_image():
