@@ -61,11 +61,9 @@ def are_extremes(k, p, alpha, beta, *, seed=0, workers=1):
                      workers=workers) for u in (np.ones(k), coord))
 
 
-def are_direction_sweep(p, alpha, beta, n_angles=11, *, k=2, seed=0, workers=1):
+def are_direction_sweep(p, alpha, beta, n_angles=11, *, seed=0, workers=1):
     """ARE over direction angles t in [0, pi/4] at k = 2; hyperoctahedral
     symmetry maps every direction into this sector."""
-    if k != 2:
-        raise ValueError("direction sweeps are defined for k = 2")
     if n_angles < 1:
         raise ValueError("a sweep needs at least one angle")
     out = []

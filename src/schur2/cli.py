@@ -134,7 +134,8 @@ def cmd_verify(args):
 
 
 def verify_power_report(args):
-    c = solvers.critical_value(args.k, args.p, args.alpha, seed=args.seed)
+    c = solvers.critical_value(args.k, args.p, args.alpha, seed=args.seed,
+                               workers=args.workers)
     d = verify.EmpiricalDesign(n=args.n, k=args.k, p=args.p, c=c,
                                population=args.population,
                                replications=args.reps, seed=args.seed)

@@ -22,7 +22,7 @@ with its bar, and measure alone judges target_met from them.
   POLAR2D       any set at k = 2, forced only: periodic Simpson over n rays
                 from two running trapezoid means, each ray's radial integral
                 in closed form on its membership intervals, found by a scan,
-                the ray's two axis crossings and one bisection per level
+                the ray's two axis crossings and one bisection per block
 A forced engine must be able to measure the set, or measure raises.
 """
 
@@ -407,58 +407,37 @@ def _axis_hint_radii(theta, cos_ph, sin_ph, rho_max):
 
 _N_SCAN = 1024  # uniform scan radii per ray
 _BISECT_ITERS = 48
-_PHI_CHUNK = 32  # rays per scan batch: keeps its temporaries in cache
-
-
-def _ray_points(rho, cos_ph, sin_ph, theta):
-    """The points rho * (cos, sin) - theta, built coordinate-major in a
-    (2, n) buffer; returns its (n, 2) transposed view for contains_rows."""
-    C = np.empty((2, rho.size))
-    for j, d in enumerate((cos_ph, sin_ph)):
-        np.multiply(rho, d, out=C[j].reshape(rho.shape))
-        C[j] -= theta[j]
-    return C.T
+_PHI_CHUNK = 512  # rays per block, scanned and bisected together
 
 
 def _radial_mass_batch(S, theta, phis, rho_max):
-    """Radial Gaussian mass along many rays at once.
+    """Radial Gaussian mass along many rays: per membership interval [a, b]
+    of a ray, exp(-a^2/2) - exp(-b^2/2). Each block of _PHI_CHUNK rays finds
+    its intervals by a scan of _N_SCAN radii and the two _axis_hint_radii,
+    then polishes their ends by one vectorized bisection."""
+    def member(rho, cos_ph, sin_ph):
+        pts = np.stack((rho * cos_ph - theta[0], rho * sin_ph - theta[1]), -1)
+        return contains_rows(S, pts.reshape(-1, 2)).reshape(rho.shape)
 
-    mass(phi) = sum over membership intervals [a,b] of the ray of
-    exp(-a^2/2) - exp(-b^2/2); intervals located by a scan of _N_SCAN radii
-    (plus the two _axis_hint_radii) in chunks of rays, then polished by one
-    vectorized bisection across the crossings of all chunks: one bisection
-    per refinement level of _polar2d. Points are built coordinate-major
-    (_ray_points), so membership reads each coordinate as one contiguous row.
-    """
     rho_base = np.linspace(0.0, rho_max, _N_SCAN)
-    inside0 = np.zeros(phis.size, dtype=bool)
-    parts = []  # per chunk: ray index, bracket, inside at lo, direction
+    out = np.zeros(phis.size)
     for start in range(0, phis.size, _PHI_CHUNK):
         ph = phis[start:start + _PHI_CHUNK]
-        m = ph.size
         cos_ph, sin_ph = np.cos(ph), np.sin(ph)
         hints = _axis_hint_radii(theta, cos_ph, sin_ph, rho_max)
-        rho = np.sort(np.concatenate(
-            [np.broadcast_to(rho_base, (m, _N_SCAN)), hints], axis=1), axis=1)
-        pts = _ray_points(rho, cos_ph[:, None], sin_ph[:, None], theta)
-        mem = contains_rows(S, pts).reshape(m, rho.shape[1])
+        rho = np.sort(np.concatenate([np.broadcast_to(
+            rho_base, (ph.size, _N_SCAN)), hints], axis=1), axis=1)
+        mem = member(rho, cos_ph[:, None], sin_ph[:, None])
         iphi, irho = np.nonzero(mem[:, 1:] != mem[:, :-1])
-        parts.append((start + iphi, rho[iphi, irho], rho[iphi, irho + 1],
-                      mem[iphi, irho], cos_ph[iphi], sin_ph[iphi]))
-        inside0[start:start + m] = mem[:, 0]
-    iphi, lo, hi, inside_lo, cos_x, sin_x = map(np.concatenate, zip(*parts))
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        mm = contains_rows(S, _ray_points(mid, cos_x, sin_x, theta))
-        take_lo = np.where(inside_lo, mm, ~mm)
-        lo = np.where(take_lo, mid, lo)
-        hi = np.where(take_lo, hi, mid)
-    cross = 0.5 * (lo + hi)
-    w = np.exp(-cross**2 / 2.0)
-    sign = np.where(inside_lo, -1.0, 1.0)  # leaving ends, entering starts
-    out = np.zeros(phis.size)
-    np.add.at(out, iphi, sign * w)
-    out += inside0  # inside at rho = 0 opens an interval with weight 1
+        lo, hi, inside_lo = rho[iphi, irho], rho[iphi, irho + 1], mem[iphi, irho]
+        cos_x, sin_x = cos_ph[iphi], sin_ph[iphi]
+        for _ in range(_BISECT_ITERS):
+            mid = 0.5 * (lo + hi)
+            take_lo = member(mid, cos_x, sin_x) == inside_lo
+            lo, hi = np.where(take_lo, mid, lo), np.where(take_lo, hi, mid)
+        sign = np.where(inside_lo, -1.0, 1.0)  # leaving ends, entering starts
+        np.add.at(out, start + iphi, sign * np.exp(-(0.5 * (lo + hi))**2 / 2.0))
+        out[start:start + ph.size] += mem[:, 0]  # inside at rho = 0: weight 1
     return out
 
 

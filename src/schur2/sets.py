@@ -148,12 +148,12 @@ def _kernel(S, X):
 
 def contains_rows(S, X):
     """Vectorized membership: X of shape (n, k) -> bool array (n,). Kernels
-    reduce over the coordinates as the rows of a (k, n) array, as the (n, k)
-    view of a (k, n) buffer gives them. Rows outside the outer bound are
-    non-members: when fewer than half of every 16th row pass it, the kernel
-    runs on the passing rows alone. Those fail the kernel too and no verdict
-    depends on the rest of its batch, so every bit is kept. A single point
-    skips the bound, which would cost a fifth of its kernel."""
+    reduce over the coordinates as the rows of a (k, n) array. Rows outside
+    the outer bound are non-members: when fewer than half of every 16th row
+    pass it, the kernel runs on the passing rows alone. Those fail the kernel
+    too and no verdict depends on the rest of its batch, so every bit is
+    kept. A single point skips the bound, which would cost a fifth of its
+    kernel."""
     X = np.asarray(X, dtype=float)
     if X.ndim < 2:  # cheaper than np.atleast_2d on the single-point path
         X = X.reshape(1, -1)

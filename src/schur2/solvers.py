@@ -50,6 +50,8 @@ _PROBIT_CLIP = (1e-300, 1.0 - 2.0**-53)  # keeps Phi^-1 finite at 0 and 1
 def normalize_direction(u):
     """Scale u so its quadratic mean is 1 (not the Euclidean norm)."""
     u = np.asarray(u, dtype=float)
+    if not np.isfinite(u).all():
+        raise ValueError("direction must be finite")
     m = p_mean(u, 2.0)
     if m <= 0.0:
         raise ValueError("direction must be nonzero")
@@ -76,8 +78,8 @@ class TestDesign:
         u = np.asarray(self.u, dtype=float)
         if u.shape != (self.k,):
             raise ValueError("direction length must equal k")
-        if abs(p_mean(u, 2.0) - 1.0) > 1e-12:
-            raise ValueError("direction must have quadratic mean 1")
+        if not abs(p_mean(u, 2.0) - 1.0) <= 1e-12:  # NaN fails too
+            raise ValueError("direction must be finite with quadratic mean 1")
         object.__setattr__(self, "u", tuple(float(x) for x in u))
 
 
@@ -119,8 +121,8 @@ def _monotone_root(h, x0, *, exact, xtol, rtol, steps=200, lo=None,
     """Root of an increasing function h, searched from x0 > 0.
 
     Bracket: unless the caller knows a point lo with h(lo) < 0, halve x0
-    until h < 0. Then double from x0 until h >= 0 or hi_max is reached; a
-    known lo trails the doubling. Refine: Brent when h is deterministic;
+    until h < 0. Then double from x0 until h >= 0 or hi_max is reached, lo
+    trailing the doubling. Refine: Brent when h is deterministic;
     otherwise bisection, robust to correlated Monte Carlo noise, for at most
     `steps` halvings or until hi - lo <= max(xtol, rtol * hi).
 
@@ -136,16 +138,12 @@ def _monotone_root(h, x0, *, exact, xtol, rtol, steps=200, lo=None,
             if h(lo) < 0.0:
                 break
             lo *= 0.5
-        trail = False
-    else:
-        trail = True
     hi = x0
     for _ in range(_GROW_STEPS):
         h_hi = h(hi)
         if h_hi >= 0.0 or hi >= hi_max:
             break
-        if trail:
-            lo = hi
+        lo = hi
         hi = min(2.0 * hi, hi_max)
     else:
         raise RuntimeError("no sign change found while doubling")

@@ -206,6 +206,8 @@ def test_mc_shift_meets_its_target(capsys):
     (("critical", "--k", "3", "--p", "1", "--alpha", "1e-12"), "below what"),
     (("critical", "--k", "2", "--p", "nan", "--alpha", "0.05"), "p must not"),
     (("shift", "--k", "2", "--p", "nan", *SOLVE, "--u", "1,1"), "p must not"),
+    (("are", "--k", "2", "--p", "2", *SOLVE, "--u", "nan,1"), "finite"),
+    (("shift", "--k", "2", "--p", "2", *SOLVE, "--u", "inf,1"), "finite"),
 ])
 def test_unresolvable_or_nan_inputs_are_usage_errors(capsys, argv, msg):
     # scipy's root finders raised their own messages here
@@ -306,6 +308,19 @@ def test_verify_power_without_samples_is_usage_error(capsys, flag):
                         flag, "0")
     assert code == 1
     assert out == ""
+
+
+def test_verify_power_passes_workers(capsys, monkeypatch):
+    seen, critical_value = [], solvers.critical_value
+
+    def recorded(*args, **kw):
+        seen.append(kw.get("workers"))
+        return critical_value(*args, **kw)
+
+    monkeypatch.setattr(solvers, "critical_value", recorded)
+    run_cli(capsys, "verify", "power", "--k", "2", "--p", "2", "--n", "20",
+            "--reps", "50", "--workers", "3")
+    assert seen == [3]
 
 
 def test_critical_zero_workers_is_usage_error(capsys):

@@ -29,6 +29,21 @@ def test_design_validates():
         TestDesign(0, 1.0, 0.05, 0.95, ())  # no coordinates
 
 
+@pytest.mark.parametrize("u", [(math.nan, 1.0), (math.inf, 1.0)])
+def test_normalize_direction_rejects_non_finite(u):
+    # scaled by a NaN or inf quadratic mean, u would become NaN
+    with pytest.raises(ValueError, match="finite"):
+        normalize_direction(u)
+
+
+@pytest.mark.parametrize("u", [(math.nan, math.nan), (math.nan, 1.0),
+                               (math.inf, 1.0)])
+def test_design_rejects_non_finite_direction(u):
+    # NaN fails every comparison, so |M_2 - 1| > 1e-12 cannot catch it
+    with pytest.raises(ValueError, match="finite"):
+        TestDesign(2, 1.0, 0.05, 0.95, u)
+
+
 def test_chi2_closed_form():
     for k in range(1, 7):
         for a in (0.1, 0.05, 0.01):
@@ -212,7 +227,7 @@ def test_mc_path_is_the_engine_tables_choice(k):
 
 
 def test_mc_critical_value_draws_each_chunk_once(monkeypatch):
-    # all 43 tails of the c bisection read chunks 0-7 of seed 0
+    # all 42 tails of the c bisection read chunks 0-7 of seed 0
     draws, rng = [], gauss_measure.chunk_rng
 
     def counted(seed, chunk):
