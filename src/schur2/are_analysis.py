@@ -6,8 +6,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chndtrinc
-from scipy.stats import chi2
+from scipy.special import chdtri, chndtrinc
 
 from .gauss_measure import rotate2
 from .solvers import TestDesign, normalize_direction, shift_solution
@@ -33,7 +32,7 @@ class AreResult:
 def _s2_norm(k, alpha, beta):
     """||s_2|| depends only on alpha, beta, k (spherical symmetry): its
     square is the ncx2 noncentrality with power beta at k c_2^2."""
-    return math.sqrt(chndtrinc(chi2.isf(alpha, k), k, 1.0 - beta))
+    return math.sqrt(chndtrinc(chdtri(k, alpha), k, 1.0 - beta))
 
 
 def are(d: TestDesign, *, seed=0, workers=1) -> AreResult:

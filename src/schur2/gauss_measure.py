@@ -34,8 +34,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
-from scipy.special import ndtr
-from scipy.stats import chi2
+from scipy.special import chdtrc, ndtr
 
 from . import sets as sets_mod
 from .means import pq_extreme
@@ -496,7 +495,7 @@ def _nearest_member_point(S, theta, seed=0, forced=False):
     never lengthens a point: the first common member scanned decides.
     """
     def plain(y):
-        return not forced and chi2.sf(np.linalg.norm(y)**2, S.k) >= 1e-6
+        return not forced and chdtrc(S.k, np.linalg.norm(y)**2) >= 1e-6
 
     best, diag = None, np.ones(S.k) / math.sqrt(S.k)
     starts = [*np.eye(S.k), *-np.eye(S.k), diag, -diag]

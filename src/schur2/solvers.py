@@ -20,8 +20,8 @@ How c and t are found, past the closed forms (k = 1, p = 2, p = +-inf):
     off it; else its full measure reuses that round, keeping every bit.
   - deterministic c is memoised per (k, p, alpha), so the directions of one
     design share a single solve.
-Both solvers use one monotone root finder for the bracket and its
-refinement, which evaluates each point once.
+Both solvers use one monotone root finder, which evaluates each point once;
+every Brent root, of c or of t, comes from brentq, a port of scipy's.
 """
 
 import functools
@@ -29,9 +29,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import ndtri
-from scipy.stats import chi2, ncx2
+from scipy.special import chdtrc, chdtri, gammaincinv, ndtri
+from scipy.special._ufuncs import _ncx2_sf  # what scipy.stats.ncx2.sf calls
 
 from .gauss_measure import (_MC_CHUNK, _MC_ROUND, GaussianShiftQuery,
                             _profile, engine, measure, pball_radius_cdf)
@@ -100,8 +99,10 @@ def tail_probability(k, p, c, shift, *, seed=0, workers=1,
     else the measure of the ball's complement, on its small side. Monte Carlo
     paths measure the ball, whose chunk p-means every c shares."""
     s = np.asarray(shift, dtype=float)
-    if p == 2.0:
-        return float(ncx2.sf(k * c * c, k, float(s @ s))), 0.0, True
+    if p == 2.0:  # ncx2.sf: chi2 at nc = 0 and off the open support
+        x, nc = k * c * c, float(s @ s)
+        sf = _ncx2_sf(x, k, nc) if nc and 0.0 < x < math.inf else chdtrc(k, x)
+        return float(sf), 0.0, True
     mc = _mc_path(k, p)
     S = p_ball(k, p, c)
     q = GaussianShiftQuery(set=S if mc else complement(S), shift=-s,
@@ -114,6 +115,46 @@ def tail_probability(k, p, c, shift, *, seed=0, workers=1,
 
 def _mc_path(k, p):  # whether measure takes the p-balls to Monte Carlo
     return engine(p_ball(k, p, 1.0))[0][0] == "MC"
+
+
+def brentq(f, a, b, xtol, rtol=4.0 * 2.0**-52):
+    """A root of f on [a, b] by Brent's method (Brent 1973, ch. 4), step for
+    step as in scipy's brentq.c, so every iterate keeps its bits. ValueError
+    if f(a), f(b) share a sign or f is NaN; RuntimeError after 100 steps."""
+    def fn(x):
+        if math.isnan(fx := f(x)):
+            raise ValueError(f"f({x:g}) is NaN; the root search cannot go on")
+        return fx
+
+    xpre, xcur, fpre, fcur = a, b, fn(a), fn(b)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):  # the first step sets xblk, fblk, spre and scur
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
+        if abs(fblk) < abs(fcur):  # xcur takes the smaller |f|
+            xpre, xcur, xblk, fpre, fcur, fblk = (xcur, xblk, xcur,
+                                                  fcur, fblk, fcur)
+        delta, sbis = (xtol + rtol * abs(xcur)) / 2, (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless interpolation takes a short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+        short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = fn(xcur)
+    raise RuntimeError("Brent's method did not converge in 100 steps")
 
 
 def _monotone_root(h, x0, *, exact, xtol, rtol, steps=200, lo=None,
@@ -203,7 +244,7 @@ def critical_value(k, p, alpha, *, seed=0, workers=1):
     if k == 1:
         return float(-ndtri(alpha / 2.0))
     if p == 2.0:
-        return math.sqrt(chi2.isf(alpha, k) / k)
+        return math.sqrt(chdtri(k, alpha) / k)
     if p == math.inf:  # every |Z_j| <= c with probability 1 - alpha
         return float(-ndtri(-0.5 * math.expm1(math.log1p(-alpha) / k)))
     if p == -math.inf:  # every |Z_j| > c with probability alpha
@@ -217,7 +258,7 @@ def critical_value(k, p, alpha, *, seed=0, workers=1):
         return alpha - tail_probability(k, p, c, zero, seed=seed,
                                         workers=workers)[0]
 
-    x0 = math.sqrt(chi2.ppf(1.0 - alpha, k) / k)  # the p = 2 value
+    x0 = math.sqrt(2.0 * gammaincinv(k / 2, 1.0 - alpha) / k)  # the p = 2 c
     return _monotone_root(h, x0, exact=False, xtol=0.0, rtol=0.0, steps=40)[0]
 
 

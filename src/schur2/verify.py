@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .majorization import MajorizationVerdict, schur2_compare
 from .means import Schur2Value, p_mean_rows
@@ -136,6 +135,7 @@ def _ball_volume(k, R):
 
 def _cube_disk_overlap(center, R):
     """Area of ([-1,1]^2 + center) intersected with the disk of radius R."""
+    from scipy.integrate import quad  # only the counterexample oracle loads it
     cx, cy = center
 
     def chord(x):
@@ -165,6 +165,7 @@ def run_counterexample(cfg: CounterexampleConfig, *, seed=0, budget=400_000):
         p1 = overlap / (math.pi * R * R)
         err = qerr / (math.pi * R * R) + 1e-14
     elif k == 3:
+        from scipy.integrate import quad
         c = cfg.x1[0]
 
         def slab_area(z):

@@ -4,9 +4,14 @@ import hashlib
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import schur2
 from schur2 import cli, gauss_measure, solvers, verify
 from schur2.cli import main
 
@@ -69,6 +74,36 @@ def test_verify_counterexample(capsys):
     assert code == 0
     assert rec["passed"]
     assert rec["R"] == pytest.approx(3.41, abs=0.01)
+
+
+@pytest.mark.parametrize("k, record", [
+    (2, {"R": 3.40833333333, "r": 2.25833333333, "p_x0": 0.109603896702,
+         "p_x1": 0.107638466202, "p_error": 2.05014735286e-10,
+         "containment_residual": 0.0}),
+    (3, {"R": 6.74166666667, "r": 5.59166666667, "p_x0": 0.00623303479086,
+         "p_x1": 0.00609030473117, "p_error": 7.43291731195e-11,
+         "containment_residual": -7.1054273576e-15}),
+])
+def test_verify_counterexample_records_pinned(capsys, k, record):
+    # the quadrature oracles at k = 2 and 3, the only users of
+    # scipy.integrate, which they import when they run
+    code, out = run_cli(capsys, "verify", "counterexample", "--k", str(k))
+    assert code == 0 and json.loads(out) == {
+        "k": k, "epsilon": 0.15, **record, "x1_sq_majorized_by_x0_sq": True,
+        "gap_exceeds_5_error": True, "passed": True, "seed": 0}
+
+
+def test_import_loads_no_heavy_scipy_module():
+    # every command pays for its imports; the package needs scipy.special
+    # alone, so a fresh interpreter must not load these
+    heavy = ("scipy.stats", "scipy.optimize", "scipy.integrate")
+    code = ("import sys, schur2.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    src = str(pathlib.Path(schur2.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 def test_sweep_csv_format(capsys):

@@ -482,6 +482,49 @@ def test_normal_helpers_match_scipy_stats_bits():
     assert _bits(-ndtri(q) + 0.0) == _bits(norm.isf(q))
 
 
+def test_chi2_helpers_match_scipy_stats_bits():
+    # the solvers, the ARE closed form and the importance-draw gate call the
+    # special functions under scipy.stats.chi2 and ncx2 directly, so that
+    # importing the package never loads scipy.stats; every value must keep
+    # its bits, and a scipy release that moves one must fail here
+    from scipy.special import chdtrc, chdtri, chndtrinc, gammaincinv
+    from scipy.special._ufuncs import _ncx2_sf
+    from schur2.are_analysis import _s2_norm
+    from schur2.solvers import critical_value, tail_probability
+    k = np.arange(1, 17)[:, None]
+    a = np.concatenate([np.logspace(-300.0, 0.0, 1201)[:-1],
+                        np.linspace(0.0, 1.0, 2001)[1:-1], [1.0 - 2.0**-53]])
+    x = np.concatenate([[0.0, 5e-324, 1e-300, math.inf, math.nan],
+                        np.logspace(-8.0, 3.5, 2001)])
+    assert _bits(chdtrc(k, x)) == _bits(chi2.sf(x, k))
+    assert _bits(chdtri(k, a)) == _bits(chi2.isf(a, k))
+    assert _bits(2.0 * gammaincinv(k / 2, 1.0 - a)) == _bits(
+        chi2.ppf(1.0 - a, k))
+    # ncx2.sf takes chi2 at nc = 0, and off its open support (0, inf),
+    # where the bare ufunc reads -0.0 or NaN; below x ~ 1e-8 at nc >= 900
+    # both raise scipy's OverflowError
+    assert _bits(chdtrc(k, x)) == _bits(ncx2.sf(x, k, 0.0))
+    xs = np.logspace(-4.0, 3.5, 1501)
+    for nc in (1e-12, 0.3, 4.0, 50.0, 900.0, 1e5):
+        assert _bits(_ncx2_sf(xs, k, nc)) == _bits(ncx2.sf(xs, k, nc))
+    # the call sites, with c = 0 and x = k c^2 = 0, inf or NaN among them
+    cs = (0.0, 1e-200, 1e-2, 0.4, 1.0, 1.7, 3.0, 8.0, 40.0, 1e200, math.nan)
+    betas = (0.06, 0.5, 0.9)
+    alphas = (1e-300, 1e-30, 1e-8, 0.01, 0.05, 0.5, 0.99, 1.0 - 2.0**-53)
+    for kk in range(1, 17):
+        for nc in (0.0, 1e-12, 0.3, 4.0, 50.0, 900.0, 1e5):
+            shift = np.full(kk, math.sqrt(nc / kk))
+            got = [tail_probability(kk, 2.0, c, shift)[0] for c in cs]
+            want = [ncx2.sf(kk * c * c, kk, float(shift @ shift)) for c in cs]
+            assert _bits(got) == _bits(want)
+        if kk > 1:  # k = 1 takes -ndtri(alpha / 2)
+            assert _bits([critical_value(kk, 2.0, al) for al in alphas]) == (
+                _bits([math.sqrt(chi2.isf(al, kk) / kk) for al in alphas]))
+        assert _bits([_s2_norm(kk, 0.05, b) for b in betas]) == _bits(
+            [math.sqrt(chndtrinc(chi2.isf(0.05, kk), kk, 1.0 - b))
+             for b in betas])
+
+
 def test_profile_cache_keeps_bits_and_its_size():
     # SLICE_QUAD keeps one theta-free radii profile per (p, rule); a warm
     # cache must give the bits of a cold one, a shift search at one p reuses

@@ -390,3 +390,70 @@ def test_closed_form_critical_values_on_their_small_side(k, p, alpha):
     # read inf or lose every digit
     want = _mp_closed_form_c(k, p, alpha)
     assert abs(critical_value(k, p, alpha) - want) <= 1e-12 * want
+
+
+def _brent_corpus(seed=20240):
+    """Seeded roots of smooth, flat, steep and exactly vanishing functions,
+    each bracketed on a random, sometimes reversed, interval."""
+    rng = np.random.default_rng(seed)
+    shapes = [
+        lambda r, s: lambda x: math.tanh(s * (x - r)),
+        lambda r, s: lambda x: (x - r) ** 3 + s * (x - r),
+        lambda r, s: lambda x: math.expm1(s * (x - r)),
+        lambda r, s: lambda x: math.atan(x - r) ** 3,  # flat at the root
+        lambda r, s: lambda x: (x - r) * abs(x - r) ** 0.1,
+        lambda r, s: lambda x: math.erf(s * (x - r)) - 0.5 * math.erf(s),
+        lambda r, s: lambda x: float(norm.ppf(norm.cdf(x) * 0.5 + 0.25)) - r,
+        lambda r, s: lambda x: x - round(r),  # hits 0.0 exactly
+        lambda r, s: lambda x: -(round(r) - x),  # hits -0.0 exactly
+        lambda r, s: lambda x: -0.0 if abs(x - r) < 1e-3 else x - r,
+    ]
+    for _ in range(150):
+        for shape in shapes:
+            r, s = rng.uniform(-0.6, 0.6), rng.uniform(0.1, 5.0)
+            a, b = r - rng.uniform(0.01, 10.0), r + rng.uniform(0.01, 10.0)
+            yield shape(r, s), *((a, b) if rng.random() < 0.5 else (b, a))
+
+
+def _recorded(solve, f, a, b, **tol):
+    """The root's bits or the exception raised, and every point f saw."""
+    seen = []
+
+    def g(x):
+        seen.append(float(x).hex())
+        return f(x)
+    try:
+        return float(solve(g, a, b, **tol)).hex(), seen
+    except (ValueError, RuntimeError) as e:
+        return type(e).__name__, seen
+
+
+@pytest.mark.parametrize("tol", [
+    dict(xtol=0.25 * solvers.BRACKET_RTOL, rtol=0.25 * solvers.BRACKET_RTOL),
+    dict(xtol=1e-14),  # both critical-value solves
+    dict(xtol=2e-12),  # scipy's default
+])
+def test_brentq_matches_scipy_bit_for_bit(tol):
+    # the port must visit the same points and return the same root as
+    # scipy.optimize.brentq, so that no solve moves a bit
+    for f, a, b in _brent_corpus():
+        assert _recorded(solvers.brentq, f, a, b, **tol) == _recorded(
+            brentq, f, a, b, **tol)
+
+
+def test_brentq_error_contract():
+    # a bracket without a sign change or a NaN value is a usage error (exit
+    # 1 on the command line), at either end or mid-search; 100 steps
+    # without convergence are not
+    for f in (lambda x: x, lambda x: math.nan,
+              lambda x: math.nan if 1.1 < x < 1.9 else x - 1.5):
+        with pytest.raises(ValueError):
+            solvers.brentq(f, 1.0, 2.0, xtol=1e-14)
+    assert solvers.brentq(lambda x: -(x - 1.0), 1.0, 2.0, xtol=1e-14) == 1.0
+
+    def step(x):  # |f| never shrinks, so every step bisects
+        return -1.0 if x < 5e-324 else 1.0
+    with pytest.raises(RuntimeError):
+        solvers.brentq(step, -1e308, 1e308, xtol=1e-300)
+    assert _recorded(solvers.brentq, step, -1e308, 1e308, xtol=1e-300) == (
+        _recorded(brentq, step, -1e308, 1e308, xtol=1e-300))
