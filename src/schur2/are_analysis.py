@@ -54,10 +54,9 @@ def are(d: TestDesign, *, seed=0, workers=1) -> AreResult:
 def are_extremes(k, p, alpha, beta, *, seed=0, workers=1):
     """ARE at the diagonal direction (all-ones) and the coordinate direction
     (sqrt(k) e1); these bracket the ARE over all directions."""
-    coord = np.zeros(k)
-    coord[0] = math.sqrt(k)
     return tuple(are(TestDesign(k, p, alpha, beta, tuple(u)), seed=seed,
-                     workers=workers) for u in (np.ones(k), coord))
+                     workers=workers)
+                 for u in (np.ones(k), math.sqrt(k) * np.eye(k)[0]))
 
 
 def are_direction_sweep(p, alpha, beta, n_angles=11, *, seed=0, workers=1):
@@ -94,10 +93,8 @@ def are_limit_trend(k, p, u, alpha_grid, beta_grid, *, seed=0, workers=1):
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("beta grid must be increasing")
     u = tuple(normalize_direction(u))
-    out = []
-    for a, b in zip(alphas, betas):
-        out.append(are(TestDesign(k, p, a, b, u), seed=seed, workers=workers))
-    return out
+    return [are(TestDesign(k, p, a, b, u), seed=seed, workers=workers)
+            for a, b in zip(alphas, betas)]
 
 
 def duality_partner(u):

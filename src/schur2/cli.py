@@ -41,8 +41,7 @@ def _emit(payload, args):
         buf = io.StringIO()
         w = csv.DictWriter(buf, fieldnames=list(rows[0]))
         w.writeheader()
-        for r in rows:
-            w.writerow(_round_floats(r))
+        w.writerows(_round_floats(r) for r in rows)
         text = buf.getvalue()
     else:
         text = json.dumps(_round_floats(payload), indent=2) + "\n"
@@ -223,21 +222,17 @@ def build_parser():
     _add_common(m)
     m.set_defaults(fn=cmd_measure)
 
-    c = sub.add_parser("critical", help="critical value c_(p, alpha)")
-    c.add_argument("--k", type=int, required=True)
-    c.add_argument("--p", type=float, required=True)
-    c.add_argument("--alpha", type=float, required=True)
-    _add_common(c)
-    c.set_defaults(fn=cmd_critical)
-
-    for name, fn, hlp in [("shift", cmd_shift, "power-matching shift"),
-                          ("are", cmd_are, "relative efficiency vs the 2-mean test")]:
+    for name, fn, hlp in [
+            ("critical", cmd_critical, "critical value c_(p, alpha)"),
+            ("shift", cmd_shift, "power-matching shift"),
+            ("are", cmd_are, "relative efficiency vs the 2-mean test")]:
         s = sub.add_parser(name, help=hlp)
         s.add_argument("--k", type=int, required=True)
         s.add_argument("--p", type=float, required=True)
         s.add_argument("--alpha", type=float, required=True)
-        s.add_argument("--beta", type=float, required=True)
-        s.add_argument("--u", required=True, help="direction, comma-separated")
+        if name != "critical":  # a design adds the power and the direction
+            s.add_argument("--beta", type=float, required=True)
+            s.add_argument("--u", required=True, help="direction, comma-separated")
         _add_common(s)
         s.set_defaults(fn=fn)
 

@@ -99,9 +99,11 @@ def tail_probability(k, p, c, shift, *, seed=0, workers=1,
     else the measure of the ball's complement, on its small side. Monte Carlo
     paths measure the ball, whose chunk p-means every c shares."""
     s = np.asarray(shift, dtype=float)
-    if p == 2.0:  # ncx2.sf: chi2 at nc = 0 and off the open support
+    if p == 2.0:  # as ncx2.sf: chi2 at nc = 0 and off (0, inf), NaN at nc NaN
         x, nc = k * c * c, float(s @ s)
-        sf = _ncx2_sf(x, k, nc) if nc and 0.0 < x < math.inf else chdtrc(k, x)
+        ncx2 = nc != 0.0 and (0.0 < x < math.inf or math.isnan(nc))
+        with np.errstate(over="ignore"):  # as scipy.stats runs _ncx2_sf
+            sf = _ncx2_sf(x, k, nc) if ncx2 else chdtrc(k, x)
         return float(sf), 0.0, True
     mc = _mc_path(k, p)
     S = p_ball(k, p, c)
@@ -135,8 +137,8 @@ def brentq(f, a, b, xtol, rtol=4.0 * 2.0**-52):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
         if abs(fblk) < abs(fcur):  # xcur takes the smaller |f|
-            xpre, xcur, xblk, fpre, fcur, fblk = (xcur, xblk, xcur,
-                                                  fcur, fblk, fcur)
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
         delta, sbis = (xtol + rtol * abs(xcur)) / 2, (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -197,10 +199,7 @@ def _monotone_root(h, x0, *, exact, xtol, rtol, steps=200, lo=None,
         if hi - lo <= max(xtol, rtol * hi):
             break
         mid = 0.5 * (lo + hi)
-        if h(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if h(mid) < 0.0 else (lo, mid)
     return 0.5 * (lo + hi), 0.5 * (hi - lo), True
 
 

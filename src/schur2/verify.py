@@ -120,9 +120,7 @@ class CounterexampleConfig:
 
     @property
     def x0(self):
-        v = np.zeros(self.k)
-        v[0] = self.r
-        return v
+        return self.r * np.eye(self.k)[0]
 
     @property
     def x1(self):
@@ -144,8 +142,7 @@ def _cube_disk_overlap(center, R):
         h = math.sqrt(R * R - x * x)
         return max(0.0, min(cy + 1.0, h) - max(cy - 1.0, -h))
 
-    val, err = quad(chord, cx - 1.0, cx + 1.0, limit=200, epsabs=1e-12)
-    return val, err
+    return quad(chord, cx - 1.0, cx + 1.0, limit=200, epsabs=1e-12)
 
 
 def run_counterexample(cfg: CounterexampleConfig, *, seed=0, budget=400_000):
@@ -230,9 +227,7 @@ def empirical_power(d: EmpiricalDesign):
     root_n = math.sqrt(d.n)
     chunk = max(1, min(d.replications, 2_000_000 // (d.n * d.k) + 1))
     rejections = 0
-    done = 0
-    ci = 0
-    while done < d.replications:
+    for ci, done in enumerate(range(0, d.replications, chunk)):
         m = min(chunk, d.replications - done)
         rng = chunk_rng(d.seed, ci)
         if d.population == "gaussian":
@@ -243,8 +238,6 @@ def empirical_power(d: EmpiricalDesign):
         xbar = x.mean(axis=1) + theta
         stat = root_n * p_mean_rows(xbar, d.p)
         rejections += int(np.count_nonzero(stat > d.c))
-        done += m
-        ci += 1
     rate = rejections / d.replications
     stderr = math.sqrt(max(rate * (1.0 - rate), 1.0 / d.replications)
                        / d.replications)

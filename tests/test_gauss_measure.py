@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -507,14 +508,18 @@ def test_chi2_helpers_match_scipy_stats_bits():
     xs = np.logspace(-4.0, 3.5, 1501)
     for nc in (1e-12, 0.3, 4.0, 50.0, 900.0, 1e5):
         assert _bits(_ncx2_sf(xs, k, nc)) == _bits(ncx2.sf(xs, k, nc))
-    # the call sites, with c = 0 and x = k c^2 = 0, inf or NaN among them
+    # the call sites, with c = 0 and x = k c^2 = 0, inf or NaN among them,
+    # and a NaN shift, which ncx2.sf reads as NaN at every x; like ncx2.sf,
+    # the p = 2 tail warns of no overflow inside the special function
     cs = (0.0, 1e-200, 1e-2, 0.4, 1.0, 1.7, 3.0, 8.0, 40.0, 1e200, math.nan)
     betas = (0.06, 0.5, 0.9)
     alphas = (1e-300, 1e-30, 1e-8, 0.01, 0.05, 0.5, 0.99, 1.0 - 2.0**-53)
     for kk in range(1, 17):
-        for nc in (0.0, 1e-12, 0.3, 4.0, 50.0, 900.0, 1e5):
+        for nc in (0.0, 1e-12, 0.3, 4.0, 50.0, 900.0, 1e5, math.nan):
             shift = np.full(kk, math.sqrt(nc / kk))
-            got = [tail_probability(kk, 2.0, c, shift)[0] for c in cs]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = [tail_probability(kk, 2.0, c, shift)[0] for c in cs]
             want = [ncx2.sf(kk * c * c, kk, float(shift @ shift)) for c in cs]
             assert _bits(got) == _bits(want)
         if kk > 1:  # k = 1 takes -ndtri(alpha / 2)
