@@ -6,10 +6,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtri, chndtrinc
 
 from .gauss_measure import rotate2
-from .solvers import TestDesign, normalize_direction, shift_solution
+from .solvers import (TestDesign, _s2_norm, normalize_direction,
+                      shift_solution)
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,6 @@ class AreResult:
                 "u": list(self.design.u), "target_met": self.target_met}
 
 
-def _s2_norm(k, alpha, beta):
-    """||s_2|| depends only on alpha, beta, k (spherical symmetry): its
-    square is the ncx2 noncentrality with power beta at k c_2^2."""
-    return math.sqrt(chndtrinc(chdtri(k, alpha), k, 1.0 - beta))
-
-
 def are(d: TestDesign, *, seed=0, workers=1) -> AreResult:
     """ARE in the design's direction; its error propagates the solver_error
     of s_p alone, since ||s_2|| has a closed form."""
@@ -45,9 +39,9 @@ def are(d: TestDesign, *, seed=0, workers=1) -> AreResult:
     if not sol.exists:
         return AreResult(0.0, norm2, math.nan, d, 0.0, sol.target_met)
     val = norm2 ** 2 / sol.norm ** 2
-    # first-order error propagation on the ratio of squared norms
+    # first-order error propagation: val ~ 1 / t^2, solver_error is in t
     return AreResult(val, norm2, sol.norm, d,
-                     val * 2.0 * sol.solver_error / max(sol.norm, 1e-300),
+                     val * 2.0 * sol.solver_error / max(sol.t, 1e-300),
                      sol.target_met)
 
 
@@ -64,13 +58,10 @@ def are_direction_sweep(p, alpha, beta, n_angles=11, *, seed=0, workers=1):
     symmetry maps every direction into this sector."""
     if n_angles < 1:
         raise ValueError("a sweep needs at least one angle")
-    out = []
-    for t in np.linspace(0.0, math.pi / 4.0, n_angles):
-        u = math.sqrt(2.0) * np.array([math.cos(t), math.sin(t)])
-        r = are(TestDesign(2, p, alpha, beta, tuple(u)),
-                seed=seed, workers=workers)
-        out.append((float(t), r))
-    return out
+    ts = np.linspace(0.0, math.pi / 4.0, n_angles)
+    us = [math.sqrt(2.0) * np.array([math.cos(t), math.sin(t)]) for t in ts]
+    return [(float(t), are(TestDesign(2, p, alpha, beta, tuple(u)), seed=seed,
+                           workers=workers)) for t, u in zip(ts, us)]
 
 
 def sweep_records(rows):

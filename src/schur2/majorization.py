@@ -77,9 +77,7 @@ def apply_group_element(x, perm, signs):
 
 def random_group_element(k, rng):
     """Draw a uniform element of the 2^k * k! hypercube symmetry group."""
-    perm = rng.permutation(k)
-    signs = rng.integers(0, 2, size=k) * 2 - 1
-    return perm, signs
+    return rng.permutation(k), rng.integers(0, 2, size=k) * 2 - 1
 
 
 def muirhead_chain(a, b):

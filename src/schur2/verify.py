@@ -24,15 +24,8 @@ from .gauss_measure import GaussianShiftQuery, chunk_rng, measure
 from .sets import SetSpec, classify_set, format_set
 
 
-def _expected_sign(char):
-    # +1: measure nondecreasing toward the diagonal; -1: nonincreasing
-    if char.value == Schur2Value.SCHUR2_CONVEX:
-        return 1
-    if char.value == Schur2Value.SCHUR2_CONCAVE:
-        return -1
-    raise ValueError("set classification must not be NEITHER_KNOWN")
-
-
+# +1: measure nondecreasing toward the diagonal; -1: nonincreasing
+_SIGN = {Schur2Value.SCHUR2_CONVEX: 1, Schur2Value.SCHUR2_CONCAVE: -1}
 _COMPARABLE = (MajorizationVerdict.STRICT_MAJORIZES,
                MajorizationVerdict.MAJORIZES_NONSTRICT,
                MajorizationVerdict.EQUAL_SORTED)
@@ -47,7 +40,9 @@ def check_schur2_monotonicity(S: SetSpec, shift_pairs, *, seed=0, workers=1,
     set's measures are equal within 3 sigma, and any other set shows a gap
     above 5 sigma somewhere."""
     char = classify_set(S)
-    sign = _expected_sign(char)
+    if char.value not in _SIGN:
+        raise ValueError("set classification must not be NEITHER_KNOWN")
+    sign = _SIGN[char.value]
     measured, pairs, violations, strict_gap = {}, [], 0, False
     for th1, th2 in shift_pairs:
         th1, th2 = tuple(map(float, th1)), tuple(map(float, th2))
@@ -153,9 +148,7 @@ def run_counterexample(cfg: CounterexampleConfig, *, seed=0, budget=400_000):
     vol_ratio = 2.0 ** k / _ball_volume(k, R)
     # the cube at x0 touches the sphere exactly at its far face
     containment = (1.0 + r) ** 2 + (k - 1) - R ** 2
-    x1_maj = schur2_compare(cfg.x0, cfg.x1) in (
-        MajorizationVerdict.STRICT_MAJORIZES,
-        MajorizationVerdict.MAJORIZES_NONSTRICT)
+    x1_maj = schur2_compare(cfg.x0, cfg.x1) in _COMPARABLE
     p0 = vol_ratio
     if k == 2:
         overlap, qerr = _cube_disk_overlap(cfg.x1, R)

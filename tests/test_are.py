@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from schur2.are_analysis import (_s2_norm, are, are_direction_sweep,
-                                 are_extremes, are_limit_trend,
-                                 duality_partner, sweep_records)
+from schur2.are_analysis import (are, are_direction_sweep, are_extremes,
+                                 are_limit_trend, duality_partner,
+                                 sweep_records)
 from schur2 import solvers
-from schur2.solvers import TestDesign, normalize_direction
+from schur2.solvers import TestDesign, _s2_norm, normalize_direction
 
 
 def design(k, p, u, alpha=0.05, beta=0.95):
@@ -107,27 +107,27 @@ def test_nonexistent_shift_gives_zero():
 
 
 def test_are_bits_pinned():
-    # (are, error, sp_norm) recorded bit for bit once ||s_2|| came from the
-    # ncx2 quantile at chi2.isf(alpha) (the last bits of are and error moved
-    # from chi2.ppf(1 - alpha); sp_norm kept its bits) and c at k = 2 from
-    # the polar tail; each ARE must lie within three times the summed error
-    # bars of the one recorded before (old are, error), when ||s_2|| was a
-    # Brent root with its own error
+    # (are, error, sp_norm) recorded bit for bit once exact shift searches
+    # started at the p = 2 shift ||s_2|| / ||u|| and the k >= 3 critical
+    # values bracketed each refinement next to the last root; error came in
+    # t units then. Each ARE must lie within three times the summed error
+    # bars of the one recorded before (old are, error), when the searches
+    # started at t = 1 and solver_error mixed power with t units
     cases = [
-        (2, 0.5, [1.0, 0.4], ("0x1.85af10a7ea594p-1", "0x1.3750f7716f0dep-25",
-                              "0x1.04f565104fc27p+2"),
-         ("0x1.85af10a65a8f0p-1", "0x1.3d2dbabcd4db4p-24")),
-        (2, 3.0, [1.0, 0.4], ("0x1.fbe8926a8cb55p-1", "0x1.a4914cbaad4dcp-25",
-                              "0x1.c92819af8383bp+1"),
-         ("0x1.fbe8926883a09p-1", "0x1.a4ceae0259c12p-24")),
-        (3, 1.5, [1.0, 0.5, -0.2], ("0x1.f6954cd05c350p-1",
-                                    "0x1.625e132bf5756p-25",
-                                    "0x1.e659880d7b53bp+1"),
-         ("0x1.f6954ccf16409p-1", "0x1.62e2836b391adp-24")),
-        (3, 4.0, [1.0, 0.5, -0.2], ("0x1.f28b616cfb648p-1",
-                                    "0x1.5f139f7ec3f2ep-25",
-                                    "0x1.e850d42a2bc14p+1"),
-         ("0x1.f28b616bb80ebp-1", "0x1.5fcfb808ec8c6p-24")),
+        (2, 0.5, [1.0, 0.4], ("0x1.85af10eec008cp-1", "0x1.b844884a97db7p-25",
+                              "0x1.04f564f897fd9p+2"),
+         ("0x1.85af10a7ea594p-1", "0x1.3750f7716f0dep-25")),
+        (2, 3.0, [1.0, 0.4], ("0x1.fbe8924d1d876p-1", "0x1.2962dcfcd1106p-24",
+                              "0x1.c92819bcc2a27p+1"),
+         ("0x1.fbe8926a8cb55p-1", "0x1.a4914cbaad4dcp-25")),
+        (3, 1.5, [1.0, 0.5, -0.2], ("0x1.f6954ccdfb65ap-1",
+                                    "0x1.32e4284c18203p-24",
+                                    "0x1.e659880ea1e65p+1"),
+         ("0x1.f6954cd05c350p-1", "0x1.625e132bf5756p-25")),
+        (3, 4.0, [1.0, 0.5, -0.2], ("0x1.f28b616a900f2p-1",
+                                    "0x1.300a929c48b96p-24",
+                                    "0x1.e850d42b5b117p+1"),
+         ("0x1.f28b616cfb648p-1", "0x1.5f139f7ec3f2ep-25")),
     ]
     for k, p, u, want, before in cases:
         r = are(design(k, p, u, alpha=0.05, beta=0.9))

@@ -490,8 +490,7 @@ def test_chi2_helpers_match_scipy_stats_bits():
     # its bits, and a scipy release that moves one must fail here
     from scipy.special import chdtrc, chdtri, chndtrinc, gammaincinv
     from scipy.special._ufuncs import _ncx2_sf
-    from schur2.are_analysis import _s2_norm
-    from schur2.solvers import critical_value, tail_probability
+    from schur2.solvers import _s2_norm, critical_value, tail_probability
     k = np.arange(1, 17)[:, None]
     a = np.concatenate([np.logspace(-300.0, 0.0, 1201)[:-1],
                         np.linspace(0.0, 1.0, 2001)[1:-1], [1.0 - 2.0**-53]])

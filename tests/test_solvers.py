@@ -178,8 +178,108 @@ def test_quadrature_shift_solution_call_budget(measure_calls, k, p):
     u = normalize_direction(np.linspace(1.0, 0.4, k))
     sol = shift_solution(TestDesign(k, p, 0.05, 0.9, tuple(u)))
     assert sol.exists
-    assert len(measure_calls) <= 10
+    assert len(measure_calls) <= 6
     assert abs(sol.achieved_power - 0.9) <= 1e-6
+
+
+# (are, error) per (k, p) over alpha in (.05, .01), beta in (.9, .95) and
+# the directions ones(k), linspace(1, 0.2, k), recorded when exact shift
+# searches started at t = 1 and took 7.06 measure calls per solve on average
+_ARE_GRID_BEFORE = {
+    (2, 0.5): [(1.0024545246008654, 4.955e-08), (0.6065694536720198, 2.809e-08),
+               (1.0029123358350374, 4.824e-08), (0.5873688038425232, 2.649e-08),
+               (1.0283844590806088, 4.885e-08), (0.5403279243773381, 2.386e-08),
+               (1.0269794718151228, 4.776e-08), (0.5204329101901481, 2.253e-08)],
+    (2, 1.5): [(1.0222861836718047, 5.067e-08), (0.9708142258985621, 4.777e-08),
+               (1.0221856757468017, 4.929e-08), (0.9712118369763487, 4.652e-08),
+               (1.0306307483630779, 4.897e-08), (0.9588328694859721, 4.515e-08),
+               (1.0296861215921436, 4.790e-08), (0.9600256984563267, 4.429e-08)],
+    (2, 3.0): [(0.9590516857274772, 4.711e-08), (1.0136256135442598, 5.018e-08),
+               (0.9598978278946264, 4.590e-08), (1.0135315203092852, 4.882e-08),
+               (0.9425427078475813, 4.428e-08), (1.0185855408640625, 4.833e-08),
+               (0.9446941380348204, 4.350e-08), (1.017866139690914, 4.729e-08)],
+    (3, 0.5): [(0.9897832272436521, 4.165e-08), (0.7663744544480956, 3.103e-08),
+               (0.9916940708548811, 4.054e-08), (0.7549350312537307, 2.971e-08),
+               (1.0185755893563493, 4.112e-08), (0.7312341968771303, 2.824e-08),
+               (1.0178824288876853, 4.017e-08), (0.7199391651961602, 2.720e-08)],
+    (3, 1.5): [(1.0291376357530049, 4.358e-08), (0.9905490723373207, 4.169e-08),
+               (1.029240055695302, 4.231e-08), (0.9906416809320765, 4.050e-08),
+               (1.0392886934754433, 4.208e-08), (0.9868526327356681, 3.966e-08),
+               (1.0384717956633516, 4.109e-08), (0.9870104155025416, 3.879e-08)],
+    (3, 3.0): [(0.938560896383711, 3.917e-08), (0.9815681315170715, 4.125e-08),
+               (0.9396876994644527, 3.812e-08), (0.9820569665447927, 4.009e-08),
+               (0.9163194112884161, 3.645e-08), (0.974454445425819, 3.909e-08),
+               (0.9190802494475383, 3.578e-08), (0.9752376569603947, 3.827e-08)],
+}
+
+
+def test_exact_shift_searches_start_at_the_p2_shift(measure_calls):
+    # the p-mean shift lies near ||s_2|| / ||u||, so h there and the free
+    # h(0) bracket the root, and Brent needs about three more measures
+    solves = 0
+    for (k, p), before in _ARE_GRID_BEFORE.items():
+        cases = [(a, b, u) for a in (0.05, 0.01) for b in (0.9, 0.95)
+                 for u in (np.ones(k), np.linspace(1.0, 0.2, k))]
+        for (a, b, u), (old, old_err) in zip(cases, before):
+            r = are(TestDesign(k, p, a, b, tuple(normalize_direction(u))))
+            assert r.target_met
+            assert abs(r.are - old) <= 3.0 * (r.error + old_err)
+            solves += 1
+    assert len(measure_calls) / solves <= 5.6
+
+
+def test_critical_value_refinements_bracket_next_to_the_last_root(
+        monkeypatch):
+    # each node count after the first brackets its root within 1e-6 of the
+    # last one; 16 critical values took 537 last-row evaluations on [0, m]
+    evals, cdf = [], solvers.pball_radius_cdf
+
+    def counted(*args, **kw):
+        G = cdf(*args, **kw)
+        return lambda w, *a: evals.append(np.size(w)) or G(w, *a)
+
+    monkeypatch.setattr(solvers, "pball_radius_cdf", counted)
+    solvers._exact_critical_value.cache_clear()
+    before = {  # recorded when every refinement searched [0, m]
+        (0.5, 0.05): "0x1.569619ad92c8ep+0", (0.5, 0.01): "0x1.a9a71e2596de2p+0",
+        (1.0, 0.05): "0x1.6cd8575172e2bp+0", (1.0, 0.01): "0x1.bd60ef33393dap+0",
+        (1.5, 0.05): "0x1.8594f48ef1c2cp+0", (1.5, 0.01): "0x1.d6a658ea35f86p+0",
+        (1.9, 0.05): "0x1.98a8610db0aa7p+0", (1.9, 0.01): "0x1.ec6c5ed4596e6p+0",
+        (2.1, 0.05): "0x1.a1945b27f9c87p+0", (2.1, 0.01): "0x1.f72b2943e1ff9p+0",
+        (2.5, 0.05): "0x1.b1f663dfde129p+0", (2.5, 0.01): "0x1.05cc45c3e30c5p+1",
+        (3.0, 0.05): "0x1.c3b8c5338aa76p+0", (3.0, 0.01): "0x1.1138f229749f1p+1",
+        (4.0, 0.05): "0x1.df8b54c93b996p+0", (4.0, 0.01): "0x1.2379f207631d5p+1",
+    }
+    for (p, a), bits in before.items():
+        assert abs(critical_value(3, p, a) - float.fromhex(bits)) <= 1e-10
+    assert sum(evals) <= 400
+
+
+def test_critical_value_refinement_falls_back_to_the_whole_domain(
+        monkeypatch):
+    # at k = 6, p = 0.7 the root moves 2.5e-6 from 32 to 64 nodes, so the
+    # pair next to it has one sign and that refinement searches [0, m]
+    lows, brent = [], solvers.brentq
+    monkeypatch.setattr(solvers, "brentq", lambda f, a, b, **kw: (
+        lows.append(a) or brent(f, a, b, **kw)))
+    solvers._exact_critical_value.cache_clear()
+    c = critical_value(6, 0.7, 0.05)
+    assert lows[:2] == [0.0, 0.0] and lows[2] > 0.0
+    assert abs(c - float.fromhex("0x1.29c8cdb458602p+0")) <= 1e-10
+
+
+@pytest.mark.parametrize("k, p, u", [(2, 1.0, [1.0, 0.4]),
+                                     (3, 1.5, [1.0, 0.5, -0.2])])
+def test_solver_error_in_t_units_covers_a_tight_resolve(monkeypatch, k, p, u):
+    # on exact paths the power errors reach t through the secant of the two
+    # powers that bracket the root; a re-solve at target 1e-12 lies within
+    d = TestDesign(k, p, 0.05, 0.9, tuple(normalize_direction(u)))
+    sol = shift_solution(d)
+    monkeypatch.setattr(solvers, "_QUAD_TARGET", 1e-12)
+    monkeypatch.setattr(solvers, "BRACKET_RTOL", 1e-14)
+    tight = shift_solution(d)
+    assert tight.target_met and tight.solver_error < 1e-3 * sol.solver_error
+    assert abs(sol.t - tight.t) <= sol.solver_error
 
 
 def test_mc_critical_value_bits_unchanged():
@@ -311,6 +411,32 @@ def test_tails_on_their_small_side(k, p, c, shift):
     assert abs(value - want) <= 1e-12 * want
     assert abs(value - want) <= err
     assert met is True
+
+
+def _mp_ncx2_sf_near_zero(x, k, nc):
+    """P(ncx2(k, nc) > x) at 40 digits, for (nc / 2)(x / 2) < k / 2 + 1:
+    there the terms of the Poisson mixture of chi-square CDFs fall
+    geometrically from j = 0."""
+    assert nc * x < 2.0 * k + 4.0
+    with mpmath.workdps(40):
+        lam, half = mpmath.mpf(nc) / 2, mpmath.mpf(k) / 2
+        cdf = mpmath.fsum(
+            mpmath.exp(j * mpmath.log(lam) - lam - mpmath.loggamma(j + 1))
+            * mpmath.gammainc(half + j, 0, mpmath.mpf(x) / 2, regularized=True)
+            for j in range(60))
+        return 1 - cdf
+
+
+@pytest.mark.parametrize("k, nc", [(2, 1800.0), (2, 800.0), (16, 1e5)])
+def test_p2_tail_where_ncx2_sf_overflows(k, nc):
+    # boost's tgamma overflows in _ncx2_sf at x ~ 0 and a large nc; the
+    # tail is then one minus the ncx2 CDF
+    c, shift = 1e-5, np.full(k, math.sqrt(nc / k))
+    x = k * c * c
+    value, err, met = tail_probability(k, 2.0, c, shift)
+    want = _mp_ncx2_sf_near_zero(x, k, float(shift @ shift))
+    assert abs(value - want) <= 1e-15
+    assert (err, met) == (0.0, True)
 
 
 def test_solves_report_every_inner_verdict(monkeypatch):
