@@ -113,7 +113,15 @@ def cmd_verify(args):
             parse_set(args.set, 2), args.radius, grid, seed=args.seed,
             workers=args.workers)
     if args.check == "power":
-        return verify_power_report(args)
+        c = solvers.critical_value(args.k, args.p, args.alpha, seed=args.seed,
+                                   workers=args.workers)
+        rate, se = verify.empirical_power(verify.EmpiricalDesign(
+            n=args.n, k=args.k, p=args.p, c=c, population=args.population,
+            replications=args.reps, seed=args.seed))
+        return {"k": args.k, "p": args.p, "alpha": args.alpha, "n": args.n,
+                "population": args.population, "critical_value": c,
+                "rejection_rate": rate, "stderr": se,
+                "passed": bool(abs(rate - args.alpha) <= 4.0 * se)}
     if args.k < 2:
         raise ValueError("a majorization transfer needs k >= 2")
     S = parse_set(args.set, args.k)
@@ -130,19 +138,6 @@ def cmd_verify(args):
     if not any("ok" in pair for pair in rep["pairs"]):
         raise ValueError("no comparable shift pair to check")
     return rep
-
-
-def verify_power_report(args):
-    c = solvers.critical_value(args.k, args.p, args.alpha, seed=args.seed,
-                               workers=args.workers)
-    d = verify.EmpiricalDesign(n=args.n, k=args.k, p=args.p, c=c,
-                               population=args.population,
-                               replications=args.reps, seed=args.seed)
-    rate, se = verify.empirical_power(d)
-    ok = abs(rate - args.alpha) <= 4.0 * se
-    return {"k": args.k, "p": args.p, "alpha": args.alpha, "n": args.n,
-            "population": args.population, "critical_value": c,
-            "rejection_rate": rate, "stderr": se, "passed": bool(ok)}
 
 
 FIG1_PANELS = [

@@ -11,8 +11,8 @@ with its bar, and measure alone judges target_met from them.
                 are Chebyshev interpolants, the last runs at the one radius
                 k^(1/p) eps on two quadrature rules whose gap is its bar, and
                 every shift shares one radii profile per p and rule
-  SEP           the other sets at k = 2 of finite exponents: the integral
-                over |Y_1| of Y_2's mass in the set's slice, graded to kinks
+  SEP           the other k = 2 sets of finite exponents: the integral over
+                |Y_1| of Y_2's slice mass, G13/K27 on panels graded to kinks
   MC_PLAIN /    everything else, in one Monte Carlo loop: plain draws, or
   MC_IMPORTANCE importance sampling from N(center, I) around a near member
                 point when the event is rare, which the first common member
@@ -59,7 +59,7 @@ class MeasureEstimate:
     rel_error: float
     method: str  # PRODUCT_1D | SLICE_QUAD | SEP | MC_PLAIN | MC_IMPORTANCE
     #              | POLAR2D (forced only)
-    samples_or_nodes: int
+    samples_or_nodes: int  # draws, rows, rays; SEP: every node it evaluates
     seed: int = None
     wall_ms: float = 0.0
     target_met: bool = True
@@ -257,8 +257,10 @@ def _slice_quad(S, theta, target, q):
         if k == 2 or n > 32 and gap <= max(0.1 * target * val, 1e-13):
             break
         prev = val
-    err = gap + abs(val - float(G(w_eval, halves=True)))
-    return "SLICE_QUAD", 1.0 - val if comp else val, max(err, 1e-15), rows
+    err = max(gap + abs(val - float(G(w_eval, halves=True))), 1e-15)
+    if comp and k == 2 and not (q.method or _target_met(1 - val, err, target)):
+        return _sep(sets_mod.complement(S), theta, target, q)  # 1 - G lost it
+    return "SLICE_QUAD", 1.0 - val if comp else val, err, rows
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +346,36 @@ def _sep_set(S, xb):
         up[1] if p > 0.0 else inf)
 
 
+@functools.cache
+def _gauss_kronrod(n):
+    """The (2n + 1)-point Kronrod extension of n-point Gauss-Legendre on
+    [-1, 1] (Kronrod 1965; Laurie 1997): nodes x, new at even indices, its
+    weights and the Gauss weights, 0 at the new nodes. These are the roots of
+    the Stieltjes polynomial E = P_(n+1) + sum c_j P_j, orthogonal to
+    P_0..P_n under the weight P_n; the weights integrate P_0..P_2n."""
+    leg = np.polynomial.legendre
+    X, W = leg.leggauss(2 * n + 2)  # exact for the degree 3n + 1 products
+    V = leg.legvander(X, n + 1)
+    A = V.T @ (V * (W * V[:, n])[:, None])  # A_ij = int P_i P_j P_n
+    E = np.r_[np.linalg.solve(A[:-1, :-1], -A[:-1, -1]), 1.0]  # c_j, then 1
+    x, wg = np.empty(2 * n + 1), np.zeros(2 * n + 1)
+    x[1::2], wg[1::2] = leg.leggauss(n)
+    r = np.sort(leg.legroots(E))  # one Newton step takes them to 1 ulp
+    x[::2] = r - leg.legval(r, E) / leg.legval(r, leg.legder(E))
+    wk = np.linalg.solve(leg.legvander(x, 2 * n).T, np.eye(2 * n + 1)[0] * 2)
+    return x, wk, wg
+
+
 def _sep(S, theta, target, q):
     """int_0^Y g(y) m(y) dy, g the density of |Y_1| at the larger shift, m
-    the N(theta_2, 1) mass of the slice at y, on both rules of _mesh, graded
-    toward 0, Y and the kinks, cut at the cuts and |theta_1| + _BAND; check-B
-    sums over the larger coordinate. Bar: rules' gap, rounding, mass past Y."""
+    the N(theta_2, 1) mass of the slice at y, on _gauss_kronrod(13) (K27,
+    embedding G13) per panel, graded toward 0, Y and the kinks, cut at the
+    cuts and |theta_1| + _BAND; check-B sums over the larger coordinate.
+    Bar: |K27 - G13|, rounding, mass past Y. nodes: all K27 nodes."""
     S, comp = _uncomplement(S)
     t = np.sort(np.abs(theta))[::-1]  # every symmetry image: the same bits
     checkb = S.variant == "checkb"
+    x, wk, wg = _gauss_kronrod(13)
     value = err = nodes = 0
     for t_out, t_in in (t, t[::-1])[:1 + checkb]:
         xb = t_in + _BAND
@@ -360,25 +384,25 @@ def _sep(S, theta, target, q):
         bp = np.unique(np.clip(np.r_[0.0, Y, kinks], 0.0, Y))
         bp = np.union1d(bp[:-1, None] + np.diff(bp)[:, None] * _BP,
                         np.clip(np.r_[cuts, t_out + _BAND], 0.0, Y))
-        rules = []
-        for y, w, _ in (_mesh(1.0, bp, False), _mesh(1.0, bp, True)):
-            with np.errstate(divide="ignore", over="ignore"):  # ends at inf
-                a1, b1, a2, b2 = slices(y)
-            m = e = 0.0
-            parts = ((0.0, a1), (b1, a2)) if comp else ((a1, b1), (a2, b2))
-            for lo, hi in parts:  # slabs of |Y_2|, each on its small side
-                if np.any(np.less(lo, hi)):  # ndtr is most of the cost
-                    z = np.stack(np.broadcast_arrays(
-                        lo - t_in, hi - t_in, -hi - t_in, -lo - t_in))
-                    z[:2] = np.where(z[0] > 0.0, -z[1::-1], z[:2])
-                    N = ndtr(z)
-                    m = m + N[1] - N[0] + N[3] - N[2]
-                    e = e + (N * (1 + np.clip(z, -40, 0) ** 2 / 16)).sum(0)
-            g = w * (_npdf(y - t_out) + _npdf(y + t_out))
-            e = e + (1.0 + (y - t_out) ** 2 / 16.0) * m  # and g's rounding
-            rules.append((g @ m, 1e-14 * g @ e, y.size))
-        (v1, e1, n), (v2, _, _) = rules
-        value, err, nodes = value + v1, err + abs(v1 - v2) + e1, nodes + n
+        mids, halfs = 0.5 * (bp[1:] + bp[:-1]), 0.5 * np.diff(bp)[:, None]
+        y = (mids[:, None] + halfs * x).ravel()
+        with np.errstate(divide="ignore", over="ignore"):  # ends at inf
+            a1, b1, a2, b2 = slices(y)
+        m = e = 0.0
+        parts = ((0.0, a1), (b1, a2)) if comp else ((a1, b1), (a2, b2))
+        for lo, hi in parts:  # slabs of |Y_2|, each on its small side
+            if np.any(np.less(lo, hi)):  # ndtr is most of the cost
+                z = np.stack(np.broadcast_arrays(
+                    lo - t_in, hi - t_in, -hi - t_in, -lo - t_in))
+                z[:2] = np.where(z[0] > 0.0, -z[1::-1], z[:2])
+                N = ndtr(z)
+                m = m + N[1] - N[0] + N[3] - N[2]
+                e = e + (N * (1 + np.clip(z, -40, 0) ** 2 / 16)).sum(0)
+        g = _npdf(y - t_out) + _npdf(y + t_out)
+        e = e + (1.0 + (y - t_out) ** 2 / 16.0) * m  # and g's rounding
+        K, G = ((halfs * w).ravel() * g for w in (wk, wg))
+        value, err = value + K @ m, err + abs((K - G) @ m) + 1e-14 * K @ e
+        nodes += y.size
     o = ndtr(t - Y) + ndtr(-t - Y)  # P(|Y_j| > Y), all in the complement
     tail = o[0] + o[1] - o[0] * o[1] if checkb else o[0]
     rounding = 1e-14 * (1.0 + max((Y - t) ** 2) / 16.0)  # ndtr's, as above
@@ -394,16 +418,6 @@ def _sep_capable(S):  # every k = 2 family of finite exponents
 # POLAR2D
 
 
-def _axis_hint_radii(theta, cos_ph, sin_ph, rho_max):
-    """Where each ray crosses the shifted axis lines x = theta_1, y = theta_2:
-    a coordinate there is 0 within rounding, inside every arm of the q < 0
-    and p <= 0 families, however far below the scan resolution it hugs."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hints = np.stack([theta[0] / cos_ph, theta[1] / sin_ph], axis=1)
-    bad = ~np.isfinite(hints) | (hints <= 0.0) | (hints >= rho_max)
-    return np.where(bad, 0.0, hints)  # rho=0 duplicates are harmless
-
-
 _N_SCAN = 1024  # uniform scan radii per ray
 _BISECT_ITERS = 48
 _PHI_CHUNK = 512  # rays per block, scanned and bisected together
@@ -412,8 +426,11 @@ _PHI_CHUNK = 512  # rays per block, scanned and bisected together
 def _radial_mass_batch(S, theta, phis, rho_max):
     """Radial Gaussian mass along many rays: per membership interval [a, b]
     of a ray, exp(-a^2/2) - exp(-b^2/2). Each block of _PHI_CHUNK rays finds
-    its intervals by a scan of _N_SCAN radii and the two _axis_hint_radii,
-    then polishes their ends by one vectorized bisection."""
+    its intervals by a scan of _N_SCAN radii and the two radii where a ray
+    crosses the shifted axis lines x = theta_1, y = theta_2 (a coordinate is
+    0 there, inside every arm of the q < 0 and p <= 0 families, however far
+    below the scan resolution it hugs), then polishes their ends by one
+    vectorized bisection."""
     def member(rho, cos_ph, sin_ph):
         pts = np.stack((rho * cos_ph - theta[0], rho * sin_ph - theta[1]), -1)
         return contains_rows(S, pts.reshape(-1, 2)).reshape(rho.shape)
@@ -423,7 +440,9 @@ def _radial_mass_batch(S, theta, phis, rho_max):
     for start in range(0, phis.size, _PHI_CHUNK):
         ph = phis[start:start + _PHI_CHUNK]
         cos_ph, sin_ph = np.cos(ph), np.sin(ph)
-        hints = _axis_hint_radii(theta, cos_ph, sin_ph, rho_max)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hints = np.stack([theta[0] / cos_ph, theta[1] / sin_ph], axis=1)
+        hints[~np.isfinite(hints) | (hints <= 0) | (hints >= rho_max)] = 0.0
         rho = np.sort(np.concatenate([np.broadcast_to(
             rho_base, (ph.size, _N_SCAN)), hints], axis=1), axis=1)
         mem = member(rho, cos_ph[:, None], sin_ph[:, None])
@@ -508,10 +527,9 @@ def _nearest_member_point(S, theta, seed=0, forced=False):
     for d in starts:
         pts = rho[:, None] * d[None, :] - theta[None, :]
         mem = contains_rows(S, pts)
-        hit = np.nonzero(mem)[0]
-        if hit.size == 0:
+        if not mem.any():
             continue
-        cand = rho[hit[0]] * d
+        cand = rho[np.argmax(mem)] * d  # the first member on the ray
         if plain(cand):
             return None
         if best is None or np.linalg.norm(cand) < np.linalg.norm(best):
@@ -556,12 +574,8 @@ def _mc(S, theta, target, q):
     Plain draws keep the variance floor 1/n, so a run with no hits is never
     reported as exact; the importance weights need no floor.
     """
-    center = None
-    if q.method != "MC_PLAIN":
-        center = _nearest_member_point(S, theta, q.seed,
-                                       q.method == "MC_IMPORTANCE")
-    if center is not None:
-        c2 = float(center @ center)
+    center = None if q.method == "MC_PLAIN" else _nearest_member_point(
+        S, theta, q.seed, q.method == "MC_IMPORTANCE")
 
     def worker(chunk):
         if center is None and S.variant == "pball":
@@ -573,7 +587,7 @@ def _mc(S, theta, target, q):
             hits = int(np.count_nonzero(contains_rows(S, Z - theta)))
             return hits, hits
         X = center[None, :] + Z
-        w = np.exp((c2 - 2.0 * X @ center) / 2.0)
+        w = np.exp((center @ center - 2.0 * X @ center) / 2.0)
         w *= contains_rows(S, X - theta)
         return float(w.sum()), float((w * w).sum())
 
@@ -585,10 +599,8 @@ def _mc(S, theta, target, q):
         s2 += sum(p[1] for p in parts)
         n += _MC_ROUND * _MC_CHUNK
         mean = s1 / n
-        if center is None:
-            var = max(mean * (1.0 - mean), 1.0 / n)
-        else:
-            var = max(s2 / n - mean * mean, 0.0)
+        var = (max(mean * (1.0 - mean), 1.0 / n) if center is None
+               else max(s2 / n - mean * mean, 0.0))
         err = 2.0 * math.sqrt(var / n)
         if _target_met(mean, err, target) or n >= q.mc_max_samples:
             method = "MC_PLAIN" if center is None else "MC_IMPORTANCE"

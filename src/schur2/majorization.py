@@ -58,9 +58,8 @@ def majorize_compare(a, b):
 
 def schur2_compare(x, y):
     """Compare squared-coordinate profiles: majorize_compare(x**2, y**2)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return majorize_compare(x * x, y * y)
+    return majorize_compare(np.square(x, dtype=float),
+                            np.square(y, dtype=float))
 
 
 def g_canonical(x):
@@ -93,8 +92,7 @@ def muirhead_chain(a, b):
     target = np.sort(np.asarray(b, dtype=float))[::-1]
     tau = _sum_tolerance(cur, target)
     chain = [cur.copy()]
-    k = len(cur)
-    for _ in range(k):  # at most k-1 transfers are ever needed
+    for _ in range(len(cur)):  # at most k-1 transfers are ever needed
         diff = cur - target
         surplus = np.nonzero(diff > tau)[0]
         if surplus.size == 0:

@@ -71,8 +71,9 @@ class MeanSpec:
     def __post_init__(self):
         if self.kind is MeanKind.PQ_MEAN and self.q is not None and self.p < self.q:
             # the (p,q)-mean is symmetric in (p,q); normalize to p >= q
+            q = self.p
             object.__setattr__(self, "p", self.q)
-            object.__setattr__(self, "q", self.p)
+            object.__setattr__(self, "q", q)
 
 
 def p_mean_rows(X, p):
@@ -93,10 +94,9 @@ def p_mean(x, p):
 def truncated_mean(x, ell, tail, p):
     """p-mean of the ell smallest or largest absolute coordinate values."""
     a = np.sort(np.abs(np.asarray(x, dtype=float)))
-    k = a.size
-    if not 1 <= ell <= k:
-        raise ValueError(f"ell must be in 1..{k}, got {ell}")
-    part = a[:ell] if tail is Tail.SMALLEST else a[k - ell:]
+    if not 1 <= ell <= a.size:
+        raise ValueError(f"ell must be in 1..{a.size}, got {ell}")
+    part = a[:ell] if tail is Tail.SMALLEST else a[-ell:]
     return p_mean(part, p)
 
 

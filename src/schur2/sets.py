@@ -199,12 +199,10 @@ def classify_set(S):
         return SchurCharacter(Schur2Value.SCHUR2_CONVEX)
     if S.variant == "complement":
         inner = classify_set(S.inner)
-        flip = {
-            Schur2Value.SCHUR2_CONCAVE: Schur2Value.SCHUR2_CONVEX,
-            Schur2Value.SCHUR2_CONVEX: Schur2Value.SCHUR2_CONCAVE,
-            Schur2Value.NEITHER_KNOWN: Schur2Value.NEITHER_KNOWN,
-        }[inner.value]
-        return SchurCharacter(flip, spherical=inner.spherical)
+        flip = {Schur2Value.SCHUR2_CONCAVE: Schur2Value.SCHUR2_CONVEX,
+                Schur2Value.SCHUR2_CONVEX: Schur2Value.SCHUR2_CONCAVE}
+        return SchurCharacter(flip.get(inner.value, inner.value),
+                              spherical=inner.spherical)
     raise ValueError(f"unknown variant {S.variant}")
 
 

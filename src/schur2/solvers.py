@@ -198,8 +198,7 @@ def _monotone_root(h, x0, *, exact, xtol, rtol, steps=200, lo=None,
         h_hi = h(hi)
         if h_hi >= 0.0 or hi >= hi_max:
             break
-        lo = hi
-        hi = min(2.0 * hi, hi_max)
+        lo, hi = hi, min(2.0 * hi, hi_max)
     else:
         raise RuntimeError("no sign change found while doubling")
     if h_hi < 0.0:

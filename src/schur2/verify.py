@@ -216,8 +216,6 @@ class EmpiricalDesign:
 def empirical_power(d: EmpiricalDesign):
     """Rejection rate of the test sqrt(n) <mean of the sample>_p > c over
     Monte Carlo replications, with its binomial standard error."""
-    theta = np.asarray(d.theta)
-    root_n = math.sqrt(d.n)
     chunk = max(1, min(d.replications, 2_000_000 // (d.n * d.k) + 1))
     rejections = 0
     for ci, done in enumerate(range(0, d.replications, chunk)):
@@ -228,8 +226,8 @@ def empirical_power(d: EmpiricalDesign):
         else:
             half = math.sqrt(3.0)  # unit variance uniform
             x = rng.uniform(-half, half, size=(m, d.n, d.k))
-        xbar = x.mean(axis=1) + theta
-        stat = root_n * p_mean_rows(xbar, d.p)
+        xbar = x.mean(axis=1) + np.asarray(d.theta)
+        stat = math.sqrt(d.n) * p_mean_rows(xbar, d.p)
         rejections += int(np.count_nonzero(stat > d.c))
     rate = rejections / d.replications
     stderr = math.sqrt(max(rate * (1.0 - rate), 1.0 / d.replications)

@@ -836,6 +836,79 @@ def test_sep_grades_only_toward_kinks():
             assert est.abs_error <= 1.1 * e
 
 
+# QUADPACK's qk15 (Piessens et al. 1983): the 15-point Kronrod abscissae
+# from the end to the centre, their weights, and the weights of the 7-point
+# Gauss rule at every second abscissa
+_QK15_XGK = (0.991455371120812639206854697526329,
+             0.949107912342758524526189684047851,
+             0.864864423359769072789712788640926,
+             0.741531185599394439863864773280788,
+             0.586087235467691130294144845693013,
+             0.405845151377397166906606412076961,
+             0.207784955007898467600689403773245, 0.0)
+_QK15_WGK = (0.022935322010529224963732008058970,
+             0.063092092629978553290700663189204,
+             0.104790010322250183839876322541518,
+             0.140653259715525918745189590510238,
+             0.169004726639267902826583426598550,
+             0.190350578064785409913256402421014,
+             0.204432940075298892414161999234649,
+             0.209482141084727828012999174891714)
+_QK15_WG = (0.129484966168869693270611432679082,
+            0.279705391489276667901467771423780,
+            0.381830050505118944950369775488975,
+            0.417959183673469387755102040816327)
+
+
+def test_gauss_kronrod_reproduces_quadpack_qk15():
+    x, wk, wg = gauss_measure._gauss_kronrod(7)
+    assert np.abs(x[:8] + np.array(_QK15_XGK)).max() <= 1e-15
+    assert np.abs(x + x[::-1]).max() <= 1e-15  # symmetric about 0
+    assert np.abs(wk[:8] - np.array(_QK15_WGK)).max() <= 1e-15
+    assert np.abs(wg[1:8:2] - np.array(_QK15_WG)).max() <= 1e-15
+    assert not wg[::2].any()  # the Gauss rule skips the new nodes
+
+
+def test_sep_rule_is_exact_to_its_degree():
+    # K27 integrates P_d exactly for d <= 40 (int P_d = 2 at d = 0, else 0),
+    # and its embedded G13 is numpy's 13-point Gauss-Legendre rule
+    x, wk, wg = gauss_measure._gauss_kronrod(13)
+    P = np.polynomial.legendre.legvander(x, 40)
+    exact = np.r_[2.0, np.zeros(40)]
+    assert np.abs(wk @ P - exact).max() <= 1e-14
+    xg, wg13 = np.polynomial.legendre.leggauss(13)
+    assert np.array_equal(x[1::2], xg) and np.array_equal(wg[1::2], wg13)
+    assert np.abs(wg @ P[:, :26] - exact[:26]).max() <= 1e-14
+
+
+def test_sep_node_budget_on_the_polar2d_queries(monkeypatch):
+    # the 21 polar2d benchmark queries (figure-1 sets, near to far shifts)
+    # and their complements: SEP counts every node it evaluates, 27 per
+    # panel; two Gauss rules evaluated 683,904 and counted half of them
+    from schur2.cli import FIG1_PANELS
+    seen, npdf = [], gauss_measure._npdf
+    monkeypatch.setattr(gauss_measure, "_npdf",
+                        lambda v: seen.append(np.size(v)) or npdf(v))
+    qneg, q0, peq, pq, hatb, checkb = (FIG1_PANELS[i]
+                                       for i in (1, 4, 3, 6, 7, 8))
+    queries = [
+        (qneg, 1.0, _R2), (qneg, 1.0, math.pi / 20), (qneg, 3.0, _R1),
+        (qneg, 8.0, _R2), (qneg, 11.0, _R2), (qneg, 11.0, math.pi / 20),
+        (q0, 2.0, _R2), (q0, 4.5, _R2), (q0, 12.0, _R1),
+        (peq, 2.0, _R2), (peq, 3.0, _R2), (peq, 8.0, _R1),
+        (pq, 1.0, _R2), (pq, 4.5, _R1), (pq, 12.0, _R2),
+        (hatb, 2.0, _R1), (hatb, 3.0, _R2), (hatb, 12.0, _R1),
+        (checkb, 2.0, _R2), (checkb, 4.5, _R2), (checkb, 8.0, _R2)]
+    nodes = 0
+    for S, r, t in queries:
+        for T in (S, complement(S)):
+            est = mz(T, _at(r, t))
+            assert est.method == "SEP" and est.target_met
+            nodes += est.samples_or_nodes
+    assert sum(seen) == 2 * nodes  # Y_1's density at y -+ theta_1, per node
+    assert nodes <= 390_000
+
+
 def test_sep_slice_roots_take_few_newton_steps(monkeypatch):
     # where H turns, the slices next to the reach end on a near-double root;
     # started on H's quadratic model about the turning point, Newton needs

@@ -114,6 +114,14 @@ def test_classify_mean():
     assert classify_mean(MeanSpec(MeanKind.PQ_MEAN, p=0.7, q=0.7)).value == Schur2Value.NEITHER_KNOWN
 
 
+def test_mean_spec_sorts_its_exponents():
+    # the (p,q)-mean is symmetric in (p,q): (0, 2) is the Euclidean (2, 0)
+    spec = MeanSpec(MeanKind.PQ_MEAN, p=0.0, q=2.0)
+    assert (spec.p, spec.q) == (2.0, 0.0)
+    assert classify_mean(spec) == classify_mean(
+        MeanSpec(MeanKind.PQ_MEAN, p=2.0, q=0.0))
+
+
 def _sign_at(p, q, u):
     # evaluate the comparator with i the larger and j the smaller coordinate
     i, j = int(np.argmax(u)), int(np.argmin(u))

@@ -12,7 +12,7 @@ from scipy.stats import chi2, norm
 from schur2 import gauss_measure, solvers
 from schur2.are_analysis import are
 from schur2.gauss_measure import GaussianShiftQuery, measure
-from schur2.sets import p_ball
+from schur2.sets import complement, p_ball
 from schur2.solvers import (ShiftSolution, TestDesign, critical_value,
                             normalize_direction, shift_solution,
                             tail_probability)
@@ -411,6 +411,40 @@ def test_tails_on_their_small_side(k, p, c, shift):
     assert abs(value - want) <= 1e-12 * want
     assert abs(value - want) <= err
     assert met is True
+
+
+def _mp_pball_tail(p, c, shift):
+    """P(<Z + shift>_p > c) at k = 2 and 40 digits: over x_1, the mass of
+    |x_2| beyond the slice (2 c^p - |x_1|^p)^(1/p), plus P(|x_1| > 2^(1/p) c).
+    """
+    with mpmath.workdps(40):
+        p, c = mpmath.mpf(p), mpmath.mpf(c)
+        s1, s2 = map(mpmath.mpf, shift)
+        R = 2 ** (1 / p) * c
+        Q = lambda z: mpmath.ncdf(-z)
+
+        def f(x):
+            b = (2 * c ** p - abs(x) ** p) ** (1 / p)
+            return mpmath.npdf(x - s1) * (Q(b - s2) + Q(b + s2))
+
+        return (mpmath.quad(f, [-R, -c, 0, c, R])
+                + Q(R - s1) + Q(R + s1))
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("shift", [(0.0, 0.0), (3.0, 0.0)])
+def test_k2_tails_at_alpha_1e30_come_on_their_small_side(p, shift):
+    # 1 - G from SLICE_QUAD reads 0.0 +- 1e-15 here; such complements go
+    # to SEP, which integrates the tail itself
+    c = critical_value(2, p, 1e-30)
+    value, err, met = tail_probability(2, p, c, shift)
+    want = _mp_pball_tail(p, c, shift)
+    assert met is True and abs(value - want) <= 1e-8 * want
+    assert abs(value - want) <= err + 1e-12 * want
+    # a complement that SLICE_QUAD resolves stays there
+    est = measure(GaussianShiftQuery(set=complement(p_ball(2, p, 1.0)),
+                                     shift=(1.5, 0.3)))
+    assert est.method == "SLICE_QUAD" and est.target_met
 
 
 def _mp_ncx2_sf_near_zero(x, k, nc):
