@@ -28,6 +28,7 @@ A forced engine must be able to measure the set, or measure raises.
 
 import functools
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -487,21 +488,14 @@ def _polar2d(S, theta, target, q):
 
 
 @functools.lru_cache(maxsize=None)
-def _pool(workers):
-    """One thread pool per worker count, kept for the life of the process."""
+def _pool(pid, workers):
+    """One pool per process and worker count: a fork copies no threads."""
     return ThreadPoolExecutor(max_workers=workers)
-
-
-def _run_chunks(worker, n_chunks, workers, start=0):
-    """Map worker(chunk_index) over chunk indices, reducing in chunk order."""
-    idx = range(start, start + n_chunks)
-    if workers <= 1:
-        return [worker(i) for i in idx]
-    return list(_pool(workers).map(worker, idx))
 
 
 _MC_CHUNK = 1 << 15
 _MC_ROUND = 8  # chunks per convergence check
+MC_ROUND_DRAWS = _MC_ROUND * _MC_CHUNK  # draws per convergence check
 
 
 def _nearest_member_point(S, theta, seed=0, forced=False):
@@ -591,13 +585,14 @@ def _mc(S, theta, target, q):
         w *= contains_rows(S, X - theta)
         return float(w.sum()), float((w * w).sum())
 
-    s1, s2, n, chunk0 = 0, 0, 0, 0
+    chunk_map = map if q.workers == 1 else _pool(os.getpid(), q.workers).map
+    s1 = s2 = n = 0
     while True:
-        parts = _run_chunks(worker, _MC_ROUND, q.workers, start=chunk0)
-        chunk0 += _MC_ROUND
+        first = n // _MC_CHUNK
+        parts = list(chunk_map(worker, range(first, first + _MC_ROUND)))
         s1 += sum(p[0] for p in parts)
         s2 += sum(p[1] for p in parts)
-        n += _MC_ROUND * _MC_CHUNK
+        n += MC_ROUND_DRAWS
         mean = s1 / n
         var = (max(mean * (1.0 - mean), 1.0 / n) if center is None
                else max(s2 / n - mean * mean, 0.0))

@@ -186,10 +186,10 @@ def classify_mean(spec):
         if 0.0 <= q <= 2.0 <= p:
             return SchurCharacter(Schur2Value.SCHUR2_CONVEX)
         return SchurCharacter(Schur2Value.NEITHER_KNOWN)
-    if spec.kind is MeanKind.TRUNCATED:
-        if spec.tail is Tail.SMALLEST and spec.p <= 2.0:
+    if spec.kind is MeanKind.TRUNCATED:  # ell = 1: min_j or max_j |x_j|
+        if spec.tail is Tail.SMALLEST and (spec.p <= 2.0 or spec.ell == 1):
             return SchurCharacter(Schur2Value.SCHUR2_CONCAVE)
-        if spec.tail is Tail.LARGEST and spec.p >= 2.0:
+        if spec.tail is Tail.LARGEST and (spec.p >= 2.0 or spec.ell == 1):
             return SchurCharacter(Schur2Value.SCHUR2_CONVEX)
         return SchurCharacter(Schur2Value.NEITHER_KNOWN)
     raise ValueError(f"unknown mean kind {spec.kind}")

@@ -13,8 +13,8 @@ How c and t are found, past the closed forms (k = 1, p = 2, p = +-inf):
     within 1e-6 of the last. Neither makes a measure call.
   - deterministic paths: Brent's method on Phi^-1(P(t)) - Phi^-1(beta),
     nearly linear in t, every evaluation memoised, from the p = 2 shift
-    ||s_2|| / ||u|| (5.3 measures per solve, 7.1 from t = 1); solver_error
-    is in t units, through the secant of the final bracket.
+    ||s_2|| / ||u|| (5.3 measures per solve); solver_error is in t units,
+    through the secant of the final bracket.
   - Monte Carlo paths (where gauss_measure.engine takes the p-ball to Monte
     Carlo: the other finite p at k >= 3): bisection from t = 1, which a
     nearer start would not shorten, with a fixed seed at every trial point:
@@ -35,8 +35,8 @@ import numpy as np
 from scipy.special import chdtrc, chdtri, chndtr, chndtrinc, gammaincinv, ndtri
 from scipy.special._ufuncs import _ncx2_sf  # what scipy.stats.ncx2.sf calls
 
-from .gauss_measure import (_MC_CHUNK, _MC_ROUND, GaussianShiftQuery,
-                            _profile, engine, measure, pball_radius_cdf)
+from .gauss_measure import (MC_ROUND_DRAWS, GaussianShiftQuery, _profile,
+                            engine, measure, pball_radius_cdf)
 from .means import p_mean, p_mean_rows
 from .sets import complement, p_ball
 
@@ -305,7 +305,7 @@ def shift_solution(d: TestDesign, *, seed=0, workers=1, c=None):
             return _probit(pw(t)[0]) - probit_beta
     else:
         def h(t):
-            P, err, _ = pw(t, probes, _MC_ROUND * _MC_CHUNK)
+            P, err, _ = pw(t, probes, MC_ROUND_DRAWS)
             if abs(P - d.beta) <= 3.0 * err:  # the sign is not settled yet
                 P = pw(t)[0]
             return P - d.beta

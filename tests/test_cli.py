@@ -9,11 +9,13 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import schur2
 from schur2 import cli, gauss_measure, solvers, verify
 from schur2.cli import main
+from schur2.sets import contains_rows, format_set
 
 
 def run_cli(capsys, *argv):
@@ -309,6 +311,26 @@ def test_figure_1_boundary_clouds_pinned():
         cloud = cli._boundary_cloud(S)
         assert len(cloud) == n, S
         assert hashlib.sha256(cloud.tobytes()).hexdigest() == digest, S
+
+
+def test_figures_1_emits_the_boundary_of_every_panel(capsys):
+    code, out = run_cli(capsys, "figures", "--which", "1")
+    rows = json.loads(out)
+    assert code == 0
+    xs = np.linspace(-2.5, 2.5, 384)  # the grid of cli._boundary_cloud
+    for idx, (S, (n, _)) in enumerate(zip(cli.FIG1_PANELS, FIG1_PINS)):
+        panel = [r for r in rows if r["panel"] == idx]
+        assert len(panel) == n and {r["set"] for r in panel} == {format_set(S)}
+        pts = np.array([(r["x"], r["y"]) for r in panel])
+        i, j = np.rint((pts + 2.5) / (xs[1] - xs[0])).astype(int).T
+        assert np.allclose(np.c_[xs[i], xs[j]], pts, rtol=0, atol=1e-11)
+        inside = contains_rows(S, np.c_[xs[i], xs[j]])
+        # each point differs in membership from its +x or its +y neighbour
+        i1, j1 = np.minimum(i + 1, xs.size - 1), np.minimum(j + 1, xs.size - 1)
+        edge = ((i1 > i) & (contains_rows(S, np.c_[xs[i1], xs[j]]) != inside)
+                | (j1 > j) & (contains_rows(S, np.c_[xs[i], xs[j1]]) != inside))
+        assert edge.all(), S
+    assert len(rows) == sum(n for n, _ in FIG1_PINS)
 
 
 def test_measure_incapable_method_is_usage_error(capsys):

@@ -1,6 +1,9 @@
 import itertools
 import json
 import math
+import os
+import signal
+import time
 import warnings
 
 import mpmath
@@ -349,6 +352,32 @@ def test_mc_determinism_across_workers():
     runs = [mz(S, [0.5, 0.5, 0.5], method="MC_PLAIN", seed=42, workers=w)
             for w in (1, 2, 4)]
     assert runs[0].value == runs[1].value == runs[2].value
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_mc_measure_in_a_forked_child():
+    # a forked child inherits the parent's pool cache but none of its
+    # threads; its workers=2 measure must return the parent's bits
+    S, shift = p_ball(3, 0.0, 1.0), (0.5, 0.2, 0.1)
+    bits = mz(S, shift, workers=2).value.hex()
+    with warnings.catch_warnings():  # Python >= 3.12 warns on a threaded fork
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            gauss_measure._pball_means.cache_clear()
+            code = int(mz(S, shift, workers=2).value.hex() != bits)
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            done = os.waitpid(pid, 0)
+            break
+        time.sleep(0.05)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_mc_importance_rare_event():

@@ -40,6 +40,9 @@ def test_verdicts_basic():
     assert majorize_compare([2, 2], [3, 1]) == V.INCOMPARABLE
     assert majorize_compare([1, 3], [3, 1]) == V.EQUAL_SORTED
     assert majorize_compare([1, 2], [2, 2]) == V.INCOMPARABLE  # sums differ
+    # within 10 sum tolerances (2e-12) of equal: strictness is not certified
+    assert (majorize_compare([1 + 5e-12, 1 - 5e-12], [1, 1])
+            == V.MAJORIZES_NONSTRICT)
 
 
 def test_matches_brute_force_on_random_pairs():

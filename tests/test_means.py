@@ -114,6 +114,42 @@ def test_classify_mean():
     assert classify_mean(MeanSpec(MeanKind.PQ_MEAN, p=0.7, q=0.7)).value == Schur2Value.NEITHER_KNOWN
 
 
+def test_truncated_mean_classification_vs_sampled_transfers():
+    # a transfer between two squared coordinates toward the larger gives a
+    # profile that majorizes the old: a Schur^2-convex mean never falls on
+    # it, a Schur^2-concave one never rises, and at 1 < ell < k a mean of
+    # neither character moves both ways (criterion 9 for the sets)
+    rng = np.random.default_rng(9)
+    n, k = 4000, 4
+    rows = np.arange(n)
+    lo = np.sort(rng.random((n, k)) * 6.0, axis=1)[:, ::-1]
+    i, j = np.array(list(itertools.combinations(range(k), 2)))[
+        rng.integers(0, 6, n)].T
+    d = rng.random(n) * lo[rows, j]
+    hi = lo.copy()
+    hi[rows, i] += d
+    hi[rows, j] -= d
+    for ell, tail, p in itertools.product(
+            range(1, k), Tail, (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0)):
+        part = slice(None, ell) if tail is Tail.SMALLEST else slice(k - ell, None)
+        f = lambda sq: p_mean_rows(np.sort(np.sqrt(sq), axis=1)[:, part], p)
+        assert f(lo[:5]) == pytest.approx(
+            [truncated_mean(np.sqrt(x), ell, tail, p) for x in lo[:5]])
+        rise = f(hi) - f(lo)
+        up, down = np.any(rise > 1e-12), np.any(rise < -1e-12)
+        char = classify_mean(MeanSpec(MeanKind.TRUNCATED, p, ell=ell,
+                                      tail=tail)).value
+        # at ell = 1 the mean is min_j or max_j |x_j|, classified for every p
+        if ell == 1:
+            assert char is not Schur2Value.NEITHER_KNOWN
+        if char is Schur2Value.SCHUR2_CONVEX:
+            assert not down, (ell, tail, p)
+        elif char is Schur2Value.SCHUR2_CONCAVE:
+            assert not up, (ell, tail, p)
+        else:
+            assert up and down, (ell, tail, p)
+
+
 def test_mean_spec_sorts_its_exponents():
     # the (p,q)-mean is symmetric in (p,q): (0, 2) is the Euclidean (2, 0)
     spec = MeanSpec(MeanKind.PQ_MEAN, p=0.0, q=2.0)

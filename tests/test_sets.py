@@ -29,6 +29,8 @@ def test_pqball_membership_matches_mean():
     assert np.array_equal(got, want)
     # the coordinate axes lie inside when q < 0
     assert contains(S, [7.3, 0.0]) and contains(S, [0.0, -40.0])
+    # the (p,q)-mean is symmetric in (p,q): the constructor sorts them
+    assert pq_ball(2, -0.4, 2.0, 1.0) == S and (S.p, S.q) == (2.0, -0.4)
 
 
 def test_cube_and_complement():
