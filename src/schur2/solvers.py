@@ -113,11 +113,10 @@ def tail_probability(k, p, c, shift, *, seed=0, workers=1,
         return float(sf), 0.0, True
     mc = _mc_path(k, p)
     S = p_ball(k, p, c)
-    q = GaussianShiftQuery(set=S if mc else complement(S), shift=-s,
-                           seed=seed, workers=workers,
-                           target_rel_error=target_rel_error,
-                           mc_max_samples=mc_max_samples)
-    est = measure(q)
+    est = measure(GaussianShiftQuery(set=S if mc else complement(S), shift=-s,
+                                     seed=seed, workers=workers,
+                                     target_rel_error=target_rel_error,
+                                     mc_max_samples=mc_max_samples))
     return 1.0 - est.value if mc else est.value, est.abs_error, est.target_met
 
 

@@ -144,12 +144,13 @@ def run_counterexample(cfg: CounterexampleConfig, *, seed=0, budget=400_000):
     """Uniform distribution on the ball B(R): the measure of the shifted unit
     cube is larger at the extreme shift x0 = r e1 than at the balanced shift
     x1 = (r/sqrt k) 1, even though x1^2 is majorized by x0^2."""
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     k, R, r = cfg.k, cfg.R, cfg.r
-    vol_ratio = 2.0 ** k / _ball_volume(k, R)
+    p0 = 2.0 ** k / _ball_volume(k, R)  # the cube at x0 lies inside B(R)
     # the cube at x0 touches the sphere exactly at its far face
     containment = (1.0 + r) ** 2 + (k - 1) - R ** 2
     x1_maj = schur2_compare(cfg.x0, cfg.x1) in _COMPARABLE
-    p0 = vol_ratio
     if k == 2:
         overlap, qerr = _cube_disk_overlap(cfg.x1, R)
         p1 = overlap / (math.pi * R * R)
@@ -158,11 +159,8 @@ def run_counterexample(cfg: CounterexampleConfig, *, seed=0, budget=400_000):
         from scipy.integrate import quad
         c = cfg.x1[0]
 
-        def slab_area(z):
-            rho2 = R * R - z * z
-            if rho2 <= 0.0:
-                return 0.0
-            return _cube_disk_overlap((c, c), math.sqrt(rho2))[0]
+        def slab_area(z):  # |z| <= c + 1 < R for every valid epsilon
+            return _cube_disk_overlap((c, c), math.sqrt(R * R - z * z))[0]
 
         vol, qerr = quad(slab_area, c - 1.0, c + 1.0, limit=200, epsabs=1e-10)
         p1 = vol / _ball_volume(3, R)

@@ -245,6 +245,8 @@ def test_mc_shift_meets_its_target(capsys):
     (("shift", "--k", "2", "--p", "nan", *SOLVE, "--u", "1,1"), "p must not"),
     (("are", "--k", "2", "--p", "2", *SOLVE, "--u", "nan,1"), "finite"),
     (("shift", "--k", "2", "--p", "2", *SOLVE, "--u", "inf,1"), "finite"),
+    (("verify", "counterexample", "--k", "4", "--budget", "0"),
+     "budget must be at least 1"),
 ])
 def test_unresolvable_or_nan_inputs_are_usage_errors(capsys, argv, msg):
     # scipy's root finders raised their own messages here

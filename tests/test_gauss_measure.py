@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, ncx2, norm
 
-from schur2 import gauss_measure
+from schur2 import gauss_measure, solvers
+from schur2.cli import FIG1_PANELS
 from schur2.gauss_measure import (GaussianShiftQuery, MeasureEstimate, measure,
                                   rotate2)
-from schur2.sets import (check_b, complement, cube, hat_b, p_ball, pq_ball)
+from schur2.sets import (bounded_root, check_b, complement, cube, hat_b,
+                         p_ball, pq_ball)
 
 
 def mz(S, shift, **kw):
@@ -773,7 +775,7 @@ def _at(r, t):
     return (r * math.cos(t), r * math.sin(t))
 
 
-@pytest.mark.parametrize("S, shift, oracle", [
+_SEP_ORACLES = [
     # the 1 - 4.5 bars POLAR2D missed by: near pq(0.7, 0.7), mid hat-B, far
     # check-B; both polar and Cartesian mpmath orders give 0.19328412451909
     (pq_ball(2, 0.7, 0.7, 1.0), _at(2.0, _R2),
@@ -814,7 +816,10 @@ def _at(r, t):
      lambda th: _mp_pq_polar(5.0, 1.0, 1.0, th)),
     (pq_ball(2, 5.0, 1.0, 1.0), _at(4.5, _R1),
      lambda th: _mp_pq_polar(5.0, 1.0, 1.0, th)),
-])
+]
+
+
+@pytest.mark.parametrize("S, shift, oracle", _SEP_ORACLES)
 def test_sep_covers_oracles(S, shift, oracle):
     # SEP measures every k = 2 set off PRODUCT_1D and SLICE_QUAD; the set
     # and its complement must each meet the default target with a bar that
@@ -856,7 +861,6 @@ _SEP_GRADED_AT_EVERY_CUT = [
 def test_sep_grades_only_toward_kinks():
     # off the kinks the integrand is analytic, so plain breakpoints there
     # give the same integral from fewer nodes, with a bar no wider
-    from schur2.cli import FIG1_PANELS
     for S, rows in zip(FIG1_PANELS, _SEP_GRADED_AT_EVERY_CUT, strict=True):
         for T, (v, e, n) in zip((S, complement(S)), rows):
             v, e, est = float.fromhex(v), float.fromhex(e), mz(T, _at(3, _R2))
@@ -910,32 +914,92 @@ def test_sep_rule_is_exact_to_its_degree():
     assert np.abs(wg @ P[:, :26] - exact[:26]).max() <= 1e-14
 
 
+# the 21 polar2d benchmark queries (figure-1 sets, near to far shifts)
+_QNEG, _Q0, _PEQ, _PQ, _HATB, _CHECKB = (FIG1_PANELS[i]
+                                        for i in (1, 4, 3, 6, 7, 8))
+_POLAR2D_QUERIES = [(S, _at(r, t)) for S, r, t in [
+    (_QNEG, 1.0, _R2), (_QNEG, 1.0, math.pi / 20), (_QNEG, 3.0, _R1),
+    (_QNEG, 8.0, _R2), (_QNEG, 11.0, _R2), (_QNEG, 11.0, math.pi / 20),
+    (_Q0, 2.0, _R2), (_Q0, 4.5, _R2), (_Q0, 12.0, _R1),
+    (_PEQ, 2.0, _R2), (_PEQ, 3.0, _R2), (_PEQ, 8.0, _R1),
+    (_PQ, 1.0, _R2), (_PQ, 4.5, _R1), (_PQ, 12.0, _R2),
+    (_HATB, 2.0, _R1), (_HATB, 3.0, _R2), (_HATB, 12.0, _R1),
+    (_CHECKB, 2.0, _R2), (_CHECKB, 4.5, _R2), (_CHECKB, 8.0, _R2)]]
+
+
 def test_sep_node_budget_on_the_polar2d_queries(monkeypatch):
-    # the 21 polar2d benchmark queries (figure-1 sets, near to far shifts)
-    # and their complements: SEP counts every node it evaluates, 27 per
-    # panel; two Gauss rules evaluated 683,904 and counted half of them
-    from schur2.cli import FIG1_PANELS
+    # the polar2d queries and their complements: SEP counts every node it
+    # evaluates, 27 per panel; two Gauss rules evaluated 683,904 and counted
+    # half of them, and K27 on panels halved 49 times toward each end took
+    # 384,696
     seen, npdf = [], gauss_measure._npdf
     monkeypatch.setattr(gauss_measure, "_npdf",
                         lambda v: seen.append(np.size(v)) or npdf(v))
-    qneg, q0, peq, pq, hatb, checkb = (FIG1_PANELS[i]
-                                       for i in (1, 4, 3, 6, 7, 8))
-    queries = [
-        (qneg, 1.0, _R2), (qneg, 1.0, math.pi / 20), (qneg, 3.0, _R1),
-        (qneg, 8.0, _R2), (qneg, 11.0, _R2), (qneg, 11.0, math.pi / 20),
-        (q0, 2.0, _R2), (q0, 4.5, _R2), (q0, 12.0, _R1),
-        (peq, 2.0, _R2), (peq, 3.0, _R2), (peq, 8.0, _R1),
-        (pq, 1.0, _R2), (pq, 4.5, _R1), (pq, 12.0, _R2),
-        (hatb, 2.0, _R1), (hatb, 3.0, _R2), (hatb, 12.0, _R1),
-        (checkb, 2.0, _R2), (checkb, 4.5, _R2), (checkb, 8.0, _R2)]
     nodes = 0
-    for S, r, t in queries:
+    for S, shift in _POLAR2D_QUERIES:
         for T in (S, complement(S)):
-            est = mz(T, _at(r, t))
+            est = mz(T, shift)
             assert est.method == "SEP" and est.target_met
             nodes += est.samples_or_nodes
     assert sum(seen) == 2 * nodes  # Y_1's density at y -+ theta_1, per node
-    assert nodes <= 390_000
+    assert nodes <= 260_000
+
+
+# _BP as it was, halving 49 times toward each end of [0, 1]
+_BP_49 = np.unique(np.r_[0.0, 1.0, (e := 0.5 ** np.arange(1.0, 50.0)), 1.0 - e])
+
+
+def test_bp_grading_matches_49_halvings(monkeypatch):
+    # _BP halves 32 times toward each end of an interval; below 2^-32 the
+    # tip panels hold less than rounding. Against 49 halvings every answer
+    # stays met, every value agrees to 1e-14 relative and no bar widens by
+    # more than 10 % or past 1e-13 of its value: SEP on the polar2d queries,
+    # the figure-1 panels, its oracle cases and extreme exponents at two
+    # shifts, with complements; SLICE_QUAD at target 1e-10; and c at alpha
+    # .05 from the k = 2 polar tail and the k >= 3 radial CDF, at p >= 0.5,
+    # where a solve takes under 0.1 s
+    extremes = [hat_b(2, 50.0, 1.0, 2.0 ** (-1.0 / 50.0) + 0.01),
+                check_b(2, 50.0, 1.0, 0.45), p_ball(2, 0.1, 1.0),
+                pq_ball(2, 40.0, 1.0, 1.0), pq_ball(2, 0.05, 0.05, 1.0)]
+    sep = [(T, shift) for S, shift in [
+        *_POLAR2D_QUERIES, *((S, _at(3.0, _R2)) for S in FIG1_PANELS),
+        *((S, shift) for S, shift, _ in _SEP_ORACLES),
+        *((S, _at(r, t)) for S in extremes for r, t in ((1.0, _R2),
+                                                        (4.5, _R1)))]
+        for T in (S, complement(S))]
+    grid = [(k, p) for k in (2, 3, 4) for p in (0.1, 0.3, 0.5, 1.0, 4.0, 20.0)
+            if bounded_root(k, p)]
+
+    def clear():
+        gauss_measure._profile.cache_clear()
+        solvers._exact_critical_value.cache_clear()
+
+    def run():
+        clear()
+        got = [(e.value, e.abs_error, e.target_met) for e in (
+            mz(T, shift, method="SEP") for T, shift in sep)]
+        for k, p in grid:
+            _, v, e, _ = gauss_measure._slice_quad(
+                p_ball(k, p, 1.0), np.array([0.6, -0.3, 0.2, 0.1][:k]),
+                1e-10, None)
+            got.append((v, e, gauss_measure._target_met(v, e, 1e-10)))
+        cs = [solvers._exact_critical_value(k, p, 0.05) for k, p in grid
+              if p >= 0.5]
+        return got, cs
+
+    try:
+        got, cs = run()
+        with monkeypatch.context() as m:
+            m.setattr(gauss_measure, "_BP", _BP_49)
+            was, cs_was = run()
+    finally:
+        clear()
+    for (v, e, met), (v0, e0, met0) in zip(got, was, strict=True):
+        assert met and met0
+        assert abs(v - v0) <= 1e-14 * v0
+        assert e <= max(1.1 * e0, 1e-13 * v)
+    for c, c0 in zip(cs, cs_was, strict=True):
+        assert abs(c - c0) <= 1e-14 * c0
 
 
 def test_sep_slice_roots_take_few_newton_steps(monkeypatch):
