@@ -48,8 +48,10 @@ class SetSpec:
 
 
 def _spec(variant, k, **fields):
-    """A SetSpec whose exponents are not NaN and whose lengths are finite,
-    with eps > 0 and a >= 0."""
+    """A SetSpec of dimension k >= 1 whose exponents are not NaN and whose
+    lengths are finite, with eps > 0 and a >= 0."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
     if any(math.isnan(fields[n]) for n in ("p", "q") if n in fields):
         raise ValueError("exponents p and q must not be NaN")
     if not all(math.isfinite(fields[n]) for n in ("a", "eps") if n in fields):
@@ -119,10 +121,8 @@ def _outer_bound(S, A):
 
 def _kernel(S, X):
     """Membership of the rows of X, shape (n, k)."""
-    if S.variant == "pball":
-        return p_mean_rows(X, S.p) <= S.eps
-    if S.variant == "pqball":
-        return pq_mean_rows(X, S.p, S.q) <= S.eps
+    if S.variant in ("pball", "pqball"):  # a p-ball is the (p,0)-ball
+        return pq_mean_rows(X, S.p, S.q or 0.0) <= S.eps
     A = np.abs(X.T, order="C")
     if S.variant == "cube":
         return A.max(axis=0) <= S.a
@@ -182,8 +182,7 @@ def classify_set(S):
     if S.variant in ("pball", "pqball"):
         # a p-ball is the (p,0)-ball; the Euclidean ball is both characters
         # at once, and spherical flags it
-        char = classify_mean(MeanSpec(MeanKind.PQ_MEAN, S.p,
-                                      S.q if S.variant == "pqball" else 0.0))
+        char = classify_mean(MeanSpec(MeanKind.PQ_MEAN, S.p, S.q or 0.0))
         if char.spherical:
             return SchurCharacter(Schur2Value.SCHUR2_CONCAVE, spherical=True)
         return char

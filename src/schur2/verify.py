@@ -38,7 +38,7 @@ def check_schur2_monotonicity(S: SetSpec, shift_pairs, *, seed=0, workers=1,
     judges every pair, with sigma the sum of its two error bars: the measure
     moves in the direction of the set's class within 3 sigma, a spherical
     set's measures are equal within 3 sigma, and any other set shows a gap
-    above 5 sigma somewhere."""
+    above 5 sigma somewhere. A check that compares no pair raises."""
     char = classify_set(S)
     if char.value not in _SIGN:
         raise ValueError("set classification must not be NEITHER_KNOWN")
@@ -64,8 +64,9 @@ def check_schur2_monotonicity(S: SetSpec, shift_pairs, *, seed=0, workers=1,
         violations += not ok
         strict_gap |= abs(m1 - m2) > 5.0 * sigma
         pair.update(measure_low=m1, measure_high=m2, abs_error=sigma, ok=ok)
-    need_strict = not char.spherical and any("ok" in p for p in pairs)
-    passed = violations == 0 and (strict_gap or not need_strict)
+    if not measured:
+        raise ValueError("no comparable shift pair to check")
+    passed = violations == 0 and (strict_gap or char.spherical)
     return {"set": format_set(S), "k": S.k,
             "classification": char.value.name, "spherical": char.spherical,
             "pairs": pairs, "violations": violations,
@@ -80,7 +81,7 @@ def check_rotation_monotonicity(S: SetSpec, r, t_grid, *, seed=0, workers=1,
     if S.k != 2:
         raise ValueError("rotation sweeps are defined for k = 2")
     ts = [float(t) for t in t_grid]
-    if any(t < -1e-12 or t > math.pi / 4.0 + 1e-12 for t in ts):
+    if not all(-1e-12 <= t <= math.pi / 4.0 + 1e-12 for t in ts):
         raise ValueError("t_grid must lie in [0, pi/4]")
     if len(ts) < 2:
         raise ValueError("a rotation check needs at least 2 grid points")

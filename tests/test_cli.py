@@ -430,12 +430,14 @@ def test_measure_bad_target_is_usage_error(capsys, target):
     ("rotation", "--points", "0"),
     ("rotation", "--points", "1"),
     ("schur2", "--points", "0"),
+    ("rotation", "--radius", "nan"),  # no pair of NaN shifts compares
 ])
 def test_empty_verify_check_is_usage_error(capsys, argv):
     # a check that compares nothing must not report a pass
-    code, out = run_cli(capsys, "verify", *argv)
+    code = main(["verify", *argv])
+    cap = capsys.readouterr()
     assert code == 1
-    assert out == ""
+    assert cap.out == "" and cap.err.startswith("error:")
 
 
 def test_verify_schur2_one_coordinate_is_usage_error(capsys):

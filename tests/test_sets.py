@@ -208,6 +208,9 @@ def test_parse_rejects_garbage():
     # at p = inf the power sums of hat-B and check-B lose eps
     lambda: hat_b(2, math.inf, 1.0, 0.5),
     lambda: check_b(2, math.inf, 1.0, 0.5),
+    # a set needs at least one coordinate
+    lambda: cube(0, 1.0),
+    lambda: p_ball(0, 2.0, 1.0),
 ])
 def test_constructors_reject_nan_and_infinite_lengths(make):
     with pytest.raises(ValueError):

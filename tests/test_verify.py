@@ -50,9 +50,14 @@ def test_figure_arm_set_direction():
 
 
 def test_incomparable_pairs_are_skipped():
-    rep = check_schur2_monotonicity(
-        cube(3, 1.0), [(np.array([1.0, 1.0, 0.0]), np.array([1.2, 0.5, 0.5]))])
-    assert "skipped" in rep["pairs"][0]
+    incomparable = (np.array([1.0, 1.0, 0.0]), np.array([1.2, 0.5, 0.5]))
+    comparable = (np.ones(3), np.array([math.sqrt(2.0), 1.0, 0.0]))
+    rep = check_schur2_monotonicity(cube(3, 1.0), [incomparable, comparable])
+    assert "skipped" in rep["pairs"][0] and "ok" in rep["pairs"][1]
+    # a check that compared no pair has earned no verdict
+    for pairs in ([incomparable], []):
+        with pytest.raises(ValueError, match="no comparable shift pair"):
+            check_schur2_monotonicity(cube(3, 1.0), pairs)
 
 
 def test_rotation_monotonicity_directions():
