@@ -56,7 +56,8 @@ def _parse_vec(s):
     return np.array([float(x) for x in s.split(",")])
 
 
-def _add_common(sp):
+def _add_common(sp, fn):  # the flags every command shares, and its function
+    sp.set_defaults(fn=fn)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--workers", type=int,  # a str default is parsed too
                     default=os.environ.get("SCHUR2_WORKERS", "1"))
@@ -211,8 +212,7 @@ def build_parser():
     m.add_argument("--target", type=float, default=None,
                    help="target relative error")
     m.add_argument("--method", default=None, choices=METHODS)
-    _add_common(m)
-    m.set_defaults(fn=cmd_measure)
+    _add_common(m, cmd_measure)
 
     for name, fn, hlp in [
             ("critical", cmd_critical, "critical value c_(p, alpha)"),
@@ -225,42 +225,33 @@ def build_parser():
         if name != "critical":  # a design adds the power and the direction
             s.add_argument("--beta", type=float, required=True)
             s.add_argument("--u", required=True, help="direction, comma-separated")
-        _add_common(s)
-        s.set_defaults(fn=fn)
+        _add_common(s, fn)
 
     sw = sub.add_parser("sweep", help="ARE over direction angles at k=2")
     sw.add_argument("--p", type=float, required=True)
     sw.add_argument("--alpha", type=float, required=True)
     sw.add_argument("--beta", type=float, required=True)
     sw.add_argument("--angles", type=int, default=11)
-    _add_common(sw)
-    sw.set_defaults(fn=cmd_sweep)
+    _add_common(sw, cmd_sweep)
 
     v = sub.add_parser("verify", help="verification suite")
     v.add_argument("check", choices=["counterexample", "rotation", "schur2",
                                      "power"])
-    v.add_argument("--k", type=int, default=2)
-    v.add_argument("--eps", type=float, default=0.15)
-    v.add_argument("--budget", type=int, default=400_000)
-    v.add_argument("--set", default="cube:a=1")
-    v.add_argument("--radius", type=float, default=2.0)
-    v.add_argument("--points", type=int, default=9)
-    v.add_argument("--p", type=float, default=2.0)
-    v.add_argument("--alpha", type=float, default=0.05)
-    v.add_argument("--n", type=int, default=400)
-    v.add_argument("--reps", type=int, default=10_000)
+    for flag, default in [("k", 2), ("eps", 0.15), ("budget", 400_000),
+                          ("set", "cube:a=1"), ("radius", 2.0), ("points", 9),
+                          ("p", 2.0), ("alpha", 0.05), ("n", 400),
+                          ("reps", 10_000)]:  # each parsed as its default is
+        v.add_argument("--" + flag, type=type(default), default=default)
     v.add_argument("--population", choices=["gaussian", "uniform"],
                    default="gaussian")
-    _add_common(v)
-    v.set_defaults(fn=cmd_verify)
+    _add_common(v, cmd_verify)
 
     f = sub.add_parser("figures", help="emit the data behind the figures")
     f.add_argument("--which", type=int, required=True, choices=[1, 2, 3, 4])
     f.add_argument("--alpha", type=float, default=0.05)
     f.add_argument("--beta", type=float, default=0.95)
     f.add_argument("--angles", type=int, default=11)
-    _add_common(f)
-    f.set_defaults(fn=cmd_figures)
+    _add_common(f, cmd_figures)
     return ap
 
 

@@ -8,9 +8,9 @@ with its bar, and measure alone judges target_met from them.
                 k = 1 (coordinatewise products of slabs or their union, exact)
   SLICE_QUAD    p-balls at k >= 2 with p > 0 and k^(1/p) <= 1e6: k-1
                 convolutions of the running CDF of the p-radius; inner levels
-                are Chebyshev interpolants, the last runs at the one radius
-                k^(1/p) eps on two quadrature rules whose gap is its bar, and
-                every shift shares one radii profile per p and rule
+                interpolate their rows at nested Lobatto radii, memoised per
+                prefix of sorted |theta|; the last runs at the one radius
+                k^(1/p) eps on two quadrature rules whose gap is its bar
   SEP           the other k = 2 sets of finite exponents: the integral over
                 |Y_1| of Y_2's slice mass, G13/K27 on panels graded to kinks
   MC_PLAIN /    everything else, in one Monte Carlo loop: plain draws, or
@@ -34,7 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import Chebyshev
+from numpy.polynomial.chebyshev import chebval
 from scipy.special import chdtrc, ndtr
 
 from . import sets as sets_mod
@@ -163,6 +163,7 @@ _BP = np.unique(np.r_[0.0, 1.0, (e := 0.5 ** np.arange(1.0, 33.0)), 1.0 - e])
 _PANEL_V = 4.0  # widest panel in v units: 24 nodes resolve a unit density
 _BAND = _PANEL_V * np.arange(-2.5, 3.0)  # cuts across theta_j +- 10
 _ROW_BLOCK = 16  # radii per block: bounds the (block x nodes) temporaries
+_NODES = (32, 64, 128, 256, 512)  # inner node counts, doubled until two agree
 _leggauss = functools.lru_cache(maxsize=2)(np.polynomial.legendre.leggauss)
 
 
@@ -220,23 +221,44 @@ def _convolve_level(G_prev, p, theta_j, ws, halves=False):
     return out
 
 
+@functools.lru_cache(maxsize=32)
+def _level(p, theta, w_max, n):
+    """Level len(theta) - 1 >= 1 at the Lobatto radii w of [0, w_max]: (w,
+    its rows, their Chebyshev coefficients in 1 - 2 w / w_max by a DCT-I).
+    The radii at n are the even ones at 2n bit for bit; level 1 keeps its
+    rows there, deeper levels, over an interpolant that moved, are rebuilt."""
+    w = w_max * (1.0 - np.cos(np.pi * (np.arange(n + 1) / n))) / 2.0
+    rows, new = np.empty(n + 1), slice(None)
+    if len(theta) == 2 and n // 2 in _NODES:
+        rows[::2], new = _level(p, theta, w_max, n // 2)[1], slice(1, None, 2)
+    G = functools.partial(_inner, p, theta[:-1], w_max, n)
+    rows[new] = _convolve_level(G, p, theta[-1], w[new])
+    ends = np.r_[0.5, np.ones(n - 1), 0.5]  # the DCT-I halves both ends
+    coef = np.fft.rfft(np.r_[rows, rows[-2:0:-1]]).real * ends / n
+    w.flags.writeable = rows.flags.writeable = coef.flags.writeable = False
+    return w, rows, coef
+
+
+def _inner(p, theta, w_max, n, w):
+    """Level len(theta) - 1 at w: its closed form at 0, else _level's."""
+    if len(theta) == 1:
+        return ndtr(np.add(w, theta[0])) - ndtr(np.subtract(theta[0], w))
+    y = 1.0 - np.multiply(w, 2.0 / w_max)
+    return np.clip(chebval(y, _level(p, theta, w_max, n)[2]), 0.0, 1.0)
+
+
 def pball_radius_cdf(k, p, theta, w_max, n_nodes=64):
     """CDF of the p-radius (sum |Z_j - theta_j|^p)^(1/p) on [0, w_max], k >= 2.
 
     A vectorized G(w, halves=False) = P(radius <= w): the last convolution
     row run at the radii given (on the second rule of _mesh if halves), over
-    the closed form of level 0 and levels 1..k-2 held as Chebyshev
-    interpolants of n_nodes on [0, w_max]."""
+    the closed form of level 0 and levels 1..k-2 from _level at n_nodes; at
+    k >= 3 on sorted |theta|, so zero coordinates feed the inner levels."""
     if k < 2 or not (0.0 < p < math.inf):
         raise ValueError("requires k >= 2 and finite p > 0")
-    theta = np.asarray(theta, dtype=float)
-    G = lambda w: ndtr(np.add(w, theta[0])) - ndtr(np.subtract(theta[0], w))
-    for j in range(1, k - 1):
-        level = Chebyshev.interpolate(
-            lambda ws, Gp=G, t=theta[j]: _convolve_level(Gp, p, t, ws),
-            n_nodes, domain=[0.0, w_max])
-        G = lambda w, lv=level: np.clip(lv(np.asarray(w, dtype=float)), 0.0, 1.0)
-    return lambda w, halves=False: _convolve_level(G, p, theta[-1], w, halves)
+    theta = tuple(map(float, np.sort(np.abs(theta)) if k > 2 else theta))
+    G = functools.partial(_inner, p, theta[:-1], w_max, n_nodes)
+    return functools.partial(_convolve_level, G, p, theta[-1])
 
 
 def _slice_capable(S):
@@ -247,19 +269,20 @@ def _slice_capable(S):
 def _slice_quad(S, theta, target, q):
     """The radial CDF at k^(1/p) eps. Its bar: the n vs 2n gap of the inner
     levels plus the gap of the last row on the two rules of _mesh, floored at
-    1e-15. nodes: the rows run, (k - 2)(n + 1) + 1 per node count n, plus 1."""
+    1e-15. nodes: the rows run from a cold cache (README, SLICE_QUAD)."""
     S, comp = _uncomplement(S)
     k, p = S.k, S.p
     w_eval = k ** (1.0 / p) * S.eps
     rows = 1
-    for n in (32, 64, 128, 256, 512):
+    for n in _NODES:
         G = pball_radius_cdf(k, p, theta, w_eval, n_nodes=n)
         val = float(G(w_eval))
-        rows += (k - 2) * (n + 1) + 1
+        rows += 1 + max(k - 3, 0) * (n + 1)
         gap = 0.0 if n == 32 else abs(val - prev)
         if k == 2 or n > 32 and gap <= max(0.1 * target * val, 1e-13):
             break
         prev = val
+    rows += (k > 2) * (n + 1)
     err = max(gap + abs(val - float(G(w_eval, halves=True))), 1e-15)
     if comp and k == 2 and not (q.method or _target_met(1 - val, err, target)):
         return _sep(sets_mod.complement(S), theta, target, q)  # 1 - G lost it

@@ -5,15 +5,9 @@ from enum import Enum
 
 import numpy as np
 
-__all__ = [
-    "MajorizationVerdict",
-    "majorize_compare",
-    "schur2_compare",
-    "g_canonical",
-    "muirhead_chain",
-    "random_group_element",
-    "apply_group_element",
-]
+__all__ = ["MajorizationVerdict", "majorize_compare", "schur2_compare",
+           "g_canonical", "muirhead_chain", "random_group_element",
+           "apply_group_element"]
 
 
 class MajorizationVerdict(Enum):
@@ -33,7 +27,7 @@ def majorize_compare(a, b):
 
     Returns STRICT_MAJORIZES / MAJORIZES_NONSTRICT when a majorizes b,
     EQUAL_SORTED when the descending rearrangements agree, INCOMPARABLE
-    otherwise (in particular when the totals differ).
+    otherwise (when the totals differ or a coordinate is not finite).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -42,7 +36,8 @@ def majorize_compare(a, b):
     tau = _sum_tolerance(a, b)
     a_sorted = np.sort(a)[::-1]
     b_sorted = np.sort(b)[::-1]
-    if abs(a.sum() - b.sum()) > tau:
+    finite = np.isfinite(a).all() and np.isfinite(b).all()
+    if not finite or abs(a.sum() - b.sum()) > tau:  # no inf - inf below
         return MajorizationVerdict.INCOMPARABLE
     max_diff = np.max(np.abs(a_sorted - b_sorted))
     if max_diff <= tau:

@@ -209,12 +209,9 @@ def schur_ostrowski_sign(p, q, u, i, j, rtol=1e-12):
         raise ValueError("requires p > q")
     sp = np.sum(u ** (p / 2.0))
     sq = np.sum(u ** (q / 2.0))
-
-    def expr(idx):
-        return p * u[idx] ** (p / 2.0 - 1.0) * sq - q * u[idx] ** (q / 2.0 - 1.0) * sp
-
-    d = expr(i) - expr(j)
-    scale = abs(expr(i)) + abs(expr(j)) + 1.0
-    if abs(d) <= rtol * scale:
+    ei, ej = (p * u[[i, j]] ** (p / 2.0 - 1.0) * sq
+              - q * u[[i, j]] ** (q / 2.0 - 1.0) * sp)
+    d = ei - ej
+    if abs(d) <= rtol * (abs(ei) + abs(ej) + 1.0):
         return 0
     return 1 if d > 0 else -1

@@ -9,8 +9,8 @@ How c and t are found, past the closed forms (k = 1, p = 2, p = +-inf):
   - c at k = 2: M_p is 1-homogeneous, so the zero-shift tail is, in polar
     coordinates, (4/pi) int_0^(pi/4) exp(-c^2 / (2 M_p(cos, sin)^2)).
   - c at k >= 3 if bounded_root(k, p): G(k^(1/p) c) = 1 - alpha on the last
-    row of one zero-shift radial CDF G; each node doubling brackets its root
-    within 1e-6 of the last. Neither makes a measure call.
+    row of one zero-shift radial CDF G on nested Lobatto radii; a node
+    doubling brackets its root within 1e-6 of the last. Neither calls measure.
   - deterministic paths: Brent's method on Phi^-1(P(t)) - Phi^-1(beta),
     nearly linear in t, every evaluation memoised, from the p = 2 shift
     ||s_2|| / ||u|| (5.3 measures per solve); solver_error is in t units,
@@ -36,7 +36,7 @@ from scipy.special import chdtrc, chdtri, chndtr, chndtrinc, gammaincinv, ndtri
 from scipy.special._ufuncs import _ncx2_sf  # what scipy.stats.ncx2.sf calls
 
 from .gauss_measure import (MC_ROUND_DRAWS, GaussianShiftQuery, _profile,
-                            engine, measure, pball_radius_cdf)
+                            _NODES, engine, measure, pball_radius_cdf)
 from .means import p_mean, p_mean_rows
 from .sets import complement, p_ball
 
@@ -227,7 +227,7 @@ def _exact_critical_value(k, p, alpha):
         return brentq(lambda c: float(w @ np.exp(-0.5 * (c / M) ** 2))
                       - alpha, 0.0, m, xtol=1e-14)
     scale, c = k ** (1.0 / p), None
-    for n in (32, 64, 128, 256, 512):
+    for n in _NODES:
         G = pball_radius_cdf(k, p, np.zeros(k), scale * m, n_nodes=n)
         f = functools.lru_cache(lambda x: float(G(scale * x)) - (1.0 - alpha))
         if f(m) < 0.0:  # G is taken on its big side

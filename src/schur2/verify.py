@@ -152,20 +152,14 @@ def run_counterexample(cfg: CounterexampleConfig, *, seed=0, budget=400_000):
     # the cube at x0 touches the sphere exactly at its far face
     containment = (1.0 + r) ** 2 + (k - 1) - R ** 2
     x1_maj = schur2_compare(cfg.x0, cfg.x1) in _COMPARABLE
-    if k == 2:
-        overlap, qerr = _cube_disk_overlap(cfg.x1, R)
-        p1 = overlap / (math.pi * R * R)
-        err = qerr / (math.pi * R * R) + 1e-14
-    elif k == 3:
+    if k in (2, 3):  # quadrature: the square's overlap, or its slabs' at k = 3
         from scipy.integrate import quad
-        c = cfg.x1[0]
-
-        def slab_area(z):  # |z| <= c + 1 < R for every valid epsilon
-            return _cube_disk_overlap((c, c), math.sqrt(R * R - z * z))[0]
-
-        vol, qerr = quad(slab_area, c - 1.0, c + 1.0, limit=200, epsabs=1e-10)
-        p1 = vol / _ball_volume(3, R)
-        err = qerr / _ball_volume(3, R) + 1e-12
+        c = cfg.x1[0]  # |z| <= c + 1 < R for every valid epsilon
+        vol, qerr = _cube_disk_overlap(cfg.x1, R) if k == 2 else quad(
+            lambda z: _cube_disk_overlap((c, c), math.sqrt(R * R - z * z))[0],
+            c - 1.0, c + 1.0, limit=200, epsabs=1e-10)
+        p1 = vol / _ball_volume(k, R)
+        err = qerr / _ball_volume(k, R) + (1e-14 if k == 2 else 1e-12)
     else:
         # uniform draws U on the cube x1 + [-1, 1]^k: p1 = p0 P(|U| <= R),
         # whose gap from p0 is the share of the cube outside the ball

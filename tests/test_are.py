@@ -113,9 +113,13 @@ def test_are_bits_pinned():
     # t units then. Each ARE must lie within three times the summed error
     # bars of the one recorded before (old are, error), when the searches
     # started at t = 1 and solver_error mixed power with t units. The k = 3
-    # rows were re-pinned when _BP dropped from 49 halvings to 32; each ARE
-    # must lie within its own bar of its 49-halving value
+    # rows were re-pinned when _BP dropped from 49 halvings to 32, and again
+    # when the inner levels moved from first-kind Chebyshev points, new at
+    # each node count, to nested Lobatto radii; each ARE must lie within its
+    # own bar of its 49-halving value and of its first-kind value
     at_49 = {(3, 1.5): "0x1.f6954ccdfb65ap-1", (3, 4.0): "0x1.f28b616a900f2p-1"}
+    first_kind = {(3, 1.5): "0x1.f6954ccdfb654p-1",
+                  (3, 4.0): "0x1.f28b616a900fdp-1"}
     cases = [
         (2, 0.5, [1.0, 0.4], ("0x1.85af10eec008cp-1", "0x1.b844884a97db7p-25",
                               "0x1.04f564f897fd9p+2"),
@@ -123,13 +127,13 @@ def test_are_bits_pinned():
         (2, 3.0, [1.0, 0.4], ("0x1.fbe8924d1d876p-1", "0x1.2962dcfcd1106p-24",
                               "0x1.c92819bcc2a27p+1"),
          ("0x1.fbe8926a8cb55p-1", "0x1.a4914cbaad4dcp-25")),
-        (3, 1.5, [1.0, 0.5, -0.2], ("0x1.f6954ccdfb654p-1",
-                                    "0x1.32e4284c181ffp-24",
-                                    "0x1.e659880ea1e68p+1"),
+        (3, 1.5, [1.0, 0.5, -0.2], ("0x1.f6954ccdfb662p-1",
+                                    "0x1.32e4284c18208p-24",
+                                    "0x1.e659880ea1e61p+1"),
          ("0x1.f6954cd05c350p-1", "0x1.625e132bf5756p-25")),
-        (3, 4.0, [1.0, 0.5, -0.2], ("0x1.f28b616a900fdp-1",
-                                    "0x1.300a929c48b9ep-24",
-                                    "0x1.e850d42b5b112p+1"),
+        (3, 4.0, [1.0, 0.5, -0.2], ("0x1.f28b616a900f2p-1",
+                                    "0x1.300a929c48b96p-24",
+                                    "0x1.e850d42b5b117p+1"),
          ("0x1.f28b616cfb648p-1", "0x1.5f139f7ec3f2ep-25")),
     ]
     for k, p, u, want, before in cases:
@@ -137,8 +141,9 @@ def test_are_bits_pinned():
         assert (r.are.hex(), r.error.hex(), r.sp_norm.hex()) == want
         old_are, old_err = map(float.fromhex, before)
         assert abs(r.are - old_are) <= 3.0 * (r.error + old_err)
-        if (k, p) in at_49:
-            assert abs(r.are - float.fromhex(at_49[k, p])) <= r.error
+        for pins in (at_49, first_kind):
+            if (k, p) in pins:
+                assert abs(r.are - float.fromhex(pins[k, p])) <= r.error
 
 
 def _mp_s2_norm(k, alpha, beta):

@@ -431,9 +431,12 @@ def test_measure_bad_target_is_usage_error(capsys, target):
     ("rotation", "--points", "1"),
     ("schur2", "--points", "0"),
     ("rotation", "--radius", "nan"),  # no pair of NaN shifts compares
+    ("rotation", "--radius", "inf"),  # nor of shifts with an inf
 ])
+@pytest.mark.filterwarnings("error")
 def test_empty_verify_check_is_usage_error(capsys, argv):
-    # a check that compares nothing must not report a pass
+    # a check that compares nothing must not report a pass, nor warn: a
+    # non-finite pair is incomparable before any inf - inf is taken
     code = main(["verify", *argv])
     cap = capsys.readouterr()
     assert code == 1

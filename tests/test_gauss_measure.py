@@ -219,6 +219,23 @@ def test_slice_quad_bar_covers_oracle(k, p, eps, shift):
     assert abs(est.value - want) <= est.abs_error
 
 
+@pytest.mark.parametrize("shift, eps", [
+    ((12.0, 0.0, 0.0), 1.5), ((0.0, 0.0, 3.0), 1.0), ((5.0, 0.0, 0.0, 0.0), 1.2),
+    ((0.0, 0.0, 0.0, 2.0, 0.0), 0.9), ((0.5, -1.2, 0.8), 1.1),
+    ((0.3, -0.6, 1.1, 0.4, -0.9), 1.0)])
+def test_euclidean_balls_at_sparse_and_far_shifts(shift, eps):
+    # k = 3..5 SLICE_QUAD against ncx2. At k >= 3 the levels run on sorted
+    # |theta|, so zero coordinates feed the inner levels and the far one the
+    # last row: at (12, 0, 0) the value is 5.6e-22, where level 0 over the
+    # shift 12 read 0.0, inside its 1e-15 floor but with no digit right
+    k = len(shift)
+    est = mz(p_ball(k, 2.0, eps), shift)
+    want = ncx2.cdf(k * eps * eps, k, float(np.dot(shift, shift)))
+    assert est.method == "SLICE_QUAD"
+    assert abs(est.value - want) <= est.abs_error
+    assert abs(est.value - want) <= 1e-13 * want
+
+
 def test_slice_quad_floor_bar_misses_a_small_target():
     # value 6.5e-13 with the 1e-15 floor as its bar is 1.5e-3 relative; an
     # absolute slack of 1e-13 in the verdict used to read this as met
@@ -277,26 +294,58 @@ def test_slice_quad_mesh_stays_bounded_for_huge_radii(monkeypatch):
 
 
 def test_slice_quad_nodes_are_the_rows_it_evaluates(monkeypatch):
-    # at k = 2 the last row on both rules; at k = 3, (n + 1) + 1 per node
-    # count n and the last row on the second rule; a k = 1 ball is a slab,
-    # measured by PRODUCT_1D without a row
+    # at k = 2 the last row on both rules. At k = 3 from a cold cache, level
+    # 1 runs its 33 Lobatto radii at n = 32 and only the 32 new odd ones at
+    # 64 (98 inner rows when each n had its own points), then the last row
+    # per n and on the second rule. At k = 4 level 2 is rebuilt at each n.
+    # A k = 1 ball is a slab, measured by PRODUCT_1D without a row
     rows, conv = [], gauss_measure._convolve_level
 
     def counted(G_prev, p, theta_j, ws, halves=False):
-        rows.append(np.size(ws))
+        rows.append(np.array(ws, dtype=float, ndmin=1))
         return conv(G_prev, p, theta_j, ws, halves)
 
     monkeypatch.setattr(gauss_measure, "_convolve_level", counted)
-    for k, want in [(2, 2), (3, 33 + 1 + 65 + 1 + 1)]:
+    for k, want in [(2, [1, 1]), (3, [1, 1, 1, 32, 33]),
+                    (4, [1, 1, 1, 32, 33, 33, 65])]:
         rows.clear()
+        gauss_measure._level.cache_clear()
         est = mz(p_ball(k, 1.5, 1.0), np.linspace(0.5, -0.3, k))
         assert est.method == "SLICE_QUAD"
-        assert est.samples_or_nodes == sum(rows) == want
+        assert sorted(r.size for r in rows) == want
+        assert est.samples_or_nodes == sum(want)
+    # the doubling at k = 4 sent level 1 the odd radii of level 2's 65
+    new, = (r for r in rows if r.size == 32)
+    rebuilt, = (r for r in rows if r.size == 65)
+    assert new.tobytes() == rebuilt[1::2].tobytes()
+    gauss_measure._level.cache_clear()
     rows.clear()
     est = mz(p_ball(1, 1.5, 1.0), (0.5,))
     assert (est.method, est.samples_or_nodes, rows) == ("PRODUCT_1D", 2, [])
     want = norm.cdf(0.5) - norm.cdf(-1.5)
     assert abs(est.value - want) <= est.abs_error
+
+
+def test_lobatto_levels_nest_bit_for_bit():
+    # the radii of a level at n are its even radii at 2n, bit for bit, so
+    # level 1 keeps its rows across a doubling; they equal the rows of one
+    # fresh call at every radius, and the DCT-I interpolant takes each row
+    # back at its radius
+    from schur2.gauss_measure import _NODES, _convolve_level, _inner, _level
+    _level.cache_clear()
+    p, theta = 1.5, (0.2, 0.7)
+    for w_max in (1.0, 3.0 ** (1 / 1.5) * 1.3, 7.1):
+        levels = [_level(p, theta, w_max, n) for n in _NODES]
+        for (w, rows, _), (w2, rows2, _) in zip(levels, levels[1:]):
+            assert w2[::2].tobytes() == w.tobytes()
+            assert rows2[::2].tobytes() == rows.tobytes()
+        G0 = lambda w: _inner(p, theta[:1], w_max, None, w)
+        w, rows, coef = levels[-1]
+        assert rows.tobytes() == _convolve_level(G0, p, theta[1], w).tobytes()
+        y = 1.0 - w * (2.0 / w_max)
+        back = np.polynomial.chebyshev.chebval(y, coef)
+        assert np.max(np.abs(back - rows)) <= 1e-15
+    _level.cache_clear()
 
 
 def test_convolve_level_blocks_keep_bits():
@@ -446,6 +495,8 @@ def test_deterministic_bits_pinned():
     # divided sigma out of the engines; at sigma = 1 nothing may move. The
     # SLICE_QUAD rows were recorded once its last convolution ran directly
     # at k^(1/p) eps; test_slice_quad_pins_cover_their_oracles checks them.
+    # The k = 3 row counted 101 rows until level 1 kept its rows across a
+    # node doubling; its value and bar kept their bits.
     # The PRODUCT_1D rows were recorded once slab masses went through sums
     # of logs with a relative bar, and their bars once that bar took in the
     # cancellation of each slab; test_product_1d_matches_mpmath checks them.
@@ -461,7 +512,7 @@ def test_deterministic_bits_pinned():
         (complement(p_ball(2, math.inf, 0.8)), (0.5, -0.2), None,
          ("PRODUCT_1D", "0x1.68b1e91a83f6dp-1", "0x1.3aae35b982561p-45", 4)),
         (p_ball(3, 1.5, 1.0), (0.5, 0.2, -0.3), 1e-8,
-         ("SLICE_QUAD", "0x1.38590df0f89f8p-1", "0x1.203af9ee75616p-50", 101)),
+         ("SLICE_QUAD", "0x1.38590df0f89f8p-1", "0x1.203af9ee75616p-50", 68)),
         (complement(p_ball(2, 3.0, 1.2)), (0.4, 0.1), None,
          ("SLICE_QUAD", "0x1.3b18a3009c6c8p-2", "0x1.203af9ee75616p-50", 2)),
         (pq_ball(2, 2.0, -0.4, 1.0), tuple(rotate2([1.0, 0.0], math.pi / 5)),
@@ -970,8 +1021,9 @@ def test_bp_grading_matches_49_halvings(monkeypatch):
     grid = [(k, p) for k in (2, 3, 4) for p in (0.1, 0.3, 0.5, 1.0, 4.0, 20.0)
             if bounded_root(k, p)]
 
-    def clear():
+    def clear():  # the levels too: they were built on the other _BP
         gauss_measure._profile.cache_clear()
+        gauss_measure._level.cache_clear()
         solvers._exact_critical_value.cache_clear()
 
     def run():

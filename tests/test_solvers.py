@@ -511,10 +511,79 @@ def test_tiny_positive_p_lies_between_its_neighbours():
                                    method="SLICE_QUAD"))
 
 
+def _small_side_tail(p, c):
+    """P(<Z>_p > c) at k = 3 on its small side, by nested quad: the mass
+    past the p-radius r of |Z_1|, else of |Z_2| given Z_1, else of |Z_3|."""
+    R = 3.0 * c ** p
+    out = lambda x: math.erfc(x / math.sqrt(2.0))  # P(|Z| > x)
+    g = lambda z: math.exp(-z * z / 2.0) * math.sqrt(2.0 / math.pi)
+    rule = dict(epsabs=0.0, epsrel=1e-11, limit=200)
+
+    def past(R1):  # P(|Z_2|^p + |Z_3|^p > R1)
+        b = R1 ** (1.0 / p)
+        return quad(lambda z: g(z) * out((R1 - z ** p) ** (1.0 / p)), 0.0, b,
+                    **rule)[0] + out(b)
+    r = R ** (1.0 / p)
+    return quad(lambda z: g(z) * past(R - z ** p), 0.0, r, **rule)[0] + out(r)
+
+
+def test_small_side_tail_oracle_takes_chi2_isf():
+    # at p = 2 the oracle's root is the chi-square quantile to 1.5e-15
+    for alpha in (1e-7, 0.05):
+        want = math.sqrt(chi2.isf(alpha, 3) / 3.0)
+        c = brentq(lambda c: math.log(_small_side_tail(2.0, c) / alpha),
+                   0.8 * want, 1.25 * want, xtol=1e-15)
+        assert abs(c - want) <= 1.5e-15 * want
+
+
+@pytest.mark.parametrize("p, alpha, oracle, rtol", [
+    (1.0, 1e-7, 3.2177215048338876, 1e-9),
+    (4.0, 1e-6, 3.8888325595096265, 1e-9),
+    (2.5, 1e-7, 3.6481181481775136, 1e-9),
+    (1.5, 1e-7, 3.2924965705755325, 1e-9),
+    # no two node counts agree to 1e-10 here; c is the last root, 1.8e-8
+    # off (first-kind points refused this alpha as below what c resolves)
+    (2.5, 1e-10, 4.338071994273977, 2.5e-8)])
+def test_small_alpha_critical_values_meet_a_quad_oracle(p, alpha, oracle,
+                                                        rtol):
+    # the oracle roots solve _small_side_tail = alpha; the tail brackets
+    # alpha across c (1 -+ rtol), and c lies within rtol of the root
+    c = critical_value(3, p, alpha)
+    assert abs(c - oracle) <= rtol * oracle
+    assert (_small_side_tail(p, c * (1.0 - rtol)) > alpha
+            > _small_side_tail(p, c * (1.0 + rtol)))
+
+
+def test_axis_shift_solution_builds_its_inner_level_once_per_node_count(
+        monkeypatch):
+    # at k = 3 the levels run on sorted |t u|, so an axis direction feeds
+    # its two zero coordinates to level 1: every t of the solve shares it,
+    # 33 rows at n = 32 and the 32 new ones at 64, whichever axis it is
+    rows, conv = [], gauss_measure._convolve_level
+
+    def counted(G_prev, p, theta_j, ws, halves=False):
+        rows.append(np.size(ws))
+        return conv(G_prev, p, theta_j, ws, halves)
+
+    monkeypatch.setattr(gauss_measure, "_convolve_level", counted)
+    c, ts = critical_value(3, 1.5, 0.05), set()
+    for u in ((1.0, 0.0, 0.0), (0.0, 0.0, -1.0)):
+        gauss_measure._level.cache_clear()
+        rows.clear()
+        sol = shift_solution(TestDesign(3, 1.5, 0.05, 0.9,
+                                        tuple(normalize_direction(u))), c=c)
+        assert sol.exists and sol.target_met
+        assert [n for n in rows if n > 1] == [33, 32]
+        assert gauss_measure._level.cache_info().misses == 2
+        ts.add(sol.t)
+    assert len(ts) == 1  # the same bits on either axis
+    gauss_measure._level.cache_clear()
+
+
 @pytest.mark.parametrize("call, match", [
     (lambda: critical_value(3, 1.0, 1e-12), "below what"),
     (lambda: critical_value(3, 0.5, 1e-9), "below what"),
-    (lambda: critical_value(3, 2.5, 1e-10), "below what"),
+    (lambda: critical_value(3, 2.5, 1e-12), "below what"),
     (lambda: critical_value(2, math.nan, 0.05), "p must not be NaN"),
     (lambda: TestDesign(2, math.nan, 0.05, 0.95, (1.0, 1.0)), "p must not"),
 ])
