@@ -6,13 +6,9 @@ table (engine); every engine then sees a standard normal and returns a value
 with its bar, and measure alone judges target_met from them.
   PRODUCT_1D    cubes, balls with an infinite exponent and every ball at
                 k = 1 (coordinatewise products of slabs or their union, exact)
-  SLICE_QUAD    p-balls at k >= 2 with p > 0 and k^(1/p) <= 1e6: k-1
-                convolutions of the running CDF of the p-radius; inner levels
-                interpolate their rows at nested Lobatto radii, memoised per
-                prefix of sorted |theta|; the last runs at the one radius
-                k^(1/p) eps on two quadrature rules whose gap is its bar
-  SEP           the other k = 2 sets of finite exponents: the integral over
-                |Y_1| of Y_2's slice mass, G13/K27 on panels graded to kinks
+  SEP           p-balls at k >= 2 with k^(1/p) <= 1e6, and every k = 2 set of
+                finite exponents: one K27/G13 row over the largest |Y_j| of
+                the slice mass, slabs at k = 2, nested Lobatto levels beyond
   MC_PLAIN /    everything else, in one Monte Carlo loop: plain draws, or
   MC_IMPORTANCE importance sampling from N(center, I) around a near member
                 point when the event is rare, which the first common member
@@ -39,7 +35,7 @@ from scipy.special import chdtrc, ndtr
 
 from . import sets as sets_mod
 from .means import pq_extreme
-from .sets import contains_rows
+from .sets import bounded_root, contains_rows
 
 __all__ = [
     "MeasureEstimate",
@@ -58,9 +54,8 @@ class MeasureEstimate:
     value: float
     abs_error: float
     rel_error: float
-    method: str  # PRODUCT_1D | SLICE_QUAD | SEP | MC_PLAIN | MC_IMPORTANCE
-    #              | POLAR2D (forced only)
-    samples_or_nodes: int  # draws, rows, rays; SEP: every node it evaluates
+    method: str  # PRODUCT_1D | SEP | MC_PLAIN | MC_IMPORTANCE | POLAR2D
+    samples_or_nodes: int  # draws, rays; SEP: the nodes of every row it runs
     seed: int = None
     wall_ms: float = 0.0
     target_met: bool = True
@@ -154,7 +149,7 @@ def _product_1d(S, theta, target, q):
 
 
 # ---------------------------------------------------------------------------
-# SLICE_QUAD
+# SEP: one outer row, over k = 2 slices or the radial CDF of p-balls
 
 
 # panel ends of [0, 1], halved 32 times toward each end: below 2^-32 of an
@@ -164,29 +159,25 @@ _PANEL_V = 4.0  # widest panel in v units: 24 nodes resolve a unit density
 _BAND = _PANEL_V * np.arange(-2.5, 3.0)  # cuts across theta_j +- 10
 _ROW_BLOCK = 16  # radii per block: bounds the (block x nodes) temporaries
 _NODES = (32, 64, 128, 256, 512)  # inner node counts, doubled until two agree
-_leggauss = functools.lru_cache(maxsize=2)(np.polynomial.legendre.leggauss)
+_leggauss = functools.lru_cache(maxsize=1)(np.polynomial.legendre.leggauss)
 
 
-def _mesh(p, bp, halves):
-    """Gauss-Legendre nodes u (24 per panel bp of [0, 1], 12 per half panel if
-    halves), weights, and the radius (w^p - v^p)^(1/p) at v = w u over w."""
-    if halves:
-        bp = np.sort(np.concatenate((bp, 0.5 * (bp[1:] + bp[:-1]))))
-    x, wx = _leggauss(12 if halves else 24)
+def _mesh(p, bp):
+    """Gauss-Legendre nodes u (24 per panel bp of [0, 1]), weights, and the
+    radius (w^p - v^p)^(1/p) at v = w u over w."""
+    x, wx = _leggauss(24)
     mids, halfs = 0.5 * (bp[1:] + bp[:-1]), 0.5 * (bp[1:] - bp[:-1])
     u = (mids[:, None] + halfs[:, None] * x[None, :]).ravel()
     uw = (halfs[:, None] * wx[None, :]).ravel()
-    return u, uw, (-np.expm1(p * np.log(u))) ** (1.0 / p)
-
-
-@functools.lru_cache(maxsize=8)
-def _profile(p, halves):
-    """The mesh of _BP, whose panels halve 32 times toward the kinks at v = 0
-    (p < 1) and v = w; shared by all radii and shifts at p."""
-    mesh = _mesh(p, _BP, halves)
+    mesh = u, uw, (-np.expm1(p * np.log(u))) ** (1.0 / p)
     for a in mesh:
         a.flags.writeable = False
     return mesh
+
+
+# the mesh of _BP per p, whose panels halve 32 times toward the kinks at v = 0
+# (p < 1) and v = w: every radius and shift at p shares it
+_profile = functools.lru_cache(maxsize=8)(functools.partial(_mesh, bp=_BP))
 
 
 def _npdf(x):
@@ -194,16 +185,28 @@ def _npdf(x):
     return np.exp(-x**2 / 2.0) / math.sqrt(2.0 * math.pi)
 
 
-def _convolve_level(G_prev, p, theta_j, ws, halves=False):
-    """One convolution step: values of the next running CDF at radii ws.
+def _rounding(N, z):  # of N = ndtr(z), in 1e-14 units (as in _product_1d)
+    return N * (1 + np.clip(z, -40, 0) ** 2 / 16)
 
-    G_j(w) = int_0^w G_{j-1}((w^p - v^p)^(1/p)) g(v) dv with g the density of
-    |Z_j - theta_j|, on _profile(p, halves) in fixed blocks of radii. g is
-    below 1e-22 off |theta_j| +- 10; a row with a panel wider than _PANEL_V
-    there gets its own mesh, cut _PANEL_V apart across that band."""
-    ws = np.asarray(ws, dtype=float)
-    out = np.zeros(ws.shape)
-    w = ws[ws > 0]
+
+def _level0(t, w, comp=False, bar=False):
+    """Level 0, P(|Y| <= w) for Y ~ N(t, 1), or P(|Y| > w) if comp, on its
+    small side; with bar, also the bound on its rounding."""
+    t = abs(t)  # z built where used: a level's blocks keep 3 arrays alive
+    z = (lambda: np.subtract(t, w) if comp else np.subtract(w, t),
+         lambda: np.subtract(-t, w))
+    N0, N1 = ndtr(z[0]()), ndtr(z[1]())
+    m = N0 + N1 if comp else N0 - N1
+    return (m, _rounding(N0, z[0]()) + _rounding(N1, z[1]())) if bar else m
+
+
+def _convolve_level(G_prev, p, theta_j, ws):
+    """The next running CDF at radii ws >= 0: G_j(w) = int_0^w G_{j-1}((w^p -
+    v^p)^(1/p)) g(v) dv with g the density of |Z_j - theta_j|, on
+    _profile(p) in fixed blocks of radii. g is below
+    1e-22 off |theta_j| +- 10; a row with a panel wider than _PANEL_V there
+    gets its own mesh, cut _PANEL_V apart across that band."""
+    w = np.asarray(ws, dtype=float)
     band = abs(theta_j) + _BAND
     vb = w[:, None] * _BP  # panel ends in v units
     wide = ((vb[:, :-1] < band[-1]) & (vb[:, 1:] > band[0])
@@ -212,13 +215,12 @@ def _convolve_level(G_prev, p, theta_j, ws, halves=False):
     for b in ([narrow[i:i + B] for i in range(0, narrow.size, B)]
               + [[i] for i in np.flatnonzero(wide)]):
         wb = w[b, None]
-        u, uw, prof = (_mesh(p, np.union1d(_BP, np.clip(band / wb[0, 0], 0, 1)),
-                             halves) if wide[b[0]] else _profile(p, halves))
+        u, uw, prof = (_mesh(p, np.union1d(_BP, np.clip(band / wb[0, 0], 0, 1)))
+                       if wide[b[0]] else _profile(p))
         v = wb * u
         g = _npdf(v - theta_j) + _npdf(v + theta_j)
         rows[b] = (G_prev(wb * prof) * g * uw).sum(axis=1)
-    out[ws > 0] = w * rows
-    return out
+    return w * rows
 
 
 @functools.lru_cache(maxsize=32)
@@ -239,58 +241,30 @@ def _level(p, theta, w_max, n):
     return w, rows, coef
 
 
-def _inner(p, theta, w_max, n, w):
-    """Level len(theta) - 1 at w: its closed form at 0, else _level's."""
+def _inner(p, theta, w_max, n, w, comp=False, bar=False):
+    """Level len(theta) - 1 at w, or 1 - it if comp; with bar, its rounding."""
     if len(theta) == 1:
-        return ndtr(np.add(w, theta[0])) - ndtr(np.subtract(theta[0], w))
+        return _level0(theta[0], w, comp, bar)
     y = 1.0 - np.multiply(w, 2.0 / w_max)
-    return np.clip(chebval(y, _level(p, theta, w_max, n)[2]), 0.0, 1.0)
+    G = np.clip(chebval(y, _level(p, theta, w_max, n)[2]), 0.0, 1.0)
+    m = 1.0 - G if comp else G
+    return (m, comp * G) if bar else m
 
 
 def pball_radius_cdf(k, p, theta, w_max, n_nodes=64):
-    """CDF of the p-radius (sum |Z_j - theta_j|^p)^(1/p) on [0, w_max], k >= 2.
-
-    A vectorized G(w, halves=False) = P(radius <= w): the last convolution
-    row run at the radii given (on the second rule of _mesh if halves), over
-    the closed form of level 0 and levels 1..k-2 from _level at n_nodes; at
-    k >= 3 on sorted |theta|, so zero coordinates feed the inner levels."""
+    """The p-radius R = (sum |Z_j - theta_j|^p)^(1/p), k >= 2: G(w, comp=False)
+    is (P(R <= w), or P(R > w) if comp; its bar; nodes) from _outer over the
+    largest |theta_j|, the slice mass at y level k - 2 of _inner at n_nodes on
+    [0, w_max] and radius (w^p - y^p)^(1/p); zero shifts feed inner levels."""
     if k < 2 or not (0.0 < p < math.inf):
         raise ValueError("requires k >= 2 and finite p > 0")
-    theta = tuple(map(float, np.sort(np.abs(theta)) if k > 2 else theta))
-    G = functools.partial(_inner, p, theta[:-1], w_max, n_nodes)
-    return functools.partial(_convolve_level, G, p, theta[-1])
+    *t_in, t = map(float, np.sort(np.abs(theta)))
+    inner = functools.partial(_inner, p, tuple(t_in), w_max, n_nodes)
 
-
-def _slice_capable(S):
-    return (S.k > 1 and S.variant == "pball" and S.p < math.inf
-            and sets_mod.bounded_root(S.k, S.p))
-
-
-def _slice_quad(S, theta, target, q):
-    """The radial CDF at k^(1/p) eps. Its bar: the n vs 2n gap of the inner
-    levels plus the gap of the last row on the two rules of _mesh, floored at
-    1e-15. nodes: the rows run from a cold cache (README, SLICE_QUAD)."""
-    S, comp = _uncomplement(S)
-    k, p = S.k, S.p
-    w_eval = k ** (1.0 / p) * S.eps
-    rows = 1
-    for n in _NODES:
-        G = pball_radius_cdf(k, p, theta, w_eval, n_nodes=n)
-        val = float(G(w_eval))
-        rows += 1 + max(k - 3, 0) * (n + 1)
-        gap = 0.0 if n == 32 else abs(val - prev)
-        if k == 2 or n > 32 and gap <= max(0.1 * target * val, 1e-13):
-            break
-        prev = val
-    rows += (k > 2) * (n + 1)
-    err = max(gap + abs(val - float(G(w_eval, halves=True))), 1e-15)
-    if comp and k == 2 and not (q.method or _target_met(1 - val, err, target)):
-        return _sep(sets_mod.complement(S), theta, target, q)  # 1 - G lost it
-    return "SLICE_QUAD", 1.0 - val if comp else val, err, rows
-
-
-# ---------------------------------------------------------------------------
-# SEP
+    def G(w, comp=False):
+        return _outer(t, min(w, t + 14.0), w, comp, lambda y: inner(
+            w * (-np.expm1(p * np.log(y / w))) ** (1.0 / p), comp, True))
+    return G
 
 
 def _solve(H, dH, c, lo, hi, v0=0.0):
@@ -373,6 +347,7 @@ def _sep_set(S, xb):
 
 
 @functools.cache
+@functools.cache
 def _gauss_kronrod(n):
     """The (2n + 1)-point Kronrod extension of n-point Gauss-Legendre on
     [-1, 1] (Kronrod 1965; Laurie 1997): nodes x, new at even indices, its
@@ -392,43 +367,67 @@ def _gauss_kronrod(n):
     return x, wk, wg
 
 
+def _outer(t, Y, reach, comp, mass, kinks=(), cuts=(), acc=(0.0, 0.0, 0)):
+    """acc + (int_0^Y g m dy + comp P(|Y_1| > Y), its bar, nodes), g the
+    density of |Y_1|, Y_1 ~ N(t, 1), (m, its rounding) = mass(y): K27 on _BP's
+    panels graded toward 0, Y and the kinks, cut at cuts and across t + _BAND.
+    Bar: |K27 - G13|, the rounding of m and g, and the mass past Y < reach."""
+    x, wk, wg = _gauss_kronrod(13)
+    bp = np.unique(np.clip(np.concatenate(([0.0, Y], kinks)), 0.0, Y))
+    bp = np.union1d(bp[:-1, None] + np.diff(bp)[:, None] * _BP,
+                    np.clip(np.concatenate((cuts, t + _BAND)), 0.0, Y))
+    mids, halfs = 0.5 * (bp[1:] + bp[:-1]), 0.5 * np.diff(bp)[:, None]
+    y = (mids[:, None] + halfs * x).ravel()
+    g = _npdf(y - t) + _npdf(y + t)
+    K, G = ((halfs * w).ravel() * g for w in (wk, wg))
+    m, e = mass(y)
+    e = e + (1.0 + (y - t) ** 2 / 16.0) * m  # and g's rounding
+    o = _level0(t, Y, True)  # P(|Y_1| > Y)
+    err = ((Y < reach) + comp * 1e-14 * (1.0 + (Y - t) ** 2 / 16.0)) * o
+    return (acc[0] + K @ m + comp * o,
+            acc[1] + abs((K - G) @ m) + 1e-14 * K @ e + err, acc[2] + y.size)
+
+
 def _sep(S, theta, target, q):
-    """int_0^Y g(y) m(y) dy, g the density of |Y_1| at the larger shift, m
-    the N(theta_2, 1) mass of the slice at y, on _gauss_kronrod(13) (K27,
-    embedding G13) per panel, graded toward 0, Y and the kinks, cut at the
-    cuts and |theta_1| + _BAND; check-B sums over the larger coordinate.
-    Bar: |K27 - G13|, rounding, mass past Y. nodes: all K27 nodes."""
+    """_outer over the largest |theta_j|. p-balls with bounded_root run
+    pball_radius_cdf, at k >= 3 doubling inner nodes until two values agree
+    within max(target / 10, 1e-13 / value) relative, the gap joining the bar;
+    other k = 2 sets the N(theta_2, 1) mass of _sep_set's slices (check-B
+    sums over the larger coordinate)."""
     S, comp = _uncomplement(S)
+    if S.variant == "pball" and bounded_root(S.k, S.p):
+        w, nodes, prev = S.k ** (1.0 / S.p) * S.eps, 0, math.nan
+        for n in _NODES[:1 if S.k == 2 else None]:
+            value, err, rows = pball_radius_cdf(S.k, S.p, theta, w, n)(w, comp)
+            nodes, gap = nodes + rows, abs(value - prev)
+            if gap <= max(0.1 * target * value, 1e-13):
+                break
+            prev = value
+        return "SEP", value, err + (gap if S.k > 2 else 0.0), nodes
     t = np.sort(np.abs(theta))[::-1]  # every symmetry image: the same bits
     checkb = S.variant == "checkb"
-    x, wk, wg = _gauss_kronrod(13)
     value = err = nodes = 0
     for t_out, t_in in (t, t[::-1])[:1 + checkb]:
         xb = t_in + _BAND
         slices, kinks, cuts, reach = _sep_set(S, xb[xb > 0.0])
         Y = min(reach, t[0] + 14.0)
-        bp = np.unique(np.clip(np.r_[0.0, Y, kinks], 0.0, Y))
-        bp = np.union1d(bp[:-1, None] + np.diff(bp)[:, None] * _BP,
-                        np.clip(np.r_[cuts, t_out + _BAND], 0.0, Y))
-        mids, halfs = 0.5 * (bp[1:] + bp[:-1]), 0.5 * np.diff(bp)[:, None]
-        y = (mids[:, None] + halfs * x).ravel()
-        with np.errstate(divide="ignore", over="ignore"):  # ends at inf
-            a1, b1, a2, b2 = slices(y)
-        m = e = 0.0
-        parts = ((0.0, a1), (b1, a2)) if comp else ((a1, b1), (a2, b2))
-        for lo, hi in parts:  # slabs of |Y_2|, each on its small side
-            if np.any(np.less(lo, hi)):  # ~27 % of SEP's time; slices(y) ~44 %
-                z = np.stack(np.broadcast_arrays(
-                    lo - t_in, hi - t_in, -hi - t_in, -lo - t_in))
-                z[:2] = np.where(z[0] > 0.0, -z[1::-1], z[:2])
-                N = ndtr(z)
-                m = m + N[1] - N[0] + N[3] - N[2]
-                e = e + (N * (1 + np.clip(z, -40, 0) ** 2 / 16)).sum(0)
-        g = _npdf(y - t_out) + _npdf(y + t_out)
-        e = e + (1.0 + (y - t_out) ** 2 / 16.0) * m  # and g's rounding
-        K, G = ((halfs * w).ravel() * g for w in (wk, wg))
-        value, err = value + K @ m, err + abs((K - G) @ m) + 1e-14 * K @ e
-        nodes += y.size
+
+        def mass(y):  # slabs of |Y_2|, each on its small side
+            with np.errstate(divide="ignore", over="ignore"):  # ends at inf
+                a1, b1, a2, b2 = slices(y)
+            m = e = 0.0
+            parts = ((0.0, a1), (b1, a2)) if comp else ((a1, b1), (a2, b2))
+            for lo, hi in parts:
+                if np.any(np.less(lo, hi)):  # ~27 % of SEP's time; slices ~44 %
+                    z = np.stack(np.broadcast_arrays(
+                        lo - t_in, hi - t_in, -hi - t_in, -lo - t_in))
+                    z[:2] = np.where(z[0] > 0.0, -z[1::-1], z[:2])
+                    N = ndtr(z)
+                    m = m + N[1] - N[0] + N[3] - N[2]
+                    e = e + _rounding(N, z).sum(0)
+            return m, e
+        value, err, nodes = _outer(t_out, Y, Y, False, mass, kinks, cuts,
+                                   (value, err, nodes))  # the tail below
     o = ndtr(t - Y) + ndtr(-t - Y)  # P(|Y_j| > Y), all in the complement
     tail = o[0] + o[1] - o[0] * o[1] if checkb else o[0]
     rounding = 1e-14 * (1.0 + max((Y - t) ** 2) / 16.0)  # ndtr's, as above
@@ -436,8 +435,9 @@ def _sep(S, theta, target, q):
     return "SEP", value + comp * tail, err, nodes
 
 
-def _sep_capable(S):  # every k = 2 family of finite exponents
-    return S.k == 2 and S.variant != "cube" and math.isfinite(S.p + (S.q or 0))
+def _sep_capable(S):  # finite exponents: every k = 2 set, bounded_root p-balls
+    return (S.variant != "cube" and S.k > 1 and math.isfinite(S.p + (S.q or 0))
+            and (S.k == 2 or S.variant == "pball" and bounded_root(S.k, S.p)))
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +640,6 @@ def _mc(S, theta, target, q):
 # nodes); measure alone judges the target.
 _ENGINES = (
     (("PRODUCT_1D",), 1e-4, _product_capable, _product_1d),
-    (("SLICE_QUAD",), 1e-4, _slice_capable, _slice_quad),
     (("SEP",), 1e-4, _sep_capable, _sep),
     (("MC", "MC_PLAIN", "MC_IMPORTANCE"), 1e-2, lambda S: True, _mc),
     (("POLAR2D",), 1e-4, lambda S: S.k == 2, _polar2d),

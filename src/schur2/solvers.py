@@ -8,8 +8,8 @@ strict monotonicity of the power curve in t.
 How c and t are found, past the closed forms (k = 1, p = 2, p = +-inf):
   - c at k = 2: M_p is 1-homogeneous, so the zero-shift tail is, in polar
     coordinates, (4/pi) int_0^(pi/4) exp(-c^2 / (2 M_p(cos, sin)^2)).
-  - c at k >= 3 if bounded_root(k, p): G(k^(1/p) c) = 1 - alpha on the last
-    row of one zero-shift radial CDF G on nested Lobatto radii; a node
+  - c at k >= 3 if bounded_root(k, p): P(R > k^(1/p) c) = alpha for the
+    zero-shift p-radius R, on SEP's row over nested Lobatto levels; a node
     doubling brackets its root within 1e-6 of the last. Neither calls measure.
   - deterministic paths: Brent's method on Phi^-1(P(t)) - Phi^-1(beta),
     nearly linear in t, every evaluation memoised, from the p = 2 shift
@@ -215,13 +215,13 @@ def _monotone_root(h, x0, *, exact, xtol, rtol, steps=200, lo=None,
 
 @functools.lru_cache(maxsize=256)
 def _exact_critical_value(k, p, alpha):
-    """c at k = 2 from the polar tail on the graded SLICE_QUAD nodes, or at
-    k >= 3 from the radial CDF on [0, k^(1/p) m], doubling inner nodes until
-    two roots agree; memoised per (k, p, alpha). The p-mean is at most m if
-    every |Z_j| <= m, and 2k Phi-bar(m) is 1e-3 alpha, so c lies in [0, m]."""
+    """c at k = 2 from the polar tail on the nodes of _profile, or at k >= 3
+    from the radial CDF's small-side tail, levels on [0, k^(1/p) m], doubling
+    inner nodes until two roots agree; memoised per (k, p, alpha). c is in
+    [0, m]: M_p <= m if every |Z_j| <= m, and 2k Phi-bar(m) = 1e-3 alpha."""
     m = float(-ndtri(_CV_TAIL_SHARE * alpha / (2.0 * k)))
     if k == 2:
-        u, w = _profile(1.0, False)[:2]  # p shapes only its radii
+        u, w = _profile(1.0)[:2]  # p shapes only its radii
         phi = 0.25 * math.pi * u
         M = p_mean_rows(np.stack((np.cos(phi), np.sin(phi)), axis=1), p)
         return brentq(lambda c: float(w @ np.exp(-0.5 * (c / M) ** 2))
@@ -229,8 +229,8 @@ def _exact_critical_value(k, p, alpha):
     scale, c = k ** (1.0 / p), None
     for n in _NODES:
         G = pball_radius_cdf(k, p, np.zeros(k), scale * m, n_nodes=n)
-        f = functools.lru_cache(lambda x: float(G(scale * x)) - (1.0 - alpha))
-        if f(m) < 0.0:  # G is taken on its big side
+        f = functools.lru_cache(lambda x: G(scale * x, True)[0] - alpha)
+        if f(m) >= 0.0:  # the levels' error at n reaches alpha
             raise ValueError(f"alpha = {alpha:g} is below what c resolves")
         a, b = (0.0, m) if c is None else (c - 1e-6, c + 1e-6)
         if (f(a) < 0.0) == (f(b) < 0.0):  # no root next to the last one

@@ -116,13 +116,20 @@ def test_are_bits_pinned():
     # rows were re-pinned when _BP dropped from 49 halvings to 32, and again
     # when the inner levels moved from first-kind Chebyshev points, new at
     # each node count, to nested Lobatto radii; each ARE must lie within its
-    # own bar of its 49-halving value and of its first-kind value
+    # own bar of its 49-halving value and of its first-kind value. The
+    # k = 2 p = 0.5 row was re-pinned when p-balls moved onto SEP's outer
+    # row; each ARE must lie within its own bar of the value the radial
+    # convolution's own last row gave (own_row)
     at_49 = {(3, 1.5): "0x1.f6954ccdfb65ap-1", (3, 4.0): "0x1.f28b616a900f2p-1"}
+    own_row = {(2, 0.5): "0x1.85af10eec008cp-1",
+               (2, 3.0): "0x1.fbe8924d1d876p-1",
+               (3, 1.5): "0x1.f6954ccdfb662p-1",
+               (3, 4.0): "0x1.f28b616a900f2p-1"}
     first_kind = {(3, 1.5): "0x1.f6954ccdfb654p-1",
                   (3, 4.0): "0x1.f28b616a900fdp-1"}
     cases = [
-        (2, 0.5, [1.0, 0.4], ("0x1.85af10eec008cp-1", "0x1.b844884a97db7p-25",
-                              "0x1.04f564f897fd9p+2"),
+        (2, 0.5, [1.0, 0.4], ("0x1.85af10eec0092p-1", "0x1.b844884a97dbfp-25",
+                              "0x1.04f564f897fd7p+2"),
          ("0x1.85af10a7ea594p-1", "0x1.3750f7716f0dep-25")),
         (2, 3.0, [1.0, 0.4], ("0x1.fbe8924d1d876p-1", "0x1.2962dcfcd1106p-24",
                               "0x1.c92819bcc2a27p+1"),
@@ -141,7 +148,7 @@ def test_are_bits_pinned():
         assert (r.are.hex(), r.error.hex(), r.sp_norm.hex()) == want
         old_are, old_err = map(float.fromhex, before)
         assert abs(r.are - old_are) <= 3.0 * (r.error + old_err)
-        for pins in (at_49, first_kind):
+        for pins in (at_49, first_kind, own_row):
             if (k, p) in pins:
                 assert abs(r.are - float.fromhex(pins[k, p])) <= r.error
 

@@ -210,8 +210,8 @@ def test_solver_commands_exit_2_on_a_missed_inner_target(capsys, monkeypatch,
 @pytest.mark.parametrize("argv, met", [
     (("shift", "--k", "2", "--p", "-3", *SOLVE, "--u", "1,1"), [False]),
     (("are", "--k", "2", "--p", "-3", *SOLVE, "--u", "1,1"), [False]),
-    # only the p = 0 row solves on SEP
-    (("figures", "--which", "3"), [False] + [True] * 7),
+    # every row solves on SEP but p = 2's, whose tail is ncx2
+    (("figures", "--which", "3"), [False] * 4 + [True] + [False] * 3),
 ])
 def test_sep_miss_reaches_the_exit_code(capsys, monkeypatch, argv, met):
     sep_misses(monkeypatch)
@@ -336,7 +336,7 @@ def test_figures_1_emits_the_boundary_of_every_panel(capsys):
 
 
 def test_measure_incapable_method_is_usage_error(capsys):
-    # SLICE_QUAD handles p-balls only; forcing it on a (p,q)-ball must fail
+    # SLICE_QUAD is no engine (SEP runs the p-balls); forcing it must fail
     code, out = run_cli(capsys, "measure", "--set", "pqball:p=2,q=-0.4,eps=1",
                         "--k", "2", "--shift", "0.5,0.2",
                         "--method", "SLICE_QUAD")

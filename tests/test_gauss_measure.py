@@ -35,7 +35,7 @@ def test_euclidean_ball_matches_noncentral_chi2():
             est = mz(p_ball(k, 2.0, eps), theta, target_rel_error=1e-9)
             want = ncx2.cdf(k * eps * eps, k, shift_norm ** 2)
             assert est.value == pytest.approx(want, abs=1e-10)
-            assert est.method in ("SLICE_QUAD", "POLAR2D", "PRODUCT_1D")
+            assert est.method in ("SEP", "PRODUCT_1D")
 
 
 def test_cube_product_form():
@@ -144,6 +144,17 @@ def test_complement_is_one_minus():
     assert a.value + b.value == pytest.approx(1.0, abs=1e-9)
 
 
+def test_small_k6_complement_doubles_until_its_own_value_agrees():
+    # the inner node doubling compares the values it returns, 1 - G plus the
+    # tail, not G: stopping once G's gap was below a tenth of the target
+    # read 1.4290051196352849e-05 +- 4.8e-10 here, unmet at 1e-7, though the
+    # 128-to-256 gap is 1.1e-16
+    shift = (-0.013, -0.206, -0.285, -0.162, -0.118, -0.122)
+    est = mz(complement(p_ball(6, 0.5, 2.0)), shift, target_rel_error=1e-7)
+    assert est.method == "SEP" and est.target_met
+    assert abs(est.value - 1.4290051196352849e-05) <= 4.8e-10
+
+
 def test_sigma_scaling():
     # scaling both the set and sigma leaves the measure unchanged
     a = mz(p_ball(2, 3.0, 1.0), [0.5, 0.1], target_rel_error=1e-8)
@@ -155,8 +166,8 @@ def test_method_agreement_slice_polar_mc():
     S = p_ball(2, 1.0, 1.0)
     theta = [0.8, 0.3]
     ests = [mz(S, theta, method=m, target_rel_error=t, seed=7)
-            for m, t in [("SLICE_QUAD", 1e-8), ("SEP", 1e-8),
-                         ("POLAR2D", 1e-6), ("MC_PLAIN", 1e-3)]]
+            for m, t in [("SEP", 1e-8), ("POLAR2D", 1e-6),
+                         ("MC_PLAIN", 1e-3)]]
     ref = ests[0]
     for e in ests[1:]:
         tol = 3 * (ref.abs_error + e.abs_error)
@@ -212,116 +223,144 @@ def test_slice_quad_bar_covers_oracle(k, p, eps, shift):
     else:
         with mpmath.workdps(20):
             want = _mp_pball(p, eps, shift)
-    # at (5, 4) the value is 1.71e-7 and the bar its 1e-15 floor, 5.8e-9
-    # relative: the 1e-9 target is honestly missed
-    assert est.method == "SLICE_QUAD"
-    assert est.target_met == (shift != (5.0, 4.0))
+    # at (5, 4) the value is 1.71e-7; under an absolute bar floor of 1e-15
+    # the 1e-9 target was missed, and with none it is met
+    assert est.method == "SEP" and est.target_met
     assert abs(est.value - want) <= est.abs_error
 
 
 @pytest.mark.parametrize("shift, eps", [
     ((12.0, 0.0, 0.0), 1.5), ((0.0, 0.0, 3.0), 1.0), ((5.0, 0.0, 0.0, 0.0), 1.2),
     ((0.0, 0.0, 0.0, 2.0, 0.0), 0.9), ((0.5, -1.2, 0.8), 1.1),
-    ((0.3, -0.6, 1.1, 0.4, -0.9), 1.0)])
+    ((0.3, -0.6, 1.1, 0.4, -0.9), 1.0),
+    # dense far shifts: level 0 taken on its big side, ndtr(w + t) -
+    # ndtr(t - w), read (6, 6, 6) 2.8e-12 relative off under a 2.5e-31 bar
+    ((6.0, 6.0, 6.0), 1.0), ((7.0, 7.0, 7.0), 1.5), ((5.0, 5.0, 5.0, 5.0), 1.0)])
 def test_euclidean_balls_at_sparse_and_far_shifts(shift, eps):
-    # k = 3..5 SLICE_QUAD against ncx2. At k >= 3 the levels run on sorted
+    # k = 3..5 p-balls against ncx2. At k >= 3 the levels run on sorted
     # |theta|, so zero coordinates feed the inner levels and the far one the
-    # last row: at (12, 0, 0) the value is 5.6e-22, where level 0 over the
-    # shift 12 read 0.0, inside its 1e-15 floor but with no digit right
+    # outer row: at (12, 0, 0) the value is 5.6e-22, where level 0 over the
+    # shift 12 read 0.0. Its bar has no absolute floor, so every one is met
+    # (5.567264767190531e-22 +- 1e-15 under a 1e-15 floor)
     k = len(shift)
     est = mz(p_ball(k, 2.0, eps), shift)
     want = ncx2.cdf(k * eps * eps, k, float(np.dot(shift, shift)))
-    assert est.method == "SLICE_QUAD"
+    assert est.method == "SEP" and est.target_met
     assert abs(est.value - want) <= est.abs_error
     assert abs(est.value - want) <= 1e-13 * want
 
 
-def test_slice_quad_floor_bar_misses_a_small_target():
-    # value 6.5e-13 with the 1e-15 floor as its bar is 1.5e-3 relative; an
-    # absolute slack of 1e-13 in the verdict used to read this as met
+def test_far_k2_ball_meets_a_small_target():
+    # 6.5e-13 far out on the diagonal. Level 0 on its big side, ndtr(w + t)
+    # - ndtr(t - w), read 6.478092938087067e-13 +- 1e-15, 1.9e-10 relative
+    # off and unmet under an absolute floor; on its small side it keeps
+    # every digit
     est = mz(p_ball(2, 1.0, 1.0), (6.0, 6.0))
-    assert est.method == "SLICE_QUAD" and est.abs_error == 1e-15
-    assert est.abs_error > 1e-4 * est.value and not est.target_met
+    with mpmath.workdps(30):
+        want = _mp_pball(1.0, 1.0, (6.0, 6.0))
+    assert est.method == "SEP" and est.target_met
+    assert abs(est.value - want) <= est.abs_error
+
+
+# (value, abs_error) of the p-balls of test_deterministic_bits_pinned: on
+# SEP's row, then as recorded on the radial convolution's own last row
+_PBALL_PINS = [
+    (("0x1.38590df0f89f9p-1", "0x1.c8e8bbc8f4346p-48"),
+     ("0x1.38590df0f89f8p-1", "0x1.203af9ee75616p-50")),
+    (("0x1.3b18a3009c6c8p-2", "0x1.5f96435a7a4b6p-48"),
+     ("0x1.3b18a3009c6c8p-2", "0x1.203af9ee75616p-50"))]
 
 
 def test_slice_quad_pins_cover_their_oracles():
-    # the recorded SLICE_QUAD bits of test_deterministic_bits_pinned
+    # the recorded p-ball bits of test_deterministic_bits_pinned, new and old
     with mpmath.workdps(20):
-        for value, abs_error, want in [
-                ("0x1.38590df0f89f8p-1", "0x1.203af9ee75616p-50",
-                 _mp_pball(1.5, 1.0, (0.5, 0.2, -0.3))),
-                ("0x1.3b18a3009c6c8p-2", "0x1.203af9ee75616p-50",
-                 1.0 - _mp_pball(3.0, 1.2, (0.4, 0.1)))]:
+        wants = (_mp_pball(1.5, 1.0, (0.5, 0.2, -0.3)),
+                 1.0 - _mp_pball(3.0, 1.2, (0.4, 0.1)))
+    for pins, want in zip(_PBALL_PINS, wants, strict=True):
+        for value, abs_error in pins:
             assert (abs(float.fromhex(value) - want)
                     <= float.fromhex(abs_error))
 
 
 def test_slice_quad_resolves_a_wide_ball(monkeypatch):
     # the shifted density sits 30 from both axes inside a ball of p-radius
-    # 80: panels 20 wide missed 2.4e-5 of the mass and still met the target
+    # 80: panels 20 wide missed 2.4e-5 of the mass and still met the target.
+    # The outer row is cut across the density; its bar covers the truth,
+    # 1 - O(1e-40)
     S, shift = p_ball(2, 1.0, 40.0), (30.0, 30.0)
     est = mz(S, shift)
-    assert est.method == "SLICE_QUAD" and est.target_met
-    assert abs(est.value - 1.0) <= est.abs_error <= 1e-15  # truth 1 - O(1e-40)
-    # uncut, the two rules of the last row disagree by the size of the miss
+    assert est.method == "SEP" and est.target_met
+    assert abs(est.value - 1.0) <= est.abs_error
+    # so is an inner-level row: level 1 at p = 2 is ncx2's CDF; uncut, its
+    # row at radius 80 misses the mass by more than 2e-5
+    G0 = lambda w: gauss_measure._level0(30.0, w)
+    want = ncx2.cdf(80.0 ** 2, 2, 1800.0)
+    row = lambda: gauss_measure._convolve_level(G0, 2.0, 30.0, [80.0])[0]
+    assert abs(row() - want) <= 1e-14
     monkeypatch.setattr(gauss_measure, "_PANEL_V", math.inf)
-    est = mz(S, shift)
-    assert 2e-5 < 1.0 - est.value < 2.0 * est.abs_error
+    assert abs(row() - want) > 2e-5
 
 
 def test_slice_quad_mesh_stays_bounded_for_huge_radii(monkeypatch):
-    # p-radii of 3.5e9 and 1.4e8: each row has at most 6 more panels than
-    # the shared mesh, whatever the radius
+    # p-radii of 3.5e9 and 1.7e8: each inner-level row has at most 6 more
+    # panels than the shared mesh, whatever the radius
     sizes, mesh = [], gauss_measure._mesh
 
-    def counted(p, bp, halves):
+    def counted(p, bp):
         sizes.append(bp.size - 1)
-        return mesh(p, bp, halves)
+        return mesh(p, bp)
 
     monkeypatch.setattr(gauss_measure, "_mesh", counted)
     gauss_measure._profile.cache_clear()
+    gauss_measure._level.cache_clear()
     # measure sends p = 0.05 at k = 3 to Monte Carlo (k^(1/p) > 1e6), so the
-    # engine runs directly
-    _, value, err, _ = gauss_measure._slice_quad(
-        p_ball(3, 0.05, 1.0), np.array([0.3, 0.1, -0.2]), 1e-4, None)
-    # the shared mesh's answer, before rows were cut across the density
-    assert abs(value - float.fromhex("0x1.acd0713581ebep-1")) <= err
-    est = mz(p_ball(2, 2.0, 1e8), (0.3, -0.2))
-    assert abs(est.value - 1.0) <= est.abs_error <= 1e-15
+    # radial CDF runs directly
+    w = 3.0 ** 20
+    gauss_measure.pball_radius_cdf(3, 0.05, (0.3, 0.1, -0.2), w)(w)
+    est = mz(p_ball(3, 2.0, 1e8), (0.3, -0.2, 0.1))
+    assert est.target_met and abs(est.value - 1.0) <= est.abs_error
     base = gauss_measure._BP.size - 1
     assert base < max(sizes) <= base + 6
     gauss_measure._profile.cache_clear()
+    gauss_measure._level.cache_clear()
 
 
 def test_slice_quad_nodes_are_the_rows_it_evaluates(monkeypatch):
-    # at k = 2 the last row on both rules. At k = 3 from a cold cache, level
-    # 1 runs its 33 Lobatto radii at n = 32 and only the 32 new odd ones at
-    # 64 (98 inner rows when each n had its own points), then the last row
-    # per n and on the second rule. At k = 4 level 2 is rebuilt at each n.
-    # A k = 1 ball is a slab, measured by PRODUCT_1D without a row
+    # a p-ball counts the nodes of its outer row, once per inner node count:
+    # one row at k = 2, with no inner level. At k = 3 from a cold cache,
+    # level 1 runs its 33 Lobatto radii at n = 32 and only the 32 new odd
+    # ones at 64 (98 inner rows when each n had its own points). At k = 4
+    # level 2 is rebuilt at each n. A k = 1 ball is a slab, measured by
+    # PRODUCT_1D without a row
     rows, conv = [], gauss_measure._convolve_level
+    outer, row = [], gauss_measure._outer
 
-    def counted(G_prev, p, theta_j, ws, halves=False):
+    def counted(G_prev, p, theta_j, ws):
         rows.append(np.array(ws, dtype=float, ndmin=1))
-        return conv(G_prev, p, theta_j, ws, halves)
+        return conv(G_prev, p, theta_j, ws)
 
     monkeypatch.setattr(gauss_measure, "_convolve_level", counted)
-    for k, want in [(2, [1, 1]), (3, [1, 1, 1, 32, 33]),
-                    (4, [1, 1, 1, 32, 33, 33, 65])]:
+    monkeypatch.setattr(gauss_measure, "_outer", lambda *a: (
+        lambda r: outer.append(r[2]) or r)(row(*a)))
+    for k, want, runs in [(2, [], 1), (3, [32, 33], 2),
+                          (4, [32, 33, 33, 65], 2)]:
         rows.clear()
+        outer.clear()
         gauss_measure._level.cache_clear()
         est = mz(p_ball(k, 1.5, 1.0), np.linspace(0.5, -0.3, k))
-        assert est.method == "SLICE_QUAD"
+        assert est.method == "SEP"
         assert sorted(r.size for r in rows) == want
-        assert est.samples_or_nodes == sum(want)
+        assert len(outer) == runs and est.samples_or_nodes == sum(outer)
     # the doubling at k = 4 sent level 1 the odd radii of level 2's 65
     new, = (r for r in rows if r.size == 32)
     rebuilt, = (r for r in rows if r.size == 65)
     assert new.tobytes() == rebuilt[1::2].tobytes()
     gauss_measure._level.cache_clear()
     rows.clear()
+    outer.clear()
     est = mz(p_ball(1, 1.5, 1.0), (0.5,))
-    assert (est.method, est.samples_or_nodes, rows) == ("PRODUCT_1D", 2, [])
+    assert (est.method, est.samples_or_nodes, rows, outer) == (
+        "PRODUCT_1D", 2, [], [])
     want = norm.cdf(0.5) - norm.cdf(-1.5)
     assert abs(est.value - want) <= est.abs_error
 
@@ -350,28 +389,28 @@ def test_lobatto_levels_nest_bit_for_bit():
 
 def test_convolve_level_blocks_keep_bits():
     # radii are summed in fixed blocks; each row on the shared mesh must
-    # equal the one-shot sum, on both rules, also when rows cut across the
-    # density (w > 16 here) share the call
+    # equal the one-shot sum, also when rows cut across the density (w > 16
+    # here) share the call. Radii are >= 0 (_level's Lobatto radii), and the
+    # row at 0 is 0
     from schur2.gauss_measure import _convolve_level, _profile
     p, theta_j = 1.5, 0.7
     G = lambda w: norm.cdf(w + 0.3) - norm.cdf(-w + 0.3)
-    ws = np.concatenate((np.linspace(-0.5, 6.0, 53), [20.0, 45.0, 3.0]))
-    for halves in (False, True):
-        u, uw, prof = _profile(p, halves)
-        # the radius (w^p - v^p)^(1/p) at v = w u is w (1 - u^p)^(1/p)
-        with mpmath.workdps(40):
-            exact = [float((1 - mpmath.mpf(x) ** p) ** (1 / p)) for x in u]
-        assert np.allclose(prof, exact, rtol=1e-14, atol=0.0)
-        got = _convolve_level(G, p, theta_j, ws, halves)
-        w = ws[(ws > 0) & (ws < 16)]
-        rad = w[:, None] * prof[None, :]
-        v = w[:, None] * u[None, :]
-        g = norm.pdf(v - theta_j) + norm.pdf(v + theta_j)
-        assert np.array_equal(got[ws <= 0], np.zeros(np.sum(ws <= 0)))
-        assert np.array_equal(got[(ws > 0) & (ws < 16)],
-                              w * (G(rad) * g * uw[None, :]).sum(axis=1))
-        one = [_convolve_level(G, p, theta_j, [x], halves)[0] for x in ws]
-        assert np.array_equal(got, one)
+    ws = np.concatenate((np.linspace(0.0, 6.0, 53), [20.0, 45.0, 3.0]))
+    u, uw, prof = _profile(p)
+    # the radius (w^p - v^p)^(1/p) at v = w u is w (1 - u^p)^(1/p)
+    with mpmath.workdps(40):
+        exact = [float((1 - mpmath.mpf(x) ** p) ** (1 / p)) for x in u]
+    assert np.allclose(prof, exact, rtol=1e-14, atol=0.0)
+    got = _convolve_level(G, p, theta_j, ws)
+    w = ws[(ws > 0) & (ws < 16)]
+    rad = w[:, None] * prof[None, :]
+    v = w[:, None] * u[None, :]
+    g = norm.pdf(v - theta_j) + norm.pdf(v + theta_j)
+    assert got[0] == 0.0
+    assert np.array_equal(got[(ws > 0) & (ws < 16)],
+                          w * (G(rad) * g * uw[None, :]).sum(axis=1))
+    one = [_convolve_level(G, p, theta_j, [x])[0] for x in ws]
+    assert np.array_equal(got, one)
 
 
 def test_polar_handles_unbounded_thin_arms():
@@ -493,10 +532,10 @@ def test_plain_draws_skip_the_member_point_search(monkeypatch):
 def test_deterministic_bits_pinned():
     # (method, value, abs_error, nodes) recorded bit for bit before measure
     # divided sigma out of the engines; at sigma = 1 nothing may move. The
-    # SLICE_QUAD rows were recorded once its last convolution ran directly
-    # at k^(1/p) eps; test_slice_quad_pins_cover_their_oracles checks them.
-    # The k = 3 row counted 101 rows until level 1 kept its rows across a
-    # node doubling; its value and bar kept their bits.
+    # p-ball rows were recorded once they ran on SEP's outer row, and each
+    # must lie within its bar of the value recorded on the radial
+    # convolution's own last row (_PBALL_PINS, whose pairs
+    # test_slice_quad_pins_cover_their_oracles checks).
     # The PRODUCT_1D rows were recorded once slab masses went through sums
     # of logs with a relative bar, and their bars once that bar took in the
     # cancellation of each slab; test_product_1d_matches_mpmath checks them.
@@ -512,9 +551,9 @@ def test_deterministic_bits_pinned():
         (complement(p_ball(2, math.inf, 0.8)), (0.5, -0.2), None,
          ("PRODUCT_1D", "0x1.68b1e91a83f6dp-1", "0x1.3aae35b982561p-45", 4)),
         (p_ball(3, 1.5, 1.0), (0.5, 0.2, -0.3), 1e-8,
-         ("SLICE_QUAD", "0x1.38590df0f89f8p-1", "0x1.203af9ee75616p-50", 68)),
+         ("SEP", *_PBALL_PINS[0][0], 3456)),
         (complement(p_ball(2, 3.0, 1.2)), (0.4, 0.1), None,
-         ("SLICE_QUAD", "0x1.3b18a3009c6c8p-2", "0x1.203af9ee75616p-50", 2)),
+         ("SEP", *_PBALL_PINS[1][0], 1728)),
         (pq_ball(2, 2.0, -0.4, 1.0), tuple(rotate2([1.0, 0.0], math.pi / 5)),
          None,
          ("POLAR2D", "0x1.0cd1cfe4b9939p-1", "0x1.02fbdc79c0000p-17", 4096)),
@@ -529,6 +568,9 @@ def test_deterministic_bits_pinned():
         got = (est.method, est.value.hex(), est.abs_error.hex(),
                est.samples_or_nodes)
         assert got == want
+    for (value, abs_error), (before, _) in _PBALL_PINS:
+        assert (abs(float.fromhex(value) - float.fromhex(before))
+                <= float.fromhex(abs_error))
 
 
 @pytest.mark.parametrize("kw", [
@@ -612,21 +654,21 @@ def test_chi2_helpers_match_scipy_stats_bits():
 
 
 def test_profile_cache_keeps_bits_and_its_size():
-    # SLICE_QUAD keeps one theta-free radii profile per (p, rule); a warm
+    # the inner levels keep one theta-free radii profile per p; a warm
     # cache must give the bits of a cold one, a shift search at one p reuses
-    # the same two profiles, and the cache stays bounded
+    # the same profile, and the cache stays bounded
     S, shift = p_ball(3, 1.5, 1.0), (0.5, 0.2, -0.3)
     gauss_measure._profile.cache_clear()
+    gauss_measure._level.cache_clear()
     cold = mz(S, shift, target_rel_error=1e-8)
     warm = mz(S, shift, target_rel_error=1e-8)
     assert (warm.value.hex(), warm.abs_error.hex()) == (
-        cold.value.hex(), cold.abs_error.hex()) == (
-        "0x1.38590df0f89f8p-1", "0x1.203af9ee75616p-50")
+        cold.value.hex(), cold.abs_error.hex()) == _PBALL_PINS[0][0]
     for t in (0.5, 1.0, 2.0):
         mz(S, (t, 0.4 * t, -0.2 * t))
-    assert gauss_measure._profile.cache_info().misses == 2
-    for p in (1.1, 1.2, 1.3, 1.4):
-        mz(p_ball(2, p, 1.0), (0.4, 0.1))
+    assert gauss_measure._profile.cache_info().misses == 1
+    for p in (1.1, 1.2, 1.3, 1.4, 1.6, 1.7, 1.8, 1.9):
+        mz(p_ball(3, p, 1.0), (0.4, 0.1, 0.2))
     info = gauss_measure._profile.cache_info()
     assert info.maxsize == 8
     assert info.currsize == info.maxsize
@@ -872,7 +914,7 @@ _SEP_ORACLES = [
 
 @pytest.mark.parametrize("S, shift, oracle", _SEP_ORACLES)
 def test_sep_covers_oracles(S, shift, oracle):
-    # SEP measures every k = 2 set off PRODUCT_1D and SLICE_QUAD; the set
+    # SEP measures every k = 2 set off PRODUCT_1D; the set
     # and its complement must each meet the default target with a bar that
     # covers an oracle computed another way
     want = oracle(shift)
@@ -1006,7 +1048,7 @@ def test_bp_grading_matches_49_halvings(monkeypatch):
     # stays met, every value agrees to 1e-14 relative and no bar widens by
     # more than 10 % or past 1e-13 of its value: SEP on the polar2d queries,
     # the figure-1 panels, its oracle cases and extreme exponents at two
-    # shifts, with complements; SLICE_QUAD at target 1e-10; and c at alpha
+    # shifts, with complements; p-balls at target 1e-10; and c at alpha
     # .05 from the k = 2 polar tail and the k >= 3 radial CDF, at p >= 0.5,
     # where a solve takes under 0.1 s
     extremes = [hat_b(2, 50.0, 1.0, 2.0 ** (-1.0 / 50.0) + 0.01),
@@ -1031,7 +1073,7 @@ def test_bp_grading_matches_49_halvings(monkeypatch):
         got = [(e.value, e.abs_error, e.target_met) for e in (
             mz(T, shift, method="SEP") for T, shift in sep)]
         for k, p in grid:
-            _, v, e, _ = gauss_measure._slice_quad(
+            _, v, e, _ = gauss_measure._sep(
                 p_ball(k, p, 1.0), np.array([0.6, -0.3, 0.2, 0.1][:k]),
                 1e-10, None)
             got.append((v, e, gauss_measure._target_met(v, e, 1e-10)))
@@ -1131,7 +1173,6 @@ def test_no_automatic_k2_measure_runs_polar2d():
     for S in sets:
         for T in (S, complement(S)):
             assert gauss_measure.engine(T)[0] != ("POLAR2D",)
-            assert mz(T, (0.5, 0.2)).method in ("PRODUCT_1D", "SLICE_QUAD",
-                                                "SEP")
+            assert mz(T, (0.5, 0.2)).method in ("PRODUCT_1D", "SEP")
     forced = gauss_measure.engine(pq_ball(2, 2.0, -0.4, 1.0), "POLAR2D")
     assert forced[0] == ("POLAR2D",)

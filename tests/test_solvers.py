@@ -434,17 +434,17 @@ def _mp_pball_tail(p, c, shift):
 @pytest.mark.parametrize("p", [0.5, 1.0, 3.0])
 @pytest.mark.parametrize("shift", [(0.0, 0.0), (3.0, 0.0)])
 def test_k2_tails_at_alpha_1e30_come_on_their_small_side(p, shift):
-    # 1 - G from SLICE_QUAD reads 0.0 +- 1e-15 here; such complements go
-    # to SEP, which integrates the tail itself
+    # 1 - G read 0.0 +- 1e-15 here; SEP's row integrates the complement
+    # itself, the outside of each slice plus the mass past the ball
     c = critical_value(2, p, 1e-30)
     value, err, met = tail_probability(2, p, c, shift)
     want = _mp_pball_tail(p, c, shift)
     assert met is True and abs(value - want) <= 1e-8 * want
     assert abs(value - want) <= err + 1e-12 * want
-    # a complement that SLICE_QUAD resolves stays there
+    # as does a larger complement
     est = measure(GaussianShiftQuery(set=complement(p_ball(2, p, 1.0)),
                                      shift=(1.5, 0.3)))
-    assert est.method == "SLICE_QUAD" and est.target_met
+    assert est.method == "SEP" and est.target_met
 
 
 def _mp_ncx2_sf_near_zero(x, k, nc):
@@ -561,9 +561,9 @@ def test_axis_shift_solution_builds_its_inner_level_once_per_node_count(
     # 33 rows at n = 32 and the 32 new ones at 64, whichever axis it is
     rows, conv = [], gauss_measure._convolve_level
 
-    def counted(G_prev, p, theta_j, ws, halves=False):
+    def counted(G_prev, p, theta_j, ws):
         rows.append(np.size(ws))
-        return conv(G_prev, p, theta_j, ws, halves)
+        return conv(G_prev, p, theta_j, ws)
 
     monkeypatch.setattr(gauss_measure, "_convolve_level", counted)
     c, ts = critical_value(3, 1.5, 0.05), set()
