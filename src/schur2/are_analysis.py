@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss_measure import rotate2
 from .solvers import (TestDesign, _s2_norm, normalize_direction,
                       shift_solution)
 
@@ -86,9 +85,3 @@ def are_limit_trend(k, p, u, alpha_grid, beta_grid, *, seed=0, workers=1):
     u = tuple(normalize_direction(u))
     return [are(TestDesign(k, p, a, b, u), seed=seed, workers=workers)
             for a, b in zip(alphas, betas)]
-
-
-def duality_partner(u):
-    """At k = 2 the max-mean test in direction u matches the 1-mean test in
-    the direction rotated by pi/4."""
-    return rotate2(np.asarray(u, dtype=float), math.pi / 4.0)

@@ -172,8 +172,7 @@ def cmd_figures(args):
             for t in (math.pi / 5.0, math.pi / 20.0):
                 shift = radius * np.array([math.cos(t), math.sin(t)])
                 est = measure(GaussianShiftQuery(
-                    set=S, shift=shift, seed=seed, workers=workers,
-                    target_rel_error=1e-4 if radius < 2 else 1e-2))
+                    set=S, shift=shift, seed=seed, workers=workers))
                 rows.append({"radius": radius, "angle": t,
                              "value": est.value, "abs_error": est.abs_error,
                              "target_met": est.target_met})

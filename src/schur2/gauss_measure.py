@@ -4,8 +4,8 @@ measure divides sigma out once, P(sigma Z in A + theta) = P(Z in A/sigma +
 theta/sigma), resolves the default target and takes the engine from one
 table (engine); every engine then sees a standard normal and returns a value
 with its bar, and measure alone judges target_met from them.
-  PRODUCT_1D    cubes, balls with an infinite exponent and every ball at
-                k = 1 (coordinatewise products of slabs or their union, exact)
+  PRODUCT_1D    p = +-inf balls (cubes, infinite-exponent pq-balls) and every
+                ball at k = 1: exact products of slabs, or their union
   SEP           p-balls at k >= 2 with k^(1/p) <= 1e6, and every k = 2 set of
                 finite exponents: one K27/G13 row over the largest |Y_j| of
                 the slice mass, slabs at k = 2, nested Lobatto levels beyond
@@ -34,7 +34,6 @@ from numpy.polynomial.chebyshev import chebval
 from scipy.special import chdtrc, ndtr
 
 from . import sets as sets_mod
-from .means import pq_extreme
 from .sets import bounded_root, contains_rows
 
 __all__ = [
@@ -122,8 +121,7 @@ def _uncomplement(S):
 
 
 def _product_capable(S):
-    return S.variant == "cube" or S.variant in ("pball", "pqball") and (
-        S.k == 1 or pq_extreme(S.p, S.q or 0.0))
+    return S.variant in ("pball", "pqball") and (S.k == 1 or math.isinf(S.p))
 
 
 def _product_1d(S, theta, target, q):
@@ -134,12 +132,11 @@ def _product_1d(S, theta, target, q):
     a difference, loses (ndtr(a - t) + ndtr(-a - t)) / m of it more, so far
     shifts and narrow slabs keep a relative bar."""
     S, comp = _uncomplement(S)
-    a = S.a if S.variant == "cube" else S.eps
-    t = np.abs(theta)
+    a, t = S.eps, np.abs(theta)
     m, o = ndtr(a - t) - ndtr(-a - t), ndtr(t - a) + ndtr(-a - t)
     cancel = (ndtr(a - t) + ndtr(-a - t)) / np.maximum(m, 1e-300)
     # min |Y_j| <= a: not every Y_j leaves its slab
-    union = S.variant != "cube" and pq_extreme(S.p, S.q or 0.0) == "min"
+    union = S.p == -math.inf
     x, y = (o, m) if union else (m, o)
     with np.errstate(divide="ignore"):  # log x from the smaller of x, 1 - x
         L = np.sum(np.where(x < 0.5, np.log(x), np.log1p(-y)))
@@ -347,7 +344,6 @@ def _sep_set(S, xb):
 
 
 @functools.cache
-@functools.cache
 def _gauss_kronrod(n):
     """The (2n + 1)-point Kronrod extension of n-point Gauss-Legendre on
     [-1, 1] (Kronrod 1965; Laurie 1997): nodes x, new at even indices, its
@@ -436,7 +432,7 @@ def _sep(S, theta, target, q):
 
 
 def _sep_capable(S):  # finite exponents: every k = 2 set, bounded_root p-balls
-    return (S.variant != "cube" and S.k > 1 and math.isfinite(S.p + (S.q or 0))
+    return (S.k > 1 and math.isfinite(S.p)
             and (S.k == 2 or S.variant == "pball" and bounded_root(S.k, S.p)))
 
 

@@ -1,13 +1,17 @@
 """Symbolic set families: sublevel sets of the p- and (p,q)-means, the
 orbit-union sets hat-B (balls around the diagonal points a*g*1) and check-B
-(balls around the axis points +-a*e_i), cubes, and single complements.
+(balls around the axis points +-a*e_i), cubes, and single complements. A
+set has one stored form however it is written: a cube {max_j |x_j| <= a} is
+p_ball(k, inf, a), a (p,q)-ball p_ball(k, inf, eps) if its larger exponent is
++inf, else p_ball(k, -inf, eps) if its smaller one is -inf, and hat-B and
+check-B at a = 0 are p_ball(k, p, eps).
 
 Membership is exact and vectorized; a point on the defining boundary is a
 member (the sets are closed). Every member passes its family's outer bound
 (~2 ns/row): (p,q)-means lie between min_j |x_j| and max_j |x_j| and rise
 with q, so p- and pq-balls lie in {min_j |x_j| <= eps} and, for q >= 0 and
 k^(1/p) <= 1e6, in {max_j |x_j| <= k^(1/p) eps}; hat-B and check-B lie in
-{max_j |x_j| <= a + k^(1/p) eps}. A cube, {max_j |x_j| <= a}, is its own.
+{max_j |x_j| <= a + k^(1/p) eps}. A ball with an infinite exponent is its own.
 """
 
 import math
@@ -38,7 +42,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SetSpec:
-    variant: str  # pball | pqball | hatb | checkb | cube | complement
+    variant: str  # pball | pqball | hatb | checkb | complement (module doc)
     k: int
     p: float = None
     q: float = None
@@ -49,7 +53,8 @@ class SetSpec:
 
 def _spec(variant, k, **fields):
     """A SetSpec of dimension k >= 1 whose exponents are not NaN and whose
-    lengths are finite, with eps > 0 and a >= 0."""
+    lengths are finite, with eps > 0 and a >= 0, checked as spelled and
+    stored in its one form (module docstring)."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if any(math.isnan(fields[n]) for n in ("p", "q") if n in fields):
@@ -61,7 +66,14 @@ def _spec(variant, k, **fields):
     # hat-B and check-B match signs (p >= 1); at p = inf eps would drop out
     if variant in ("hatb", "checkb") and not 1 <= fields["p"] < math.inf:
         raise ValueError(f"{variant} membership requires 1 <= p < inf")
-    return SetSpec(variant, k, **{n: float(v) for n, v in fields.items()})
+    f = {n: float(v) for n, v in fields.items()}
+    if variant == "cube":
+        f["p"], f["eps"] = math.inf, f["a"]
+    elif variant == "pqball" and max(f["p"], -f["q"]) == math.inf:
+        f["p"] = f["p"] if f["p"] == math.inf else f["q"]
+    elif f.get("a") != 0.0:
+        return SetSpec(variant, k, **f)
+    return SetSpec("pball", k, p=f["p"], eps=f["eps"])
 
 
 def p_ball(k, p, eps):
@@ -124,8 +136,6 @@ def _kernel(S, X):
     if S.variant in ("pball", "pqball"):  # a p-ball is the (p,0)-ball
         return pq_mean_rows(X, S.p, S.q or 0.0) <= S.eps
     A = np.abs(X.T, order="C")
-    if S.variant == "cube":
-        return A.max(axis=0) <= S.a
     # powers of magnitudes over eps: no verdict rests on an underflow, and
     # an overflow is an inf above k all the same. A is this call's own array,
     # so D = (||x| - a| / eps)^p takes its place and allocates nothing
@@ -161,7 +171,7 @@ def contains_rows(S, X):
         raise ValueError(f"dimension mismatch: set k={S.k}, points k={X.shape[1]}")
     if S.variant == "complement":
         return ~contains_rows(S.inner, X)
-    if X.shape[0] > 1 and S.variant != "cube":  # a cube is its own bound
+    if X.shape[0] > 1 and math.isfinite(S.p):  # p = +-inf: its own bound
         probe = _outer_bound(S, np.abs(X[::16].T, order="C"))
         if 2 * np.count_nonzero(probe) < probe.size:
             A = np.abs(X.T, order="C")
@@ -194,8 +204,6 @@ def classify_set(S):
         if 1.0 <= S.p <= 2.0:
             return SchurCharacter(Schur2Value.SCHUR2_CONCAVE)
         return SchurCharacter(Schur2Value.NEITHER_KNOWN)
-    if S.variant == "cube":
-        return SchurCharacter(Schur2Value.SCHUR2_CONVEX)
     if S.variant == "complement":
         inner = classify_set(S.inner)
         flip = {Schur2Value.SCHUR2_CONCAVE: Schur2Value.SCHUR2_CONVEX,
@@ -221,6 +229,8 @@ def format_set(S):
     """Canonical textual form, e.g. 'pball:p=2.0,eps=1.0'."""
     if S.variant == "complement":
         return f"complement({format_set(S.inner)})"
+    if S.eps == 0.0:  # cube(k, 0), which no p-ball spells
+        return "cube:a=0.0"
     names = _FAMILIES[S.variant][0]
     return S.variant + ":" + ",".join(f"{n}={float(getattr(S, n))!r}"
                                       for n in names)

@@ -274,6 +274,20 @@ def test_verify_schur2_on_an_infinite_exponent_ball(capsys):
     assert rep["classification"] == "SCHUR2_CONVEX"
 
 
+@pytest.mark.parametrize("text, char", [
+    ("hatb:p=2,a=0,eps=1", "SCHUR2_CONCAVE"),
+    ("hatb:p=1.5,a=0,eps=1", "SCHUR2_CONCAVE"),
+    ("checkb:p=3,a=0,eps=1", "SCHUR2_CONVEX")])
+def test_verify_schur2_on_hat_and_check_b_at_a0(capsys, text, char):
+    # at a = 0 hat-B and check-B are p-balls, classed and measured as such;
+    # the Euclidean one is spherical, so it needs no strict gap
+    code, out = run_cli(capsys, "verify", "schur2", "--set", text, "--k", "3")
+    rep = json.loads(out)
+    assert code == 0 and rep["passed"] is True
+    assert rep["classification"] == char
+    assert rep["spherical"] is (text == "hatb:p=2,a=0,eps=1")
+
+
 def test_method_choices_are_the_engine_table():
     measure_cmd = next(a for a in cli.build_parser()._actions
                        if a.dest == "cmd").choices["measure"]

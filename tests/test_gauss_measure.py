@@ -15,8 +15,8 @@ from schur2 import gauss_measure, solvers
 from schur2.cli import FIG1_PANELS
 from schur2.gauss_measure import (GaussianShiftQuery, MeasureEstimate, measure,
                                   rotate2)
-from schur2.sets import (bounded_root, check_b, complement, cube, hat_b,
-                         p_ball, pq_ball)
+from schur2.sets import (bounded_root, check_b, classify_set, complement,
+                         cube, hat_b, p_ball, pq_ball)
 
 
 def mz(S, shift, **kw):
@@ -67,7 +67,7 @@ def _mp_product(S, theta):
     at |theta_j|, where 40 digits hold it."""
     comp = S.variant == "complement"
     T = S.inner if comp else S
-    a = mpmath.mpf(T.a if T.variant == "cube" else T.eps)
+    a = mpmath.mpf(T.eps)
     with mpmath.workdps(40):
         m = [mpmath.ncdf(a - t) - mpmath.ncdf(-a - t)
              for t in map(mpmath.mpf, np.abs(theta))]
@@ -107,7 +107,7 @@ def test_product_1d_matches_mpmath(S, shift):
     est = mz(S, shift)
     want = _mp_product(S, shift)
     T = S.inner if S.variant == "complement" else S
-    rel = 1e-14 if (T.a if T.variant == "cube" else T.eps) >= 0.1 else 1e-12
+    rel = 1e-14 if T.eps >= 0.1 else 1e-12
     assert est.method == "PRODUCT_1D" and est.target_met
     assert abs(est.value - want) <= S.k * rel * want
     assert abs(est.value - want) <= est.abs_error
@@ -1141,20 +1141,32 @@ _INFINITE_EXPONENTS = [(math.inf, q) for q in (-math.inf, -0.4, 1.0, 3.0,
     (p, -math.inf) for p in (5.0, 0.0, -1.0, -math.inf)]
 
 
+def _equal_sets(k):
+    """(spelling, p-ball) pairs of one set: cubes and infinite-exponent
+    pq-balls are p = +-inf balls, hat-B and check-B at a = 0 p-balls."""
+    pairs = [(cube(k, 1.3), p_ball(k, math.inf, 1.3))]
+    pairs += [(pq_ball(k, p, q, 1.3), p_ball(
+        k, math.inf if max(p, q) == math.inf else -math.inf, 1.3))
+        for p, q in _INFINITE_EXPONENTS]
+    return pairs + [(make(k, p, 0.0, 1.3), p_ball(k, p, 1.3))
+                    for make in (hat_b, check_b) for p in (1.0, 1.5, 2.0, 3.0)]
+
+
 def test_infinite_exponent_balls_return_their_twins_bits():
-    for k, shift in ((2, (0.7, -0.3)), (3, (0.4, -1.1, 0.2))):
-        for p, q in _INFINITE_EXPONENTS:
-            S = pq_ball(k, p, q, 1.3)
-            twin = (cube(k, 1.3) if max(p, q) == math.inf
-                    else p_ball(k, -math.inf, 1.3))
+    # every spelling of a set returns its p-ball's engine and bits, and its
+    # class, at k = 2, 3 and 6
+    for shift in ((0.7, -0.3), (0.4, -1.1, 0.2),
+                  (0.4, -1.1, 0.2, 0.3, -0.5, 0.1)):
+        for S, twin in _equal_sets(len(shift)):
             for T, W in ((S, twin), (complement(S), complement(twin))):
                 got, want = mz(T, shift), mz(W, shift)
-                assert got.method == want.method == "PRODUCT_1D"
-                assert got.target_met
+                assert got.method == want.method
+                assert got.method in ("PRODUCT_1D", "SEP") and got.target_met
                 assert ((got.value.hex(), got.abs_error.hex(),
                          got.samples_or_nodes) ==
                         (want.value.hex(), want.abs_error.hex(),
                          want.samples_or_nodes))
+                assert classify_set(T) == classify_set(W)
     # POLAR2D read this one as 0.37911882 +- 1.5e-6; the cube's is exact
     est = mz(pq_ball(2, math.inf, 1.0, 1.0), (0.7, -0.3))
     assert (est.value.hex(), est.abs_error.hex()) == (

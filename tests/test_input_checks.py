@@ -10,7 +10,8 @@ from schur2.are_analysis import are_limit_trend
 from schur2.gauss_measure import pball_radius_cdf, rotate2
 from schur2.majorization import majorize_compare
 from schur2.means import Tail, schur_ostrowski_sign, truncated_mean
-from schur2.sets import contains_rows, cube, hat_b, p_ball, parse_set
+from schur2.sets import (check_b, contains_rows, cube, hat_b, p_ball,
+                         parse_set, pq_ball)
 from schur2.solvers import TestDesign, critical_value, normalize_direction
 from schur2.verify import (EmpiricalDesign, check_rotation_monotonicity,
                            check_schur2_monotonicity)
@@ -55,6 +56,11 @@ from schur2.verify import (EmpiricalDesign, check_rotation_monotonicity,
     (lambda: pball_radius_cdf(1, 2.0, [0.0], 3.0), "k >= 2"),
     (lambda: pball_radius_cdf(2, 0.0, [0.0, 0.0], 3.0), "finite p > 0"),
     (lambda: pball_radius_cdf(2, math.inf, [0.0, 0.0], 3.0), "finite p > 0"),
+    # checked as spelled, before a set takes its stored form
+    (lambda: pq_ball(2, math.inf, math.nan, 1.0), "must not be NaN"),
+    (lambda: hat_b(2, math.inf, 0.0, 1.0), "1 <= p < inf"),
+    (lambda: hat_b(2, 0.5, 0.0, 1.0), "1 <= p < inf"),
+    (lambda: check_b(2, math.inf, 0.0, 1.0), "1 <= p < inf"),
 ])
 def test_bad_input_raises_value_error(call, message):
     with pytest.raises(ValueError, match=message):

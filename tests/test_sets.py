@@ -179,11 +179,18 @@ def test_neither_sets_show_violations_both_ways():
 def test_format_parse_round_trip():
     sets = [p_ball(2, 2.0, 1.0), p_ball(3, math.inf, 0.5),
             p_ball(2, -math.inf, 1.0), pq_ball(2, 2.0, -0.4, 1.0), hat_b(2, 4.5, 1.0, 0.9),
-            check_b(2, 1.5, 1.0, 0.45), cube(2, 1.0),
+            check_b(2, 1.5, 1.0, 0.45), cube(2, 1.0), cube(2, 0.0),
             complement(pq_ball(2, 5.0, -1.0, 1.0))]
     for S in sets:
         assert parse_set(format_set(S), S.k) == S
     assert format_set(p_ball(2, -math.inf, 1.0)) == "pball:p=-inf,eps=1.0"
+    # every spelling parses; a set prints in its one stored form
+    for text, form in [("cube:a=1", "pball:p=inf,eps=1.0"),
+                       ("pqball:p=inf,q=-0.4,eps=1", "pball:p=inf,eps=1.0"),
+                       ("pqball:p=2,q=-inf,eps=1", "pball:p=-inf,eps=1.0"),
+                       ("hatb:p=1.5,a=0,eps=1", "pball:p=1.5,eps=1.0"),
+                       ("checkb:p=3,a=-0,eps=1", "pball:p=3.0,eps=1.0")]:
+        assert format_set(parse_set(text, 3)) == form
 
 
 def test_parse_rejects_garbage():
@@ -291,8 +298,6 @@ def _bound_batches(S, k, rng):
         m = sets_mod.pq_mean_rows(Z, T.p, T.q or 0.0)
         ok = (m > 0) & np.isfinite(m)
         batches.append(Z[ok] * (T.eps / m[ok])[:, None])
-    elif T.variant == "cube":
-        batches.append(np.clip(3.0 * Z, -T.a, T.a))
     else:
         # a point on the sphere ||x - c||_p = k^(1/p) eps around a center c
         d = Z / np.sum(np.abs(Z) ** T.p, axis=1, keepdims=True) ** (1 / T.p)
@@ -319,7 +324,7 @@ def test_outer_bound_keeps_membership(k):
                 got = contains_rows(S, X)
             np.testing.assert_array_equal(got, bare, err_msg=format_set(S))
             members = X[bare ^ flip]
-            if T.variant != "cube":  # a cube is its own bound
+            if math.isfinite(T.p):  # p = +-inf: its own bound
                 assert sets_mod._outer_bound(T, np.abs(members.T)).all(), S
 
 
