@@ -67,6 +67,7 @@ class MeanSpec:
     q: float = None
     ell: int = None
     tail: Tail = None
+    k: int = None  # the dimension, if known: an ell = k truncated mean is M_p
 
     def __post_init__(self):
         if self.kind is MeanKind.PQ_MEAN and self.q is not None and self.p < self.q:
@@ -170,8 +171,8 @@ def pq_mean(x, p, q):
 
 def classify_mean(spec):
     """Squared-coordinate convexity character of a mean functional."""
-    if spec.kind is MeanKind.P_MEAN:
-        # the p-mean is the (p,0)-mean
+    if spec.kind is MeanKind.P_MEAN or spec.ell == spec.k is not None:
+        # the p-mean is the (p,0)-mean; so is a truncated mean of all k
         return classify_mean(MeanSpec(MeanKind.PQ_MEAN, spec.p, 0.0))
     if spec.kind is MeanKind.PQ_MEAN:
         p, q = spec.p, spec.q  # MeanSpec keeps p >= q

@@ -4,7 +4,8 @@ orbit-union sets hat-B (balls around the diagonal points a*g*1) and check-B
 set has one stored form however it is written: a cube {max_j |x_j| <= a} is
 p_ball(k, inf, a), a (p,q)-ball p_ball(k, inf, eps) if its larger exponent is
 +inf, else p_ball(k, -inf, eps) if its smaller one is -inf, and hat-B and
-check-B at a = 0 are p_ball(k, p, eps).
+check-B at a = 0 are p_ball(k, p, eps). At k = 1 each set keeps its spelling:
+it is the slab or slab pair ||x| - a| <= eps (a = 0 for a ball).
 
 Membership is exact and vectorized; a point on the defining boundary is a
 member (the sets are closed). Every member passes its family's outer bound
@@ -188,28 +189,24 @@ def contains(S, x):
 
 
 def classify_set(S):
-    """Squared-coordinate convexity verdict for a set family member."""
-    if S.variant in ("pball", "pqball"):
-        # a p-ball is the (p,0)-ball; the Euclidean ball is both characters
-        # at once, and spherical flags it
-        char = classify_mean(MeanSpec(MeanKind.PQ_MEAN, S.p, S.q or 0.0))
-        if char.spherical:
-            return SchurCharacter(Schur2Value.SCHUR2_CONCAVE, spherical=True)
-        return char
-    if S.variant == "hatb":
-        if S.p >= 2.0:
-            return SchurCharacter(Schur2Value.SCHUR2_CONVEX)
-        return SchurCharacter(Schur2Value.NEITHER_KNOWN)
-    if S.variant == "checkb":
-        if 1.0 <= S.p <= 2.0:
-            return SchurCharacter(Schur2Value.SCHUR2_CONCAVE)
-        return SchurCharacter(Schur2Value.NEITHER_KNOWN)
+    """Squared-coordinate convexity verdict for a set family member. The
+    Euclidean ball is both characters at once, and spherical flags it; so is
+    every set at k = 1, a symmetric slab or slab pair."""
+    C, X, N = (Schur2Value.SCHUR2_CONCAVE, Schur2Value.SCHUR2_CONVEX,
+               Schur2Value.NEITHER_KNOWN)
     if S.variant == "complement":
         inner = classify_set(S.inner)
-        flip = {Schur2Value.SCHUR2_CONCAVE: Schur2Value.SCHUR2_CONVEX,
-                Schur2Value.SCHUR2_CONVEX: Schur2Value.SCHUR2_CONCAVE}
-        return SchurCharacter(flip.get(inner.value, inner.value),
+        return SchurCharacter({C: X, X: C}.get(inner.value, inner.value),
                               spherical=inner.spherical)
+    if S.k == 1:
+        return SchurCharacter(C, spherical=True)
+    if S.variant in ("pball", "pqball"):  # a p-ball is the (p,0)-ball
+        char = classify_mean(MeanSpec(MeanKind.PQ_MEAN, S.p, S.q or 0.0))
+        return SchurCharacter(C, spherical=True) if char.spherical else char
+    if S.variant == "hatb":
+        return SchurCharacter(X if S.p >= 2.0 else N)
+    if S.variant == "checkb":  # _spec holds 1 <= p < inf
+        return SchurCharacter(C if S.p <= 2.0 else N)
     raise ValueError(f"unknown variant {S.variant}")
 
 

@@ -537,19 +537,19 @@ def test_deterministic_bits_pinned():
     # convolution's own last row (_PBALL_PINS, whose pairs
     # test_slice_quad_pins_cover_their_oracles checks).
     # The PRODUCT_1D rows were recorded once slab masses went through sums
-    # of logs with a relative bar, and their bars once that bar took in the
-    # cancellation of each slab; test_product_1d_matches_mpmath checks them.
+    # of logs, and their bars once each slab's bar came from SEP's ndtr
+    # rounding model (_rounding); test_product_1d_matches_mpmath checks them.
     # The POLAR2D rows were recorded once it took periodic Simpson from two
     # trapezoid means and probed only the two axis crossings of each ray;
     # its nodes count distinct rays. SEP measures them automatically now, so
     # they force POLAR2D
     cases = [
         (cube(3, 1.0), (0.3, -0.7, 2.0), None,
-         ("PRODUCT_1D", "0x1.e88c1b47e746ep-5", "0x1.1a14fdd289c76p-48", 6)),
+         ("PRODUCT_1D", "0x1.e88c1b47e746ep-5", "0x1.23026b9fd0686p-49", 6)),
         (p_ball(3, -math.inf, 1.0), (0.4, -1.1, 0.2), None,
-         ("PRODUCT_1D", "0x1.dedc25e9017adp-1", "0x1.1bbca1a1e9887p-44", 6)),
+         ("PRODUCT_1D", "0x1.dedc25e9017adp-1", "0x1.9636c33398282p-47", 6)),
         (complement(p_ball(2, math.inf, 0.8)), (0.5, -0.2), None,
-         ("PRODUCT_1D", "0x1.68b1e91a83f6dp-1", "0x1.3aae35b982561p-45", 4)),
+         ("PRODUCT_1D", "0x1.68b1e91a83f6dp-1", "0x1.b67d03b754cb2p-47", 4)),
         (p_ball(3, 1.5, 1.0), (0.5, 0.2, -0.3), 1e-8,
          ("SEP", *_PBALL_PINS[0][0], 3456)),
         (complement(p_ball(2, 3.0, 1.2)), (0.4, 0.1), None,
@@ -1154,8 +1154,8 @@ def _equal_sets(k):
 
 def test_infinite_exponent_balls_return_their_twins_bits():
     # every spelling of a set returns its p-ball's engine and bits, and its
-    # class, at k = 2, 3 and 6
-    for shift in ((0.7, -0.3), (0.4, -1.1, 0.2),
+    # class, at k = 1, 2, 3 and 6
+    for shift in ((0.7,), (0.7, -0.3), (0.4, -1.1, 0.2),
                   (0.4, -1.1, 0.2, 0.3, -0.5, 0.1)):
         for S, twin in _equal_sets(len(shift)):
             for T, W in ((S, twin), (complement(S), complement(twin))):
@@ -1170,7 +1170,59 @@ def test_infinite_exponent_balls_return_their_twins_bits():
     # POLAR2D read this one as 0.37911882 +- 1.5e-6; the cube's is exact
     est = mz(pq_ball(2, math.inf, 1.0, 1.0), (0.7, -0.3))
     assert (est.value.hex(), est.abs_error.hex()) == (
-        "0x1.8437392df6a29p-2", "0x1.3245773fbb9c9p-46")
+        "0x1.8437392df6a29p-2", "0x1.3a49473644170p-47")
+
+
+def _mp_slab_pair(lo, hi, t):
+    """P(lo <= |Y| <= hi) for Y ~ N(t, 1), at 40 digits."""
+    with mpmath.workdps(40):
+        lo, hi, t = map(mpmath.mpf, (lo, hi, t))
+        return (mpmath.ncdf(hi - t) - mpmath.ncdf(lo - t)
+                + mpmath.ncdf(-lo - t) - mpmath.ncdf(-hi - t))
+
+
+def test_k1_hat_and_check_b_return_one_slab_pairs_bits():
+    # at k = 1 hat-B and check-B are both the slab pair ||x| - a| <= eps,
+    # the slab |x| <= a + eps when a < eps: every spelling returns the same
+    # PRODUCT_1D bits, within its bar of the closed form
+    for p, a, shift in itertools.product((1.0, 1.5, 2.0, 3.0), (0.3, 1.0),
+                                         (0.0, 0.3, 2.5)):
+        spellings = [hat_b(1, p, a, 0.5), check_b(1, p, a, 0.5)]
+        spellings += [p_ball(1, p, a + 0.5)] if a < 0.5 else []
+        want = _mp_slab_pair(max(a - 0.5, 0.0), a + 0.5, shift)
+        for comp in (False, True):
+            got = [mz(complement(S) if comp else S, (shift,))
+                   for S in spellings]
+            assert len({(e.method, e.value.hex(), e.abs_error.hex(),
+                         e.samples_or_nodes) for e in got}) == 1
+            assert got[0].method == "PRODUCT_1D" and got[0].target_met
+            assert abs(got[0].value - (1 - want if comp else want)) <= (
+                got[0].abs_error)
+    # Monte Carlo read them as 0.48105 +- 2.0e-3 and 0.55613 +- 1.9e-3
+    for S, want in ((hat_b(1, 2.0, 1.0, 0.5), 0.48159569980965966),
+                    (hat_b(1, 1.5, 0.3, 0.5), 0.5557964003276304)):
+        est = mz(S, (0.3,))
+        assert abs(est.value - want) <= est.abs_error
+
+
+def test_no_automatic_k1_measure_runs_monte_carlo():
+    # every k = 1 set is a slab or a slab pair, so PRODUCT_1D takes each one
+    # and its complement, within its bar of the closed form
+    sets = ([cube(1, 1.0), hat_b(1, 4.5, 1.0, 0.9), hat_b(1, 1.5, 0.2, 0.9),
+             check_b(1, 1.5, 1.0, 0.45), check_b(1, 3.0, 2.0, 0.5)]
+            + [p_ball(1, p, 1.0) for p in (-math.inf, -1.0, 0.0, 0.05, 1.0,
+                                           2.0, 3.0, math.inf)]
+            + [pq_ball(1, p, q, 1.0) for p, q in [(2.0, -0.4), (5.0, 1.0),
+                                                  (0.7, 0.7)]
+               + _INFINITE_EXPONENTS])
+    for S in sets:
+        a = S.a or 0.0
+        want = _mp_slab_pair(max(a - S.eps, 0.0), a + S.eps, 0.5)
+        for T, w in ((S, want), (complement(S), 1 - want)):
+            assert gauss_measure.engine(T)[0] == ("PRODUCT_1D",)
+            est = mz(T, (-0.5,))
+            assert est.method == "PRODUCT_1D" and est.target_met
+            assert abs(est.value - w) <= est.abs_error
 
 
 def test_no_automatic_k2_measure_runs_polar2d():

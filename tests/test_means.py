@@ -130,7 +130,7 @@ def test_truncated_mean_classification_vs_sampled_transfers():
     hi[rows, i] += d
     hi[rows, j] -= d
     for ell, tail, p in itertools.product(
-            range(1, k), Tail, (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0)):
+            range(1, k + 1), Tail, (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0)):
         part = slice(None, ell) if tail is Tail.SMALLEST else slice(k - ell, None)
         f = lambda sq: p_mean_rows(np.sort(np.sqrt(sq), axis=1)[:, part], p)
         assert f(lo[:5]) == pytest.approx(
@@ -138,7 +138,7 @@ def test_truncated_mean_classification_vs_sampled_transfers():
         rise = f(hi) - f(lo)
         up, down = np.any(rise > 1e-12), np.any(rise < -1e-12)
         char = classify_mean(MeanSpec(MeanKind.TRUNCATED, p, ell=ell,
-                                      tail=tail)).value
+                                      tail=tail, k=k)).value
         # at ell = 1 the mean is min_j or max_j |x_j|, classified for every p
         if ell == 1:
             assert char is not Schur2Value.NEITHER_KNOWN
@@ -148,6 +148,22 @@ def test_truncated_mean_classification_vs_sampled_transfers():
             assert not up, (ell, tail, p)
         else:
             assert up and down, (ell, tail, p)
+
+
+def test_truncated_mean_of_every_coordinate_is_the_p_mean():
+    # ell = k keeps every coordinate, so the mean classifies as the p-mean;
+    # without k, ell = 4 could be a part of k = 5 coordinates
+    C, X, N = (Schur2Value.SCHUR2_CONCAVE, Schur2Value.SCHUR2_CONVEX,
+               Schur2Value.NEITHER_KNOWN)
+    for p, tail in itertools.product((-1.0, 0.0, 1.0, 2.0, 3.0), Tail):
+        assert (classify_mean(MeanSpec(MeanKind.TRUNCATED, p, ell=4,
+                                       tail=tail, k=4))
+                == classify_mean(MeanSpec(MeanKind.P_MEAN, p)))
+    for p, tail, char in ((3.0, Tail.SMALLEST, X), (1.0, Tail.LARGEST, C)):
+        assert classify_mean(MeanSpec(MeanKind.TRUNCATED, p, ell=4,
+                                      tail=tail, k=4)).value is char
+        assert classify_mean(MeanSpec(MeanKind.TRUNCATED, p, ell=4,
+                                      tail=tail)).value is N
 
 
 def test_mean_spec_sorts_its_exponents():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from schur2 import sets as sets_mod
-from schur2.means import Schur2Value, p_mean, pq_mean
+from schur2.means import Schur2Value, SchurCharacter, p_mean, pq_mean
 from schur2.sets import (check_b, classify_set, complement, contains,
                          contains_rows, cube, format_set, hat_b, parse_set,
                          p_ball, pq_ball, scale)
@@ -96,6 +96,27 @@ def test_scale_matches_scaled_membership():
         assert np.array_equal(contains_rows(scale(S, 4.0), 4.0 * x),
                               contains_rows(S, x))
     assert scale(p_ball(2, 2.0, 1.5), 1.0) == p_ball(2, 2.0, 1.5)
+
+
+def test_every_k1_set_is_spherical():
+    # at k = 1 every set is a symmetric slab or slab pair, so each spelling
+    # takes the Euclidean ball's class, and its complement the flipped one
+    C, X = Schur2Value.SCHUR2_CONCAVE, Schur2Value.SCHUR2_CONVEX
+    sets = ([p_ball(1, p, 1.0) for p in (-math.inf, -1.0, 0.0, 1.0, 2.0, 3.0,
+                                         math.inf)]
+            + [pq_ball(1, p, q, 1.0) for p, q in [(2.0, -0.4), (5.0, -1.0),
+                                                  (0.7, 0.7), (5.0, 1.0)]]
+            + [cube(1, 1.0)]
+            + [make(1, p, a, 0.5) for make in (hat_b, check_b)
+               for p in (1.0, 1.5, 2.0, 4.5) for a in (0.3, 1.0)])
+    for S in sets:
+        assert classify_set(S) == SchurCharacter(C, spherical=True)
+        assert classify_set(complement(S)) == SchurCharacter(X, spherical=True)
+    # the same set at k = 1, and at k = 2 the classes that differ
+    assert classify_set(hat_b(1, 2.0, 1.0, 0.5)) == classify_set(
+        check_b(1, 2.0, 1.0, 0.5))
+    assert classify_set(hat_b(2, 2.0, 1.0, 0.5)).value == X
+    assert not classify_set(p_ball(2, 1.0, 1.0)).spherical
 
 
 def test_classification_table():
