@@ -104,18 +104,16 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
+    run = {"seed": args.seed, "workers": args.workers}
     if args.check == "counterexample":
-        return verify.run_counterexample(
-            verify.CounterexampleConfig(args.k, args.eps),
-            seed=args.seed, budget=args.budget)
+        return verify.run_counterexample(verify.CounterexampleConfig(
+            args.k, args.eps), seed=args.seed, budget=args.budget)
     if args.check == "rotation":
         grid = np.linspace(0.0, math.pi / 4.0, args.points)
         return verify.check_rotation_monotonicity(
-            parse_set(args.set, 2), args.radius, grid, seed=args.seed,
-            workers=args.workers)
+            parse_set(args.set, 2), args.radius, grid, **run)
     if args.check == "power":
-        c = solvers.critical_value(args.k, args.p, args.alpha, seed=args.seed,
-                                   workers=args.workers)
+        c = solvers.critical_value(args.k, args.p, args.alpha, **run)
         rate, se = verify.empirical_power(verify.EmpiricalDesign(
             n=args.n, k=args.k, p=args.p, c=c, population=args.population,
             replications=args.reps, seed=args.seed))
@@ -123,19 +121,9 @@ def cmd_verify(args):
                 "population": args.population, "critical_value": c,
                 "rejection_rate": rate, "stderr": se,
                 "passed": bool(abs(rate - args.alpha) <= 4.0 * se)}
-    if args.k < 2:
-        raise ValueError("a majorization transfer needs k >= 2")
-    S = parse_set(args.set, args.k)
-    rng = np.random.default_rng(args.seed)
-    pairs = []
-    for _ in range(args.points):
-        v = np.abs(rng.standard_normal(args.k)) * args.radius
-        w = np.sort(v * v)[::-1].copy()
-        w[0] += w[1] * 0.5  # transfer toward the top coordinate
-        w[1] *= 0.5
-        pairs.append((np.sqrt(np.sort(v * v)[::-1]), np.sqrt(w)))
-    return verify.check_schur2_monotonicity(S, pairs, seed=args.seed,
-                                            workers=args.workers)
+    pairs = verify.chamber_pairs(args.k, args.radius, args.points)
+    return verify.check_schur2_monotonicity(parse_set(args.set, args.k),
+                                            pairs, **run)
 
 
 FIG1_PANELS = [

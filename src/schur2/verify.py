@@ -1,16 +1,16 @@
 """Desk-scale verification suite.
 
-Checks, on concrete grids and shift pairs, both halves of the theorem with
-one pair rule: shifted-set Gaussian measures are monotone in the
-squared-coordinate majorization order, strictly unless the set is spherical
-(rotation arcs are one case of the pairs). Also the uniform-on-a-ball
-counterexample showing the Gaussian assumption cannot be dropped, and the
-calibration of the finite-sample mean tests.
+Checks both halves of the theorem with one pair rule: shifted-set Gaussian
+measures are monotone in the squared-coordinate majorization order,
+strictly unless the set is spherical. The pairs are neighbours on a
+rotation arc at k = 2, or every two points of the sorted chamber lattice
+on a sphere, where theta^2 takes multiples of r^2 / N. Also the
+uniform-on-a-ball counterexample showing the Gaussian assumption cannot be
+dropped, and the calibration of the finite-sample mean tests.
 
 Direction convention: for a Schur2-convex set the measure is Schur2-concave
-in the shift (it grows as the squared shift becomes more balanced, i.e.
-toward the diagonal); for a Schur2-concave set the measure is Schur2-convex
-(it grows toward a coordinate axis).
+in the shift (it grows toward the diagonal as the squared shift becomes
+more balanced); for a Schur2-concave set it grows toward a coordinate axis.
 """
 
 import math
@@ -71,6 +71,18 @@ def check_schur2_monotonicity(S: SetSpec, shift_pairs, *, seed=0, workers=1,
             "classification": char.value.name, "spherical": char.spherical,
             "pairs": pairs, "violations": violations,
             "strict_gap_found": strict_gap, "passed": passed, "seed": seed}
+
+
+def chamber_pairs(k, r, n):
+    """Every two points r sqrt(u / n), u descending naturals summing to n, as
+    (low, high): only the lexicographically larger, high, can majorize."""
+    def tuples(left, cap, slots):  # descending, no term above cap
+        return [(u,) + t for u in range(min(left, cap), -1, -1) for t in
+                tuples(left - u, u, slots - 1)] if slots else [()] * (not left)
+    if k < 1 or n < 1:
+        raise ValueError("a chamber lattice needs k >= 1 and n >= 1")
+    pts = [tuple(r * math.sqrt(u / n) for u in t) for t in tuples(n, n, k)]
+    return [(low, high) for i, high in enumerate(pts) for low in pts[i + 1:]]
 
 
 def check_rotation_monotonicity(S: SetSpec, r, t_grid, *, seed=0, workers=1,

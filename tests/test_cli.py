@@ -444,8 +444,11 @@ def test_measure_bad_target_is_usage_error(capsys, target):
     ("rotation", "--points", "0"),
     ("rotation", "--points", "1"),
     ("schur2", "--points", "0"),
+    ("schur2", "--points", "1"),  # a chamber lattice of one point
     ("rotation", "--radius", "nan"),  # no pair of NaN shifts compares
     ("rotation", "--radius", "inf"),  # nor of shifts with an inf
+    ("schur2", "--radius", "nan"),
+    ("schur2", "--radius", "inf"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_empty_verify_check_is_usage_error(capsys, argv):
@@ -458,7 +461,7 @@ def test_empty_verify_check_is_usage_error(capsys, argv):
 
 
 def test_verify_schur2_one_coordinate_is_usage_error(capsys):
-    # a majorization transfer moves mass between two coordinates
+    # at k = 1 the chamber lattice is one point, so no pair compares
     code, out = run_cli(capsys, "verify", "schur2", "--k", "1")
     assert code == 1
     assert out == ""

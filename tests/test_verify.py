@@ -1,15 +1,18 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from schur2 import verify
+from schur2.cli import main
 from schur2.gauss_measure import MeasureEstimate
+from schur2.majorization import MajorizationVerdict, schur2_compare
 from schur2.sets import complement, cube, p_ball, pq_ball
 from schur2.solvers import critical_value
 from schur2.verify import (CounterexampleConfig, EmpiricalDesign,
-                           check_rotation_monotonicity,
+                           chamber_pairs, check_rotation_monotonicity,
                            check_schur2_monotonicity, empirical_power,
                            run_counterexample)
 
@@ -118,6 +121,76 @@ def test_far_cube_arc_shows_its_strict_gap():
 def test_rotation_requires_k2():
     with pytest.raises(ValueError):
         check_rotation_monotonicity(cube(3, 1.0), 1.0, [0.0, 0.5])
+
+
+def _points(pairs):
+    return {tuple(th) for pair in pairs for th in pair}
+
+
+@pytest.mark.parametrize("k, n, count", [(2, 9, 5), (3, 24, 61), (4, 12, 34),
+                                         (6, 12, 58)])
+def test_chamber_lattice_points_and_pairs(k, n, count):
+    # the descending k-tuples of naturals summing to n, on the sphere of
+    # radius r; each two points form one pair, the lexicographically larger
+    # high, and the low point never strictly majorizes the high one
+    r = 1.7
+    pairs = chamber_pairs(k, r, n)
+    assert len(_points(pairs)) == count
+    assert len(pairs) == count * (count - 1) // 2
+    for th in _points(pairs):
+        assert len(th) == k and list(th) == sorted(th, reverse=True)
+        assert abs(sum(x * x for x in th) - r * r) <= 1e-12
+        u = [n * x * x / (r * r) for x in th]
+        assert max(abs(v - round(v)) for v in u) <= 1e-9
+    for low, high in pairs:
+        assert high > low
+        assert (schur2_compare(low, high)
+                is not MajorizationVerdict.STRICT_MAJORIZES)
+
+
+def test_chamber_check_at_k50_is_quick(capsys):
+    # the recursion visits descending prefixes only: 30 points at n = 9,
+    # where filtering the C(59, 9) tuples of combinations_with_replacement
+    # would not finish
+    t0 = time.perf_counter()
+    code = main(["verify", "schur2", "--k", "50", "--points", "9"])
+    elapsed = time.perf_counter() - t0
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 0 and rep["passed"] is True
+    assert len(_points((p["theta_low"], p["theta_high"])
+                       for p in rep["pairs"])) == 30
+    assert elapsed < 1.0
+
+
+def test_chamber_report_does_not_depend_on_the_seed(capsys):
+    # no pair is drawn at random, and SEP measures a p-ball exactly
+    reps = []
+    for seed in ("0", "1"):
+        code = main(["verify", "schur2", "--set", "pball:p=3,eps=1",
+                     "--k", "3", "--seed", seed])
+        assert code == 0
+        reps.append(json.loads(capsys.readouterr().out))
+    assert [rep.pop("seed") for rep in reps] == [0, 1]
+    assert reps[0] == reps[1]
+
+
+@pytest.mark.parametrize("S, n, sign", [
+    (p_ball(3, 1.0, 1.5), 24, -1),
+    (p_ball(3, 3.0, 1.5), 24, 1),
+    (complement(p_ball(3, 0.5, 1.2)), 24, 1),
+    (p_ball(3, 2.0, 1.5), 24, 0),
+    (p_ball(4, 1.0, 1.5), 12, -1)])
+def test_theorem_on_every_chamber_pair(S, n, sign):
+    # every comparable pair of the chamber lattice at r = 2: the measure at
+    # the balanced shift minus the one at the spread shift has the sign of
+    # the set's class beyond 3 bars, and is within 3 bars for the Euclidean
+    # ball. In Python: the CLI prints 12 digits, coarser than these bars
+    rep = check_schur2_monotonicity(S, chamber_pairs(S.k, 2.0, n))
+    compared = [pair for pair in rep["pairs"] if "ok" in pair]
+    assert rep["passed"] and len(compared) == {24: 1546, 12: 483}[n]
+    for pair in compared:
+        gap, bar = pair["measure_low"] - pair["measure_high"], pair["abs_error"]
+        assert sign * gap > 3.0 * bar if sign else abs(gap) <= 3.0 * bar
 
 
 def test_counterexample_config_invariants():
