@@ -25,6 +25,7 @@ A forced engine must be able to measure the set, or measure raises.
 import functools
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -519,6 +520,7 @@ def _pool(pid, workers):
 _MC_CHUNK = 1 << 15
 _MC_ROUND = 8  # chunks per convergence check
 MC_ROUND_DRAWS = _MC_ROUND * _MC_CHUNK  # draws per convergence check
+_DRAWS = threading.local()  # one draw buffer per thread, see _chunk_draws
 
 
 def _nearest_member_point(S, theta, seed=0, forced=False):
@@ -573,11 +575,21 @@ def _nearest_member_point(S, theta, seed=0, forced=False):
     return None if plain(y) else y
 
 
+def _chunk_draws(seed, chunk, shift):
+    """A chunk's (_MC_CHUNK, k) normals plus the shift, of size k, in its
+    thread's one draw buffer, made for the k it last drew at and overwritten
+    by its next chunk."""
+    if getattr(_DRAWS, "k", None) != shift.size:
+        _DRAWS.k, _DRAWS.buf = shift.size, np.empty((_MC_CHUNK, shift.size))
+    Z = chunk_rng(seed, chunk).standard_normal(out=_DRAWS.buf)
+    return np.add(Z, shift, out=Z)
+
+
 @functools.lru_cache(maxsize=_MC_ROUND)
 def _pball_means(seed, chunk, k, p, theta_bytes):
     """p-means of a chunk's rows Z - theta, reused by a sweep over eps."""
-    Z = chunk_rng(seed, chunk).standard_normal((_MC_CHUNK, k))
-    stat = sets_mod.p_mean_rows(Z - np.frombuffer(theta_bytes), p)
+    theta = np.frombuffer(theta_bytes)
+    stat = sets_mod.p_mean_rows(_chunk_draws(seed, chunk, -theta), p)
     stat.flags.writeable = False
     return stat
 
@@ -594,18 +606,16 @@ def _mc(S, theta, target, q):
     center = None if q.method == "MC_PLAIN" else _nearest_member_point(
         S, theta, q.seed, q.method == "MC_IMPORTANCE")
 
-    def worker(chunk):
-        if center is None and S.variant == "pball":
-            stat = _pball_means(q.seed, chunk, S.k, S.p, theta.tobytes())
-            hits = int(np.count_nonzero(stat <= S.eps))
-            return hits, hits  # 0/1 weights: sum and sum of squares agree
-        Z = chunk_rng(q.seed, chunk).standard_normal((_MC_CHUNK, S.k))
-        if center is None:
-            hits = int(np.count_nonzero(contains_rows(S, Z - theta)))
+    def worker(chunk):  # Z - theta is Z + (-theta) bit for bit
+        if center is None:  # 0/1 weights: sum and sum of squares agree
+            hits = int(np.count_nonzero(
+                _pball_means(q.seed, chunk, S.k, S.p, theta.tobytes()) <= S.eps
+                if S.variant == "pball" else
+                contains_rows(S, _chunk_draws(q.seed, chunk, -theta))))
             return hits, hits
-        X = center[None, :] + Z
+        X = _chunk_draws(q.seed, chunk, center)
         w = np.exp((center @ center - 2.0 * X @ center) / 2.0)
-        w *= contains_rows(S, X - theta)
+        w *= contains_rows(S, np.subtract(X, theta, out=X))
         return float(w.sum()), float((w * w).sum())
 
     chunk_map = map if q.workers == 1 else _pool(os.getpid(), q.workers).map

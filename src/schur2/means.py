@@ -7,11 +7,12 @@ coordinates follow continuity: in particular a p-mean with p < 0 is 0 as soon
 as one coordinate is 0, and the (p,q)-mean with q < 0 < p vanishes on the
 coordinate axes.
 
-One row kernel, pq_mean_rows, computes every mean: a p-mean is the
-(p,0)-mean, since with 0^0 = 1 the power sum of exponent 0 is k.  It takes
-its power sums on magnitudes divided by a row extreme, the largest
-coordinate for a positive exponent and the smallest for a negative one, so
-every term lies in [0, 1] and no sum overflows.
+One kernel, pq_mean_mags on the (k, n) magnitudes behind pq_mean_rows,
+computes every mean: a p-mean is the (p,0)-mean, since with 0^0 = 1 the
+power sum of exponent 0 is k.  It takes its power sums on magnitudes divided
+by a row extreme, the largest coordinate for a positive exponent and the
+smallest for a negative one, so every term lies in [0, 1] and no sum
+overflows.
 """
 
 import math
@@ -20,21 +21,10 @@ from enum import Enum
 
 import numpy as np
 
-__all__ = [
-    "MeanKind",
-    "Tail",
-    "MeanSpec",
-    "Schur2Value",
-    "SchurCharacter",
-    "p_mean",
-    "p_mean_rows",
-    "truncated_mean",
-    "pq_mean",
-    "pq_mean_rows",
-    "pq_extreme",
-    "classify_mean",
-    "schur_ostrowski_sign",
-]
+__all__ = ["MeanKind", "Tail", "MeanSpec", "Schur2Value", "SchurCharacter",
+           "p_mean", "p_mean_rows", "truncated_mean", "pq_mean",
+           "pq_mean_rows", "pq_mean_mags", "pq_extreme", "classify_mean",
+           "schur_ostrowski_sign"]
 
 
 class MeanKind(Enum):
@@ -78,12 +68,8 @@ class MeanSpec:
 
 
 def p_mean_rows(X, p):
-    """p-mean of |row| for each row of X, shape (n, k) -> (n,).
-
-    The p-mean is the (p,0)-mean: with 0^0 = 1 the power sum of exponent 0
-    is k, so this is one call to the (p,q) kernel and shares its scaling and
-    its limit conventions.
-    """
+    """p-mean of |row| for each row of X, shape (n, k) -> (n,): the
+    (p,0)-mean, with the (p,q) kernel's scaling and limit conventions."""
     return pq_mean_rows(X, p, 0.0)
 
 
@@ -102,7 +88,13 @@ def truncated_mean(x, ell, tail, p):
 
 
 def pq_mean_rows(X, p, q):
-    """(p,q)-mean of |row| for each row of X, shape (n, k) -> (n,).
+    """(p,q)-mean of |row| for each row of X, shape (n, k) -> (n,)."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    return pq_mean_mags(np.abs(X.T, order="C"), p, q)
+
+
+def pq_mean_mags(A, p, q):
+    """(p,q)-mean of each column of A, (k, n) magnitudes -> (n,).
 
     Power-sum form on the magnitudes r = |x|/m scaled by the row maximum m:
     log M = log m + (log sum r^p - log sum r^q) / (p - q) for p > q, and the
@@ -110,49 +102,53 @@ def pq_mean_rows(X, p, q):
     p = q.  A sum with a negative exponent is shifted by its own largest
     term (the smallest coordinate s: sum r^e = (s/m)^e sum (|x|/s)^e), so a
     coordinate of 1e-300 under q = -3 gives its tiny positive mean instead of
-    overflowing.  The coordinates are laid out as the rows of a (k, n) array,
-    so every reduction over them is an elementwise pass over n points.
+    overflowing.  Every reduction over the coordinates, the rows of A, is an
+    elementwise pass over n points; the call overwrites A and allocates at
+    most one more (k, n) float array, besides masks and (n,) rows.
     """
     if p < q:
         p, q = q, p
-    A = np.abs(np.atleast_2d(np.asarray(X, dtype=float)).T, order="C")
-    k = A.shape[0]
     extreme = pq_extreme(p, q)
     if extreme:
         return A.max(axis=0) if extreme == "max" else A.min(axis=0)
-    m = A.max(axis=0)
-    # zero coordinates and all-zero rows yield nan or inf here; the limit
-    # conventions below overwrite every such row
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore",
-                     under="ignore"):
-        logm = np.log(m)
-        if p == q == 0.0:
-            # geometric mean: the self-weights are all 1
-            log_rel = np.sum(np.log(A) - logm, axis=0) / k
-        elif p == q:
-            s = A.min(axis=0) if p < 0.0 else m
-            w = (A / s) ** p  # r^p up to a row factor
-            logr = np.log(A) - logm
-            log_rel = (np.sum(np.where(w > 0.0, w * logr, 0.0), axis=0)
-                       / np.sum(w, axis=0))
-        else:
-            def log_power_sum(e):
-                if e == 0.0:
-                    return math.log(k)  # 0^0 = 1: zeros count as unit terms
-                if e > 0.0:
-                    return np.log(np.sum((A / m) ** e, axis=0))
-                s = A.min(axis=0)
-                return e * (np.log(s) - logm) + np.log(np.sum((A / s) ** e, axis=0))
-
-            log_rel = (log_power_sum(p) - log_power_sum(q)) / (p - q)
-        # log_rel = log(M/m); m * exp(log_rel) could underflow before M does
-        out = np.exp(logm + log_rel)
-    zero = A == 0.0
-    vanish = zero.all(axis=0)
+    k, m = A.shape[0], A.max(axis=0)
+    vanish = m == 0.0  # all-zero rows
     if q < 0.0 or (p == q and q <= 0.0):
         # sum |x|^q diverges (q < 0), the self-weights concentrate on a zero
         # coordinate (p = q < 0), or the geometric mean vanishes (p = q = 0)
-        vanish |= zero.any(axis=0)
+        vanish |= (A == 0.0).any(axis=0)
+    # zero coordinates and all-zero rows yield nan or inf here; the limit
+    # conventions above overwrite every such row
+    with np.errstate(all="ignore"):
+        logm = np.log(m)
+        if p == q == 0.0:
+            # geometric mean: the self-weights are all 1
+            log_rel = np.sum(np.subtract(np.log(A, out=A), logm, out=A),
+                             axis=0) / k
+        elif p == q:
+            s = A.min(axis=0) if p < 0.0 else m
+            w = np.divide(A, s)  # r^p up to a row factor
+            w **= p
+            logr = np.subtract(np.log(A, out=A), logm, out=A)
+            logr *= w
+            logr[~(w > 0.0)] = 0.0  # the terms of zero weight
+            log_rel = np.sum(logr, axis=0) / np.sum(w, axis=0)
+        else:
+            def log_power_sum(e, out):  # (A / s)^e goes to out
+                if e == 0.0:
+                    return math.log(k)  # 0^0 = 1: zeros count as unit terms
+                s = A.min(axis=0) if e < 0.0 else m
+                r = np.divide(A, s, out=out)
+                r **= e
+                t = np.sum(r, axis=0)
+                np.log(t, out=t)
+                return t if e > 0.0 else e * (np.log(s) - logm) + t
+
+            # q's sum runs last, over A; p's takes the one scratch array
+            log_rel = (log_power_sum(p, None if q else A)
+                       - log_power_sum(q, A)) / (p - q)
+        # log_rel = log(M/m); m * exp(log_rel) could underflow before M does
+        out = np.exp(logm + log_rel)
     out[vanish] = 0.0
     return out
 

@@ -13,6 +13,9 @@ member (the sets are closed). Every member passes its family's outer bound
 with q, so p- and pq-balls lie in {min_j |x_j| <= eps} and, for q >= 0 and
 k^(1/p) <= 1e6, in {max_j |x_j| <= k^(1/p) eps}; hat-B and check-B lie in
 {max_j |x_j| <= a + k^(1/p) eps}. A ball with an infinite exponent is its own.
+The kernels run on one (k, n) array of magnitudes and overwrite it; besides
+masks and (n,) rows, check-B and the means take one more such array, hat-B
+none.
 """
 
 import math
@@ -21,24 +24,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# p_mean_rows and pq_mean_rows stay importable from here, where callers and
+# bench/spans.py reach the row means
 from .means import (MeanKind, MeanSpec, Schur2Value, SchurCharacter,
-                    classify_mean, p_mean_rows, pq_mean_rows)
+                    classify_mean, p_mean_rows, pq_mean_mags, pq_mean_rows)
 
-__all__ = [
-    "SetSpec",
-    "p_ball",
-    "pq_ball",
-    "hat_b",
-    "check_b",
-    "cube",
-    "complement",
-    "contains",
-    "contains_rows",
-    "scale",
-    "classify_set",
-    "parse_set",
-    "format_set",
-]
+__all__ = ["SetSpec", "p_ball", "pq_ball", "hat_b", "check_b", "cube",
+           "complement", "contains", "contains_rows", "scale", "classify_set",
+           "parse_set", "format_set"]
 
 
 @dataclass(frozen=True)
@@ -132,18 +125,18 @@ def _outer_bound(S, A):
     return inside
 
 
-def _kernel(S, X):
-    """Membership of the rows of X, shape (n, k)."""
+def _kernel(S, A):
+    """Membership of the columns of the (k, n) magnitudes A (module doc)."""
     if S.variant in ("pball", "pqball"):  # a p-ball is the (p,0)-ball
-        return pq_mean_rows(X, S.p, S.q or 0.0) <= S.eps
-    A = np.abs(X.T, order="C")
+        return pq_mean_mags(A, S.p, S.q or 0.0) <= S.eps
     # powers of magnitudes over eps: no verdict rests on an underflow, and
-    # an overflow is an inf above k all the same. A is this call's own array,
-    # so D = (||x| - a| / eps)^p takes its place and allocates nothing
+    # an overflow is an inf above k all the same
     with np.errstate(over="ignore"):
         if S.variant == "checkb":  # a term capped at 2k fails: no inf - inf
-            Ap = np.minimum((A / S.eps) ** S.p, 2.0 * S.k)
-        D = np.abs(np.subtract(A, S.a, out=A), out=A)
+            Ap = np.divide(A, S.eps)
+            Ap **= S.p
+            np.minimum(Ap, 2.0 * S.k, out=Ap)
+        D = np.abs(np.subtract(A, S.a, out=A), out=A)  # (||x| - a| / eps)^p
         D /= S.eps
         D **= S.p
         if S.variant == "hatb":
@@ -158,13 +151,13 @@ def _kernel(S, X):
 
 
 def contains_rows(S, X):
-    """Vectorized membership: X of shape (n, k) -> bool array (n,). Kernels
-    reduce over the coordinates as the rows of a (k, n) array. Rows outside
-    the outer bound are non-members: when fewer than half of every 16th row
-    pass it, the kernel runs on the passing rows alone. Those fail the kernel
-    too and no verdict depends on the rest of its batch, so every bit is
-    kept. A single point skips the bound, which would cost a fifth of its
-    kernel."""
+    """Vectorized membership: X of shape (n, k), which is only read -> bool
+    array (n,). Kernels reduce over the coordinates as the rows of one (k, n)
+    array. Rows outside the outer bound are non-members: when fewer than half
+    of every 16th row pass it, the kernel runs on the passing rows alone.
+    Those fail the kernel too and no verdict depends on the rest of its
+    batch, so every bit is kept. A single point skips the bound, which would
+    cost a fifth of its kernel."""
     X = np.asarray(X, dtype=float)
     if X.ndim < 2:  # cheaper than np.atleast_2d on the single-point path
         X = X.reshape(1, -1)
@@ -172,15 +165,15 @@ def contains_rows(S, X):
         raise ValueError(f"dimension mismatch: set k={S.k}, points k={X.shape[1]}")
     if S.variant == "complement":
         return ~contains_rows(S.inner, X)
+    A = np.abs(X.T, order="C")
     if X.shape[0] > 1 and math.isfinite(S.p):  # p = +-inf: its own bound
-        probe = _outer_bound(S, np.abs(X[::16].T, order="C"))
+        probe = _outer_bound(S, A[:, ::16])
         if 2 * np.count_nonzero(probe) < probe.size:
-            A = np.abs(X.T, order="C")
             inside = _outer_bound(S, A)
             if inside.any():
-                inside[inside] = _kernel(S, A[:, inside].T)
+                inside[inside] = _kernel(S, A.compress(inside, axis=1))
             return inside
-    return _kernel(S, X)
+    return _kernel(S, A)
 
 
 def contains(S, x):

@@ -4,6 +4,7 @@ import math
 import os
 import signal
 import time
+import tracemalloc
 import warnings
 
 import mpmath
@@ -13,10 +14,10 @@ from scipy.stats import chi2, ncx2, norm
 
 from schur2 import gauss_measure, solvers
 from schur2.cli import FIG1_PANELS
-from schur2.gauss_measure import (GaussianShiftQuery, MeasureEstimate, measure,
-                                  rotate2)
+from schur2.gauss_measure import (MC_ROUND_DRAWS, GaussianShiftQuery,
+                                  MeasureEstimate, measure, rotate2)
 from schur2.sets import (bounded_root, check_b, classify_set, complement,
-                         cube, hat_b, p_ball, pq_ball)
+                         contains_rows, cube, hat_b, p_ball, pq_ball)
 
 
 def mz(S, shift, **kw):
@@ -437,11 +438,66 @@ def test_polar_handles_unbounded_thin_arms():
     assert got.value == pytest.approx(oracle, rel=0.1)
 
 
+# one set of each Monte Carlo family at k = 3, with its shift and method
+MC_FAMILIES = [
+    (pq_ball(3, 5.0, -1.0, 1.0), (0.5, 0.5, 0.5), "MC_PLAIN"),
+    (pq_ball(3, 2.0, -0.4, 1.0), (1.5, 0.9, 0.3), None),
+    (hat_b(3, 4.5, 1.0, 0.79), (1.5, 0.9, 0.3), None),
+    (check_b(3, 1.5, 1.0, 0.45), (1.5, 0.9, 0.3), None),
+    (p_ball(3, 0.0, 1.0), (1.5, 0.9, 0.3), None),
+    (p_ball(3, -1.0, 1.0), (1.5, 0.9, 0.3), None),
+    (pq_ball(3, 5.0, 1.0, 1.0), tuple(10.0 * np.array([1.0, 1.0, 0.5]) / 1.5),
+     "MC_IMPORTANCE"),
+]
+
+
 def test_mc_determinism_across_workers():
-    S = pq_ball(3, 5.0, -1.0, 1.0)
-    runs = [mz(S, [0.5, 0.5, 0.5], method="MC_PLAIN", seed=42, workers=w)
-            for w in (1, 2, 4)]
-    assert runs[0].value == runs[1].value == runs[2].value
+    # chunk streams, not threads, fix the draws: every worker count reads
+    # the same bits, which a draw buffer shared between threads, or one
+    # left over from another chunk, would break
+    def run(S, shift, method, w):
+        gauss_measure._pball_means.cache_clear()  # p-balls: draw afresh
+        e = mz(S, shift, method=method, seed=42, workers=w,
+               target_rel_error=1e-6, mc_max_samples=2 * MC_ROUND_DRAWS)
+        return e.value.hex(), e.abs_error.hex(), e.samples_or_nodes, e.method
+
+    for S, shift, method in MC_FAMILIES:
+        runs = [run(S, shift, method, w) for w in (1, 2, 4)]
+        assert runs[0] == runs[1] == runs[2], S
+        assert runs[0][2] == 2 * MC_ROUND_DRAWS
+        assert runs[0][3] == (method or "MC_PLAIN"), S
+
+
+def test_mc_plain_hits_match_fresh_draws():
+    # plain Monte Carlo counts the members of N(0, I) - theta over its chunks,
+    # drawn here into fresh arrays: the draw buffer changes no bit
+    S, theta = pq_ball(3, 2.0, -0.4, 1.0), np.array([1.5, 0.9, 0.3])
+    e = mz(S, theta, method="MC_PLAIN", seed=7, workers=2,
+           target_rel_error=1e-6, mc_max_samples=2 * MC_ROUND_DRAWS)
+    hits = sum(int(np.count_nonzero(contains_rows(
+        S, gauss_measure.chunk_rng(7, c).standard_normal((1 << 15, 3)) - theta)))
+        for c in range(2 * MC_ROUND_DRAWS >> 15))
+    assert e.value == hits / (2 * MC_ROUND_DRAWS)
+
+
+@pytest.mark.parametrize("S, shift, method", [MC_FAMILIES[i] for i in (1, 3)]
+                         + [(MC_FAMILIES[2][0], (6.0, 3.6, 1.2),
+                             "MC_IMPORTANCE")])
+def test_mc_round_allocates_few_chunk_arrays(S, shift, method):
+    # numpy reports its data buffers to tracemalloc: a warm workers=1 round of
+    # 8 chunks of 32,768 x 3 draws peaks at a few chunk-sized arrays (each
+    # thread's draw buffer is made before), where one fresh array per draw,
+    # shift and kernel temporary took 5 to 6.7 of them
+    q = GaussianShiftQuery(set=S, shift=shift, method=method,
+                           mc_max_samples=MC_ROUND_DRAWS)
+    measure(q)
+    tracemalloc.start()
+    try:
+        measure(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * (1 << 15) * 3 * 8
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

@@ -286,3 +286,22 @@ def test_pq_mean_rows_matches_mpmath_oracle(p, q, k):
         other = q if p == 0.0 else p
         assert p_mean_rows(X, other).tobytes() == got.tobytes()
 
+
+def test_mean_rows_keep_their_rows_and_their_results():
+    # the kernel overwrites only the magnitudes pq_mean_rows lays out: the
+    # rows passed in keep their bits, as a batch, a transposed view and a
+    # single point, and a result keeps its bits after a call on other rows
+    X = oracle_rows(3)
+    for p, q in ORACLE_PQ:
+        means = [lambda Y: pq_mean_rows(Y, p, q)]
+        if q == 0.0:
+            means.append(lambda Y: p_mean_rows(Y, p))
+        for mean in means:
+            for Y in (X, np.ascontiguousarray(X.T).T, X[5], X[-1]):
+                before = Y.copy()
+                with np.errstate(all="ignore"):
+                    got = mean(Y)
+                    kept = got.copy()
+                    mean(np.atleast_2d(Y)[::-1] * -0.5)
+                assert Y.tobytes() == before.tobytes(), (p, q)
+                assert got.tobytes() == kept.tobytes(), (p, q)

@@ -341,7 +341,7 @@ def test_outer_bound_keeps_membership(k):
         T, flip = (S.inner, True) if S.variant == "complement" else (S, False)
         for X in _bound_batches(S, k, rng):
             with np.errstate(all="ignore"):
-                bare = sets_mod._kernel(T, X) ^ flip
+                bare = sets_mod._kernel(T, np.abs(X.T, order="C")) ^ flip
                 got = contains_rows(S, X)
             np.testing.assert_array_equal(got, bare, err_msg=format_set(S))
             members = X[bare ^ flip]
@@ -356,12 +356,32 @@ def test_outer_bound_spares_the_kernel(monkeypatch):
     X = 4.0 * np.random.default_rng(9).standard_normal((4096, 3)) + 6.0
     want = contains_rows(S, X)
     seen = []
-    kernel = sets_mod.pq_mean_rows
+    kernel = sets_mod.pq_mean_mags
 
-    def counted(Y, p, q):
-        seen.append(len(Y))
-        return kernel(Y, p, q)
+    def counted(A, p, q):
+        seen.append(A.shape[1])
+        return kernel(A, p, q)
 
-    monkeypatch.setattr(sets_mod, "pq_mean_rows", counted)
+    monkeypatch.setattr(sets_mod, "pq_mean_mags", counted)
     np.testing.assert_array_equal(contains_rows(S, X), want)
     assert want.any() and 0 < sum(seen) < len(X)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_membership_keeps_its_rows_and_its_results(k):
+    # the kernels overwrite only the magnitudes contains_rows lays out: the
+    # rows passed in keep their bits near and far (the outer bound's subset
+    # path), as a transposed view and as single points, and a result keeps
+    # its bits after a call on other rows
+    rng = np.random.default_rng(60 + k)
+    near = 1.5 * rng.standard_normal((600, k))
+    far = near + 8.0
+    for S in _bound_families(k):
+        for X in (near, far, np.ascontiguousarray(far.T).T, near[3], far[:1]):
+            before = X.copy()
+            with np.errstate(all="ignore"):
+                got = contains_rows(S, X)
+                kept = got.copy()
+                contains_rows(S, np.atleast_2d(X)[::-1] * -0.5)
+            assert X.tobytes() == before.tobytes(), format_set(S)
+            np.testing.assert_array_equal(got, kept, err_msg=format_set(S))
